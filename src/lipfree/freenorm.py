@@ -2,8 +2,9 @@
 
 Three solvers cover the (0, 1] exponent range:
 
-* ``free_norm_p1`` -- exact transportation cost at p = 1 via successive
-  shortest paths with node potentials, emitting a dual Lipschitz witness.
+* ``free_norm_p1`` -- exact transportation cost at p = 1 by the primal-dual
+  method on the dense source x sink cost block, emitting the c-transform of
+  the final potentials as a checked 1-Lipschitz dual witness.
 * ``free_norm_exact_small`` -- exact for any p in (0, 1] by enumerating all
   spanning trees of the complete graph (vertex solutions of the flow
   polyhedron have acyclic support, and zero-weight edges extend any feasible
@@ -14,7 +15,6 @@ Three solvers cover the (0, 1] exponent range:
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -259,161 +259,129 @@ def free_norm_exact_small(space, molecule, p, forest_limit=FOREST_LIMIT_DEFAULT)
 
 
 # ---------------------------------------------------------------------------
-# p = 1: successive shortest paths on the bipartite transportation instance
+# p = 1: primal-dual transport on the dense source x sink cost block, with
+# the c-transform of the sink potentials as the Kantorovich dual witness
+
+_CERT_TOL = 1e-9
 
 
-def _transport_ssp(dist, vec):
-    """Min-cost transportation between positive and negative parts of vec.
+def _transport(dist, vec):
+    """Min-cost transportation between the positive and negative parts of vec.
 
-    Returns (value, flows) with flows a dict (source, sink) -> weight.
-    Successive shortest paths with node potentials; distances are used
-    directly, with no integer scaling.
+    Returns ``(value, flows, sinks, g)``: ``flows`` lists the sorted
+    (source, sink, mass) arcs of an optimal plan, ``sinks`` the sink indices
+    and ``g`` their dual potentials.  On a metric, the c-transform
+    ``f(x) = min_j dist[x, sinks[j]] + g[j]`` is 1-Lipschitz and pairs with
+    ``vec`` to the value.
+
+    Primal-dual method (Ford & Fulkerson, 1957).  Node potentials keep every
+    residual reduced cost ``cost + pot_s - pot_t`` non-negative, so flow arcs
+    are tight.  Each phase finds the shortest-path forest from all sources
+    with excess by whole-matrix label-correcting sweeps.  It lifts the
+    potentials by the distances, capped at the largest finite one, which
+    keeps reduced costs non-negative and makes the forest tight.  It then
+    pushes flow along every forest path that reaches unmet demand, until
+    either side has at most 1e-14 of the total mass left.  With a single
+    source or sink the only feasible plan is returned directly.
     """
-    scale = _scale(vec)
-    eps = 1e-14 * scale
-    srcs = [i for i in range(len(vec)) if vec[i] > eps]
-    snks = [i for i in range(len(vec)) if vec[i] < -eps]
-    supply = {i: float(vec[i]) for i in srcs}
-    demand = {j: float(-vec[j]) for j in snks}
-    flows = {}
-    if not srcs or not snks:
-        return 0.0, flows
-    nodes = srcs + snks
-    pos = {v: k for k, v in enumerate(nodes)}
-    ns = len(srcs)
-    pot = [0.0] * len(nodes)
-    guard = 1000 + 40 * len(nodes) ** 2
-
-    for _ in range(guard):
-        s = next((i for i in srcs if supply[i] > eps), None)
-        if s is None:
-            break
-        # Dijkstra over the residual graph with reduced costs
-        dist_to = [math.inf] * len(nodes)
-        prev = [None] * len(nodes)
-        start = pos[s]
-        dist_to[start] = 0.0
-        heap = [(0.0, start)]
-        seen = [False] * len(nodes)
-        while heap:
-            du, u = heapq.heappop(heap)
-            if seen[u]:
-                continue
-            seen[u] = True
-            if u < ns:  # source side: forward arcs to every sink
-                i = nodes[u]
-                for j in snks:
-                    v = pos[j]
-                    if seen[v]:
-                        continue
-                    rc = dist[i, j] + pot[u] - pot[v]
-                    rc = max(rc, 0.0)
-                    nd = du + rc
-                    if nd < dist_to[v] - 1e-15 * scale:
-                        dist_to[v] = nd
-                        prev[v] = u
-                        heapq.heappush(heap, (nd, v))
-            else:  # sink side: backward arcs along existing flow
-                j = nodes[u]
-                for (i2, j2), w in flows.items():
-                    if j2 != j or w <= eps:
-                        continue
-                    v = pos[i2]
-                    if seen[v]:
-                        continue
-                    rc = -dist[i2, j2] + pot[u] - pot[v]
-                    rc = max(rc, 0.0)
-                    nd = du + rc
-                    if nd < dist_to[v] - 1e-15 * scale:
-                        dist_to[v] = nd
-                        prev[v] = u
-                        heapq.heappush(heap, (nd, v))
-        # nearest sink with remaining demand
-        t = None
-        best = math.inf
-        for j in snks:
-            if demand[j] > eps and dist_to[pos[j]] < best:
-                best = dist_to[pos[j]]
-                t = j
-        if t is None:
-            raise InternalInvariantBroken("supply left but no reachable demand")
-        dt = dist_to[pos[t]]
-        # unreached nodes advance by dt as well: no residual arc can leave
-        # the reached set, so the reduced-cost invariant is preserved
-        for k in range(len(nodes)):
-            pot[k] += min(dist_to[k], dt)
-        # bottleneck along the path
-        path = []
-        v = pos[t]
-        while v != start:
-            u = prev[v]
-            path.append((u, v))
-            v = u
-        path.reverse()
-        amt = min(supply[s], demand[t])
-        for u, v in path:
-            if u >= ns:  # backward arc (sink -> source): limited by flow
-                amt = min(amt, flows[(nodes[v], nodes[u])])
-        for u, v in path:
-            if u < ns:
-                key = (nodes[u], nodes[v])
-                flows[key] = flows.get(key, 0.0) + amt
-            else:
-                key = (nodes[v], nodes[u])
-                flows[key] -= amt
-        supply[s] -= amt
-        demand[t] -= amt
+    eps = 1e-14 * _scale(vec)
+    srcs = (vec > eps).nonzero()[0]
+    sinks = (vec < -eps).nonzero()[0]
+    if len(srcs) == 0 or len(sinks) == 0:
+        return 0.0, (), sinks, np.zeros(len(sinks))
+    cost = dist[srcs[:, None], sinks]
+    ns, nt = cost.shape
+    if nt == 1:
+        flow, pot_t = vec[srcs, None], np.zeros(1)
+    elif ns == 1:
+        flow, pot_t = -vec[None, sinks], cost[0]
     else:
-        raise InternalInvariantBroken("transport iteration guard exceeded")
+        excess, deficit = vec[srcs], -vec[sinks]
+        cols = np.arange(nt)
+        flow = np.zeros((ns, nt))
+        pot_s, pot_t = np.zeros(ns), np.zeros(nt)
+        for _ in range(1000 + 40 * (ns + nt) ** 2):
+            live, short = excess > eps, deficit > eps
+            if not (live.any() and short.any()):
+                break
+            fwd = np.maximum(cost + pot_s[:, None] - pot_t, 0.0)
+            back = np.where(flow > eps, 0.0, np.inf)  # flow arcs are tight
+            ds = np.where(live, 0.0, np.inf)
+            dt = np.full(nt, np.inf)
+            pred_s, pred_t = np.full(ns, -1), cols  # first sweep sets pred_t
+            while True:  # labels only fall, along simple paths
+                reach = ds[:, None] + fwd
+                via = reach.argmin(axis=0)
+                low = reach[via, cols]
+                better = low < dt
+                if not better.any():
+                    break
+                dt = np.where(better, low, dt)
+                pred_t = np.where(better, via, pred_t)
+                reach = back + dt
+                via = reach.argmin(axis=1)
+                low = reach.min(axis=1)
+                better = low < ds
+                if not better.any():
+                    break
+                ds = np.where(better, low, ds)
+                pred_s = np.where(better, via, pred_s)
+            # every reached source sits at a sink's distance, so dt.max()
+            # is the largest finite distance
+            pot_s += np.minimum(ds, dt.max())
+            pot_t += dt
+            pred_s, pred_t = pred_s.tolist(), pred_t.tolist()
+            for t in sorted(short.nonzero()[0].tolist(), key=dt.__getitem__):
+                root = pred_t[t]
+                fwd_arcs, back_arcs = [(root, t)], []
+                for _ in range(ns):  # a forest path visits each source once
+                    if pred_s[root] < 0:
+                        break
+                    j = pred_s[root]
+                    back_arcs.append((root, j))
+                    root = pred_t[j]
+                    fwd_arcs.append((root, j))
+                else:
+                    raise InternalInvariantBroken("cycle in shortest-path forest")
+                amt = min([excess[root], deficit[t]]
+                          + [flow[e] for e in back_arcs])
+                if amt <= eps:
+                    continue
+                for e in fwd_arcs:
+                    flow[e] += amt
+                for e in back_arcs:
+                    flow[e] -= amt
+                excess[root] -= amt
+                deficit[t] -= amt
+        else:
+            raise InternalInvariantBroken("transport phase guard exceeded")
+    keep = flow > eps
+    mass = flow[keep]
+    a, b = np.nonzero(keep)
+    flows = tuple(zip(srcs[a].tolist(), sinks[b].tolist(), mass.tolist()))
+    return float(mass @ cost[keep]), flows, sinks, -pot_t
 
-    flows = {k: w for k, w in flows.items() if w > eps}
-    value = sum(w * dist[i, j] for (i, j), w in flows.items())
-    return value, flows
 
-
-def _kr_certificate(space, vec, flows):
-    """Dual Lipschitz witness for an optimal transport plan.
-
-    Solves the difference-constraint system (1-Lipschitz everywhere, tight
-    on the support of the plan) by Bellman-Ford from the base point, then
-    extends to the whole space by inf-convolution with the distance.
-    """
-    base = space.base
-    nodes = sorted({base} | {i for i, _ in flows} | {j for _, j in flows}
-                   | {i for i in range(len(vec)) if vec[i] != 0.0})
-    pos = {v: k for k, v in enumerate(nodes)}
-    k = len(nodes)
-    arcs = []
-    for a in nodes:
-        for b in nodes:
-            if a != b:
-                arcs.append((pos[a], pos[b], space.dist[a, b]))
-    for (i, j), w in flows.items():
-        if w > 0:
-            arcs.append((pos[i], pos[j], -space.dist[i, j]))
-    f = np.full(k, np.inf)
-    f[pos[base]] = 0.0
-    for _ in range(k):
-        changed = False
-        for a, b, w in arcs:
-            if f[a] + w < f[b] - 1e-15:
-                f[b] = f[a] + w
-                changed = True
-        if not changed:
-            break
-    else:
-        return None  # negative cycle: plan not optimal to float precision
-    full = np.min(f[None, :] + space.dist[:, nodes], axis=1)
-    full[base] = 0.0
-    return full
+def _certificate_defects(space, vec, value, cert):
+    """(pairing gap relative to the value, Lipschitz excess of ``cert`` over
+    ``space.dist`` relative to the diameter); both 0 for a valid witness."""
+    gap = abs(float(vec @ cert) - value) / (value or 1.0)
+    excess = float((cert[:, None] - cert[None, :] - space.dist).max())
+    return gap, excess / (space.diameter() or 1.0)
 
 
 def free_norm_p1(space, molecule):
     """Exact transportation-cost norm at p = 1 with dual certificate.
 
-    Exact whenever the distance satisfies the triangle inequality (any
-    genuine metric, snowflaked or not); the emitted certificate makes the
-    optimality independently checkable.
+    The plan comes from the primal-dual solver ``_transport``; the
+    certificate is the c-transform of its sink potentials, shifted to vanish
+    at the base.  Both are checked at run time: the certificate must pair
+    with the molecule to the value within 1e-9 relative and be 1-Lipschitz
+    against ``space.dist`` within 1e-9 of the diameter.  That holds for any
+    genuine metric, snowflaked or not.  When a check fails (a distance
+    matrix that breaks the triangle inequality), the result is tagged
+    ``upper-bound`` with no certificate: the value is still the cost of a
+    feasible plan.
     """
     n = space.n
     vec = molecule.vector(n)
@@ -421,10 +389,12 @@ def free_norm_p1(space, molecule):
         raise BadParameter("molecule does not sum to zero")
     if np.abs(vec).max(initial=0.0) <= ABS_TOL:
         return FreeNormResult(0.0, (), "exact", 1.0, certificate=np.zeros(n))
-    value, flows = _transport_ssp(space.dist, vec)
-    rep = tuple((i, j, w) for (i, j), w in sorted(flows.items()))
-    cert = _kr_certificate(space, vec, flows)
-    return FreeNormResult(float(value), rep, "exact", 1.0, certificate=cert)
+    value, flows, sinks, g = _transport(space.dist, vec)
+    cert = np.min(space.dist[:, sinks] + g, axis=1)
+    cert -= cert[space.base]
+    if max(_certificate_defects(space, vec, value, cert)) <= _CERT_TOL:
+        return FreeNormResult(value, flows, "exact", 1.0, certificate=cert)
+    return FreeNormResult(value, flows, "upper-bound", 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -580,11 +550,6 @@ def _dense_restrict(space, vec):
     return sub, space.dist[np.ix_(sub, sub)], vec[sub]
 
 
-def _ssp_value(dsub, vsub):
-    value, _ = _transport_ssp(dsub, vsub)
-    return value
-
-
 def _upper_value(dsub, vsub, p):
     """min(star routing, MST routing) -- a cheap certified upper bound."""
     k = len(vsub)
@@ -627,7 +592,7 @@ def norm_value(space, vec, p, exact_limit=FOREST_LIMIT_DEFAULT, prefer="auto",
         return 0.0, True
     sub, dsub, vsub = _dense_restrict(space, vec)
     if prefer == "p1" or (prefer == "auto" and p == 1.0):
-        return _ssp_value(dsub, vsub), True
+        return _transport(dsub, vsub)[0], True
     if prefer == "upper":
         return _upper_value(dsub, vsub, p), False
     if certify and space.n <= exact_limit:

@@ -33,6 +33,7 @@ from .extension import (
 )
 from .freenorm import (
     Molecule,
+    _certificate_defects,
     free_norm_exact_small,
     free_norm_p1,
     free_norm_upper,
@@ -104,22 +105,30 @@ def suite_norm_oracle(config):
     tol = config.tol("norm_oracle_rel", 1e-9)
 
     gap_worst = 0.0
+    lip_worst = 0.0
+    missing = 0
     agree_worst = 0.0
     for _ in range(40):
         mol = _random_molecule(rng, space)
         res = free_norm_p1(space, mol)
-        if res.certificate is not None:
-            vec = mol.vector(space.n)
-            pairing = float(np.dot(vec, res.certificate))
-            gap_worst = max(gap_worst, abs(pairing - res.value)
-                            / max(res.value, 1e-30))
+        if res.certificate is None:
+            missing += 1
+        else:
+            gap, lip = _certificate_defects(space, mol.vector(space.n),
+                                            res.value, res.certificate)
+            gap_worst = max(gap_worst, gap)
+            lip_worst = max(lip_worst, lip)
         if space.n <= config.exact_limit:
             oracle = free_norm_exact_small(space, mol, 1.0,
                                            forest_limit=config.exact_limit)
             agree_worst = max(agree_worst, abs(oracle.value - res.value)
                               / max(res.value, 1e-30))
-    records.append(_record("duality_gap_p1", gap_worst, None,
-                           gap_worst <= tol, tol=tol))
+    certified = missing == 0 and lip_worst <= tol
+    records.append(_record(
+        "duality_gap_p1", gap_worst, None, certified and gap_worst <= tol,
+        witness=None if certified else {"missing_certificates": missing,
+                                        "lipschitz_excess": lip_worst},
+        tol=tol))
     records.append(_record("oracle_vs_flow_p1", agree_worst, None,
                            agree_worst <= tol, tol=tol))
 

@@ -8,6 +8,7 @@ from lipfree import (
     SizeLimit,
     SumElement,
     SumPart,
+    build_space,
     free_norm_exact_small,
     free_norm_p1,
     free_norm_upper,
@@ -15,7 +16,9 @@ from lipfree import (
     lipschitz_constant,
     lp_sum_norm,
     norm_value,
+    space_from_matrix,
 )
+from lipfree.generators import random_ball
 
 from conftest import check_result_consistency, random_metric_space, random_molecule
 
@@ -44,19 +47,97 @@ def test_delta_difference_is_distance(rng):
     assert res.value == pytest.approx(sp.d(2, 4), rel=1e-12)
 
 
+def check_certificate(sp, m, res):
+    """The certificate vanishes at the base, pairs with the molecule to the
+    value and is 1-Lipschitz, with tolerances relative to the value and the
+    diameter."""
+    f = res.certificate
+    assert res.exactness == "exact"
+    assert f is not None and f[sp.base] == 0.0
+    assert abs(float(m.vector(sp.n) @ f) - res.value) <= 1e-9 * res.value
+    excess = (np.abs(f[:, None] - f[None, :]) - sp.dist).max()
+    assert excess <= 1e-9 * sp.diameter()
+    check_result_consistency(sp, m, res)
+
+
 def test_certificate_is_lipschitz_witness(rng):
     for _ in range(30):
         sp = random_metric_space(rng, int(rng.integers(3, 9)))
         m = random_molecule(rng, sp)
-        res = free_norm_p1(sp, m)
-        f = res.certificate
-        assert f is not None
-        assert abs(f[sp.base]) <= 1e-12
-        lip = np.abs(f[:, None] - f[None, :]) - sp.dist
-        assert lip.max() <= 1e-9 * max(1.0, sp.dist.max())
-        pairing = float(np.dot(m.vector(sp.n), f))
-        assert pairing == pytest.approx(res.value, rel=1e-9, abs=1e-12)
-        check_result_consistency(sp, m, res)
+        check_certificate(sp, m, free_norm_p1(sp, m))
+
+
+def dense_molecule(rng, sp):
+    coeffs = rng.standard_normal(sp.n - 1)
+    return Molecule.balanced(dict(zip(range(1, sp.n), coeffs.tolist())),
+                             sp.base)
+
+
+@pytest.mark.parametrize("k", [60, 150])
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_transport_many_sources_and_sinks(rng, k, alpha):
+    # full-support molecules on k-point clouds: both sides have dozens of
+    # points, so the solve runs through the primal-dual phases
+    sp = random_ball(d=2, n=k, seed=k, alpha=alpha)
+    for _ in range(2):
+        m = dense_molecule(rng, sp)
+        check_certificate(sp, m, free_norm_p1(sp, m))
+
+
+def test_transport_single_source_or_sink_matches_oracle(rng):
+    for _ in range(10):
+        sp = random_metric_space(rng, 7)
+        coeffs = {i: float(c) for i, c in
+                  zip(range(1, 6), np.abs(rng.standard_normal(5)))}
+        for sign in (1.0, -1.0):  # one sink (the base), then one source
+            m = Molecule.balanced(coeffs, sp.base) * sign
+            res = free_norm_p1(sp, m)
+            oracle = free_norm_exact_small(sp, m, 1.0).value
+            assert res.value == pytest.approx(oracle, rel=1e-12)
+            check_certificate(sp, m, res)
+
+
+def test_transport_ties_match_oracle(rng):
+    line = line_space([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    grid = build_space([(x, y) for x in range(4) for y in range(2)], "taxicab")
+    for sp in (line, grid):
+        for _ in range(10):
+            m = random_molecule(rng, sp)
+            res = free_norm_p1(sp, m)
+            oracle = free_norm_exact_small(sp, m, 1.0).value
+            assert res.value == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+            check_certificate(sp, m, res)
+
+
+def test_transport_ties_on_long_line():
+    sp = line_space([float(i) for i in range(60)])
+    m = Molecule.balanced({i: (-1.0) ** i for i in range(1, 60)}, sp.base)
+    res = free_norm_p1(sp, m)
+    assert res.value == pytest.approx(30.0, rel=1e-12)
+    check_certificate(sp, m, res)
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1e20])
+def test_transport_certificate_at_extreme_scales(rng, scale):
+    sp = random_ball(d=2, n=40, seed=5)
+    scaled = space_from_matrix(sp.dist * scale)
+    m = dense_molecule(rng, sp)
+    res = free_norm_p1(scaled, m)
+    check_certificate(scaled, m, res)
+    assert res.value == pytest.approx(free_norm_p1(sp, m).value * scale,
+                                      rel=1e-12)
+
+
+def test_triangle_violation_is_tagged_upper_bound():
+    # d(0, 2) = 3 > d(0, 1) + d(1, 2) = 2: the direct plan is not optimal,
+    # and its c-transform witness is not 1-Lipschitz
+    sp = space_from_matrix([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
+    m = Molecule.delta(2, 0)
+    res = free_norm_p1(sp, m)
+    assert res.exactness == "upper-bound"
+    assert res.certificate is None
+    assert res.value == 3.0
+    assert free_norm_exact_small(sp, m, 1.0).value == pytest.approx(2.0)
 
 
 def test_zero_molecule():

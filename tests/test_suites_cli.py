@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from lipfree import Mismatch, SuiteConfig, report_diff, run_suite
+from lipfree import Mismatch, SuiteConfig, report_diff, run_suite, suites
 from lipfree.cli import main
 from lipfree.errors import BadSuite
 from lipfree.serialization import load_report
@@ -28,6 +29,19 @@ def test_suite_reports_byte_identical(tmp_path):
     run_suite(SuiteConfig(suite="norm-oracle", seed=3, out=str(a)))
     run_suite(SuiteConfig(suite="norm-oracle", seed=3, out=str(b)))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_missing_p1_certificate_fails_duality_record(monkeypatch):
+    solve = suites.free_norm_p1
+
+    def uncertified(space, molecule):
+        return dataclasses.replace(solve(space, molecule), certificate=None)
+
+    monkeypatch.setattr(suites, "free_norm_p1", uncertified)
+    doc, ok = run_suite(SuiteConfig(suite="norm-oracle", seed=3))
+    record, = [r for r in doc["checks"] if r["check"] == "duality_gap_p1"]
+    assert not ok and not record["passed"]
+    assert record["witness"]["missing_certificates"] == 40
 
 
 def test_unknown_suite_and_empty_p():
