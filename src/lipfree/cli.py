@@ -11,6 +11,7 @@ import json
 import sys
 
 from .errors import LipfreeError
+from .freenorm import FOREST_LIMIT_DEFAULT
 from .generators import KINDS, generate
 from .serialization import dump_report, load_report, save_space
 from .suites import SUITES, SuiteConfig, report_diff, run_suite
@@ -57,7 +58,7 @@ def build_parser():
     run.add_argument("--out", help="report output path")
     run.add_argument("--tol-override", action="append", metavar="KEY=VAL",
                      help="tolerance override (repeatable)")
-    run.add_argument("--exact-limit", type=int, default=8,
+    run.add_argument("--exact-limit", type=int, default=FOREST_LIMIT_DEFAULT,
                      help="forest oracle size cap")
 
     diff = sub.add_parser("diff", help="diff two reports of the same suite")

@@ -22,7 +22,7 @@ from .errors import (
     MissingAmenability,
     SupportMismatch,
 )
-from .freenorm import norm_value
+from .freenorm import FOREST_LIMIT_DEFAULT, norm_value
 from .metric import ABS_TOL, IntervalSpec
 
 GRID_SAMPLES_PER_SEGMENT = 64
@@ -320,7 +320,8 @@ def log_radii(space, R):
     return out
 
 
-def operator_T(family, weights, p=None, support_tol=1e-12, exact_limit=8):
+def operator_T(family, weights, p=None, support_tol=1e-12,
+               exact_limit=FOREST_LIMIT_DEFAULT):
     """Weighted diagonal-to-sum operator delta(x) -> (psi_n(u_x) delta_n(x))_n.
 
     Requires each weight's support to stay inside its annulus interval on
@@ -413,10 +414,10 @@ def norm_bound_T(p, k, R, K1, K2):
 
 def separated_family_bound(K, p):
     """Inverse bound (K^p + 1)^{1/p} (K^p - 1)^{-1/p} for gap K > 1."""
-    if K <= 1:
-        raise BadParameter(f"gap K={K} must exceed 1")
     if not 0 < p <= 1:
         raise BadParameter(f"p={p} outside (0, 1]")
+    if not K > 1 or K ** p <= 1:
+        raise BadParameter(f"gap K={K!r} must exceed 1, with K^p > 1 at p={p}")
     return (K ** p + 1) ** (1 / p) * (K ** p - 1) ** (-1 / p)
 
 
@@ -424,7 +425,8 @@ def separated_family_bound(K, p):
 # measured constants
 
 
-def measure_map_into_sum(family, weight_matrix, p, exact_limit=8):
+def measure_map_into_sum(family, weight_matrix, p,
+                         exact_limit=FOREST_LIMIT_DEFAULT):
     """Measured Lipschitz constant of x -> (w_n(x) delta_n(x))_n.
 
     weight_matrix has shape (n_parts, n_points) over global indices.  Part
@@ -467,7 +469,7 @@ def measure_map_into_sum(family, weight_matrix, p, exact_limit=8):
     return best, best_pair, all_exact
 
 
-def measure_diagonal_map(space, diag_weights, p, exact_limit=8):
+def measure_diagonal_map(space, diag_weights, p, exact_limit=FOREST_LIMIT_DEFAULT):
     """Measured Lipschitz constant of x -> w(x) delta(x) into F_p(space)."""
     n = space.n
     best, best_pair, all_exact = 0.0, None, True
@@ -534,7 +536,8 @@ class SeparatedInverseReport:
         return self.max_ratio <= self.bound * (1 + 1e-9)
 
 
-def verify_separated_inverse(family, p, samples=200, seed=0, exact_limit=8):
+def verify_separated_inverse(family, p, samples=200, seed=0,
+                             exact_limit=FOREST_LIMIT_DEFAULT):
     """Sampled lower bound for the inverse norm of P on a separated partition.
 
     The family must partition the nonbase points and have multiplicative gap
@@ -602,7 +605,7 @@ class IdentityReport:
 
 
 def verify_pst_identity(space, cores, r, R, p, outer_intervals=None, k=None,
-                        exact_limit=8):
+                        exact_limit=FOREST_LIMIT_DEFAULT):
     """The complementation identity P o S o T = Id on the delta-basis.
 
     ``cores`` are the closed plateau intervals [a_n, b_n]; the weights live
@@ -671,7 +674,7 @@ class ReverseIdentityReport:
 
 def verify_etp_identity(space, bump_intervals, inner_intervals, r, R, p,
                         e_blocks=None, e_builder=None, declared_K=None,
-                        exact_limit=8):
+                        exact_limit=FOREST_LIMIT_DEFAULT):
     """The reverse identity E o T o P = Id on the ell_p-sum basis.
 
     ``bump_intervals`` are the pairwise disjoint open J_n = (a_n, b_n);
@@ -746,7 +749,7 @@ class CommutingReport:
                 and all(v <= self.bound * (1 + 1e-9) for v in self.measured_norms))
 
 
-def commuting_approximants(space, R, m_max, p, exact_limit=8):
+def commuting_approximants(space, R, m_max, p, exact_limit=FOREST_LIMIT_DEFAULT):
     """Truncated hat-weight approximants S_m with the min-semigroup law.
 
     S_m(delta(x)) = (sum of the 2m+1 central hat weights at log_R d(0,x))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, BadSubset, InternalInvariantBroken, TooSmall
-from .freenorm import Molecule, norm_value
+from .freenorm import FOREST_LIMIT_DEFAULT, Molecule, norm_value
 from .metric import REL_TOL, doubling_constant_upper, maximal_separated_net
 
 
@@ -314,8 +314,8 @@ def weight_variation_check(system, p):
     return CrucialReport(worst <= 1 + 1e-9, wpair, worst)
 
 
-def doubling_extension_map(space, net, p, system=None, exact_limit=8,
-                           measure=True):
+def doubling_extension_map(space, net, p, system=None,
+                           exact_limit=FOREST_LIMIT_DEFAULT, measure=True):
     """The doubling extension: delta on the subset, Whitney-weighted
     averages of net anchors off it.
 
@@ -374,7 +374,7 @@ class PointRemovalReport:
     map: ExtensionMap
 
 
-def point_removal_map(space, x0, p, exact_limit=8):
+def point_removal_map(space, x0, p, exact_limit=FOREST_LIMIT_DEFAULT):
     """Collapse one point to zero, re-basing at its nearest neighbor.
 
     The map sends every other point to its own delta and x0 to zero; with
@@ -431,7 +431,8 @@ class AmenabilityReport:
     p: float
 
 
-def amenability_defect(space, net, p, samples=100, seed=0, exact_limit=8):
+def amenability_defect(space, net, p, samples=100, seed=0,
+                       exact_limit=FOREST_LIMIT_DEFAULT):
     """Sampled lower bound for the inverse norm of the canonical inclusion.
 
     Random molecules supported on the subset are normed both in the free

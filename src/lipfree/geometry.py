@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import BadParameter, BadSubset, NotSigmaClosed, PoleInDomain
 from .extension import ExtensionMap, _measure_assignment
+from .freenorm import FOREST_LIMIT_DEFAULT
 from .metric import REL_TOL
 
 
@@ -175,7 +176,7 @@ def radial_retraction(space, S, snap_tol=None, rule=default_scaling):
 
 
 def outward_amenability_map(space, S, p, alpha=None, snap_tol=None,
-                            rule=default_scaling, exact_limit=8):
+                            rule=default_scaling, exact_limit=FOREST_LIMIT_DEFAULT):
     """Scaled outward map onto the part of the sample at radius >= S.
 
     Inner points are pushed out along their ray and their delta is scaled

@@ -114,6 +114,9 @@ def test_separated_bound_examples():
     assert abs(separated_family_bound(1e6, 1.0) - 1.0) <= 1e-5
     with pytest.raises(BadParameter):
         separated_family_bound(1.0, 1.0)
+    # K > 1, but K^p rounds to 1
+    with pytest.raises(BadParameter):
+        separated_family_bound(1.0 + 2.0 ** -52, 0.5)
 
 
 def test_operator_p_is_inclusion():

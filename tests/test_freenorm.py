@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from lipfree import (
     norm_value,
     space_from_matrix,
 )
+from lipfree.freenorm import FOREST_LIMIT_MAX
 from lipfree.generators import random_ball
 
 from conftest import check_result_consistency, random_metric_space, random_molecule
@@ -170,6 +172,85 @@ def test_oracle_size_limit():
     sp = line_space(list(range(9)))
     with pytest.raises(SizeLimit):
         free_norm_exact_small(sp, Molecule.delta(1, 0), 0.5)
+
+
+def test_oracle_limit_above_ceiling_is_rejected():
+    sp = line_space([0.0, 1.0, 2.0])
+    m = Molecule.delta(2, 0)
+    with pytest.raises(SizeLimit):
+        free_norm_exact_small(sp, m, 0.5, forest_limit=FOREST_LIMIT_MAX + 1)
+    with pytest.raises(SizeLimit):
+        norm_value(sp, m.vector(sp.n), 0.5, exact_limit=FOREST_LIMIT_MAX + 1)
+
+
+def prufer_trees(n):
+    """Edge lists of all n^(n-2) labelled trees on n >= 2 points."""
+    for seq in itertools.product(range(n), repeat=n - 2):
+        degree = [1] * n
+        for a in seq:
+            degree[a] += 1
+        edges = []
+        for a in seq:
+            leaf = degree.index(1)
+            edges.append((leaf, a))
+            degree[leaf] = 0
+            degree[a] -= 1
+        u, v = (i for i in range(n) if degree[i] == 1)
+        yield edges + [(u, v)]
+
+
+def brute_force_norm(sp, m, p):
+    """Minimum over all spanning trees of sum |mass across edge|^p d^p."""
+    vec = m.vector(sp.n)
+    best = math.inf
+    for edges in prufer_trees(sp.n):
+        adj = [[] for _ in range(sp.n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        parent, order = {0: None}, [0]
+        for x in order:
+            for y in adj[x]:
+                if y not in parent:
+                    parent[y] = x
+                    order.append(y)
+        mass = list(vec)  # becomes the mass of the subtree below each point
+        for x in reversed(order[1:]):
+            mass[parent[x]] += mass[x]
+        best = min(best, sum(abs(mass[x]) ** p * sp.dist[x, parent[x]] ** p
+                             for x in order[1:]))
+    return best ** (1.0 / p)
+
+
+def test_oracle_matches_brute_force_tree_enumeration(rng):
+    spaces = [line_space([0.0, 1.0, 2.0, 3.0, 4.0]),  # tied distances
+              build_space([(x, y) for x in range(3) for y in range(2)],
+                          "taxicab"),
+              # uniform distances, with the diagonal noise space checks allow
+              space_from_matrix(np.ones((4, 4)) - np.eye(4) * (1 - 1e-13))]
+    spaces += [random_metric_space(rng, n) for n in (2, 3, 4, 5, 6, 6)]
+    for sp in spaces:
+        for _ in range(4):
+            vec = rng.standard_normal(sp.n)
+            vec[rng.random(sp.n) < 0.3] = 0.0  # Steiner points
+            m = Molecule.from_vector(vec, sp.base)
+            for p in (1.0, 0.5, 0.25):
+                res = free_norm_exact_small(sp, m, p)
+                want = brute_force_norm(sp, m, p)
+                assert res.value == pytest.approx(want, rel=1e-12, abs=1e-300)
+                assert len(res.representation) <= sp.n - 1
+                check_result_consistency(sp, m, res)
+
+
+def test_oracle_at_ten_points(rng):
+    sp = random_ball(d=2, n=10, seed=10)
+    m = dense_molecule(rng, sp)
+    exact = free_norm_exact_small(sp, m, 1.0, forest_limit=10)
+    assert exact.value == pytest.approx(free_norm_p1(sp, m).value, rel=1e-12)
+    check_result_consistency(sp, m, exact)
+    half = free_norm_exact_small(sp, m, 0.5, forest_limit=10)
+    assert half.value <= free_norm_upper(sp, m, 0.5).value * (1 + 1e-12)
+    check_result_consistency(sp, m, half)
 
 
 def test_oracle_agrees_with_flow_at_p1(rng):

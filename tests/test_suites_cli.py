@@ -44,6 +44,21 @@ def test_missing_p1_certificate_fails_duality_record(monkeypatch):
     assert record["witness"]["missing_certificates"] == 40
 
 
+def test_norm_oracle_skips_oracle_checks_above_exact_limit():
+    source = {"kind": "random-ball", "params": {"d": 2, "n": 12}}
+    doc, ok = run_suite(SuiteConfig(suite="norm-oracle", space_source=source,
+                                    seed=3))
+    records = {r["check"]: r for r in doc["checks"]}
+    for name in ("oracle_vs_flow_p1", "norm_monotone_in_p",
+                 "upper_never_below_oracle"):
+        assert records[name]["measured"] is None
+        assert records[name]["passed"] is False
+        assert records[name]["witness"] == {"skipped": "n=12 > exact_limit=8"}
+    assert not ok
+    assert records["duality_gap_p1"]["passed"]
+    assert records["delta_isometry_p0.5"]["passed"]
+
+
 def test_unknown_suite_and_empty_p():
     with pytest.raises(BadSuite):
         run_suite(SuiteConfig(suite="nonsense"))
@@ -115,6 +130,33 @@ def test_cli_error_exit_codes(tmp_path):
     assert rc == 2
     rc = main(["run", "--suite", "norm-oracle", "--p", ""])
     assert rc == 2
+    rc = main(["run", "--suite", "norm-oracle", "--exact-limit", "13"])
+    assert rc == 2
+
+
+def test_cli_exact_limit_above_default(tmp_path):
+    space_file = tmp_path / "line9.json"
+    main(["generate", "--kind", "line", "--param", "n=9",
+          "--out", str(space_file)])
+    report = tmp_path / "report.json"
+    rc = main(["run", "--suite", "norm-oracle", "--space", str(space_file),
+               "--exact-limit", "9", "--out", str(report)])
+    assert rc == 0
+    doc = json.loads(report.read_text())
+    assert all(r["measured"] is not None for r in doc["checks"])
+
+
+def test_cli_gap_too_close_to_one_exits_2(tmp_path, capsys):
+    # the rays generator puts points at radii 1.0 and 0.9999999999999999, so
+    # the singleton annuli have gap K = 1 + 2^-52 and K^0.5 rounds to 1
+    space_file = tmp_path / "rays.json"
+    main(["generate", "--kind", "annulus-rays", "--param", "rays=3",
+          "--param", "radii=[1, 2]", "--param", "include_origin=true",
+          "--out", str(space_file)])
+    rc = main(["run", "--suite", "decomposition", "--space", str(space_file),
+               "--p", "0.5"])
+    assert rc == 2
+    assert "K^p > 1 at p=0.5" in capsys.readouterr().err
 
 
 def test_cli_tol_override(tmp_path):
