@@ -553,11 +553,12 @@ def free_norm_upper(space, molecule, p, budget=60, seed=0, restarts=2):
 
 
 def _dense_restrict(space, vec):
-    sub = sorted({space.base} | {int(i) for i in np.nonzero(vec)[0]})
-    base_pos = sub.index(space.base)
-    if base_pos != 0:
-        sub = [space.base] + [i for i in sub if i != space.base]
-    return sub, space.dist[np.ix_(sub, sub)], vec[sub]
+    """Support of ``vec`` with the base first, then increasing index; the
+    distance block and coefficients on it."""
+    off_base = vec != 0
+    off_base[space.base] = False
+    sub = np.concatenate(([space.base], np.flatnonzero(off_base)))
+    return sub, space.dist[sub[:, None], sub], vec[sub]
 
 
 def _upper_value(dsub, vsub, p):

@@ -369,24 +369,25 @@ class DoublingReport:
         return max(self.covers, key=lambda c: len(c.cover_centers))
 
 
-def doubling_constant_upper(space, exact_threshold=10, radii=None):
-    """Doubling-constant upper bound over all realized radii.
+def doubling_constant_upper(space, exact_threshold=10):
+    """Doubling-constant upper bound from one cover per distinct ball.
 
-    Every ball B(x, r) is covered by radius-r/2 balls centered at space
-    points: greedily in general, by exact minimum set cover when the ball
-    holds at most ``exact_threshold`` points.  The maximum emitted cover
-    size is an upper bound for the doubling constant and may be safely
-    substituted into bounds that increase with it.
+    Each centre x is scanned at its own nonzero distances d_1 < d_2 < ...
+    only.  For d_k <= r < d_{k+1} (or r >= the largest), B(x, r) equals
+    B(x, d_k), and a cover of it by radius-d_k/2 balls also covers it at
+    radius r/2, so every realized radius is accounted for.  Each scanned
+    ball B(x, r) is covered by radius-r/2 balls centered at space points:
+    greedily in general, by exact minimum set cover when the ball holds at
+    most ``exact_threshold`` points.  The maximum emitted cover size is an
+    upper bound for the doubling constant and may be safely substituted
+    into bounds that increase with it.
     """
-    if radii is None:
-        vals = np.unique(space.dist[np.triu_indices(space.n, k=1)])
-        radii = [float(v) for v in vals if v > 0]
     candidates = list(range(space.n))
     covers = []
     value = 1
     for x in range(space.n):
         drow = space.dist[x]
-        for r in radii:
+        for r in np.unique(drow[drow > 0]).tolist():
             ball = [int(b) for b in np.nonzero(drow <= r)[0]]
             if len(ball) <= 1:
                 continue

@@ -47,7 +47,7 @@ from .geometry import (
     radial_retraction,
     stereographic,
 )
-from .metric import IntervalSpec, maximal_separated_net
+from .metric import REL_TOL, IntervalSpec, maximal_separated_net
 from .serialization import dump_report, load_space
 
 
@@ -201,9 +201,15 @@ def suite_decomposition(config):
         records.append(_record(f"weight_sums_p{p}", rep.weight_sum_error, None,
                                rep.weight_sum_error <= 1e-12, tol=1e-12))
 
-    # separated partition into singleton-radius annuli
-    radii = sorted(set(float(r) for r in space.radii() if r > 0))
-    intervals = [IntervalSpec(r, r, True, True) for r in radii]
+    # separated partition into one closed annulus per radius, where radii
+    # within REL_TOL (relative) of the annulus' smallest count as one radius
+    groups = []
+    for r in sorted(set(float(r) for r in space.radii() if r > 0)):
+        if groups and r <= groups[-1][0] * (1 + REL_TOL):
+            groups[-1][1] = r
+        else:
+            groups.append([r, r])
+    intervals = [IntervalSpec(lo, hi, True, True) for lo, hi in groups]
     fam = annulus_family_exact(space, intervals)
     for p in config.p_list:
         rep = verify_separated_inverse(fam, p, samples=60, seed=config.seed,

@@ -16,6 +16,9 @@ from lipfree import (
     weight_variation_check,
     whitney_cover,
 )
+from lipfree import extension
+from lipfree.extension import _measure_assignment
+from lipfree.freenorm import FOREST_LIMIT_DEFAULT as LIMIT, norm_value
 from lipfree.generators import grid_zd
 
 from conftest import random_metric_space
@@ -169,3 +172,73 @@ def test_amenability_ratio_agrees_with_direct_oracle(rng):
     m_amb = Molecule.balanced({1: 1.0, 3: -0.7}, 0)
     den = free_norm_exact_small(sp, m_amb, 0.5).value
     assert num >= den * (1 - 1e-9)
+
+
+def _measure_every_pair(space, sub, coeffs, p, exact_limit):
+    """Reference: one norm evaluation per pair x < y, first maximum kept."""
+    best, best_pair, all_exact = 0.0, None, True
+    for x in range(space.n):
+        for y in range(x + 1, space.n):
+            vec = coeffs[x] - coeffs[y]
+            vec[0] -= vec.sum()
+            if np.abs(vec).max(initial=0.0) == 0.0:
+                continue
+            v, exact = norm_value(sub, vec, p, exact_limit=exact_limit)
+            all_exact = all_exact and exact
+            ratio = v / space.dist[x, y]
+            if ratio > best * (1 + 1e-15):
+                best, best_pair = ratio, (x, y)
+    return best, best_pair, all_exact
+
+
+def _coeff_cases(rng, n, m):
+    """Assignments with repeated rows, rows differing only in the base
+    column (their differences balance to zero), and all rows equal."""
+    distinct = rng.standard_normal((4, m))
+    repeated = distinct[rng.integers(0, 4, size=n)]
+    base_only = repeated.copy()
+    base_only[rng.integers(0, n, size=n // 2), 0] += 1.0
+    equal = np.tile(distinct[0], (n, 1))
+    return repeated, base_only, equal
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, 0.25])
+@pytest.mark.parametrize("m", [6, 10])
+def test_measure_assignment_matches_every_pair(rng, monkeypatch, p, m):
+    sp = random_metric_space(rng, 16)
+    sub = sp.take([sp.base] + sorted(rng.choice(
+        np.arange(1, sp.n), size=m - 1, replace=False).tolist()), 0)
+    for coeffs in _coeff_cases(rng, sp.n, m):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return norm_value(*args, **kwargs)
+        monkeypatch.setattr(extension, "norm_value", counted)
+        got = _measure_assignment(sp, sub, coeffs, p, LIMIT)
+        monkeypatch.undo()
+        assert got == _measure_every_pair(sp, sub, coeffs, p, LIMIT)
+        # one evaluation per ordered pair of distinct nonzero differences
+        rows = [r.tobytes() for r in coeffs]
+        diffs = set()
+        for x in range(sp.n):
+            for y in range(x + 1, sp.n):
+                vec = coeffs[x] - coeffs[y]
+                vec[0] -= vec.sum()
+                if np.abs(vec).max() > 0:
+                    diffs.add((rows[x], rows[y]))
+        assert len(calls) == len(diffs)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, 0.25])
+def test_point_removal_and_extension_match_every_pair(rng, p):
+    for _ in range(5):
+        sp = random_metric_space(rng, int(rng.integers(3, 10)))
+        ext = point_removal_map(sp, int(rng.integers(1, sp.n)), p).map
+        assert (ext.measured_lip, ext.witness_pair, ext.measured_exact) == \
+            _measure_every_pair(sp, ext.net_subspace, ext.coeffs, p, LIMIT)
+    sp = grid_zd(d=2, lo=0, hi=4)
+    net = sorted({i for i in range(sp.n) if sp.coords[i][0] <= 1} | {sp.base})
+    ext = doubling_extension_map(sp, net, p)
+    assert (ext.measured_lip, ext.witness_pair, ext.measured_exact) == \
+        _measure_every_pair(sp, ext.net_subspace, ext.coeffs, p, LIMIT)

@@ -187,6 +187,59 @@ def test_doubling_exact_never_above_greedy(rng):
         assert len(exact) <= len(greedy)
 
 
+def _doubling_all_radii(space, exact_threshold=10):
+    """Reference: cover B(x, r) at r/2 for every realized distance r at
+    every centre x (about n^3/2 balls)."""
+    vals = np.unique(space.dist[np.triu_indices(space.n, k=1)])
+    candidates = list(range(space.n))
+    value = 1
+    for x in range(space.n):
+        for r in (float(v) for v in vals if v > 0):
+            ball = [int(b) for b in np.nonzero(space.dist[x] <= r)[0]]
+            if len(ball) <= 1:
+                continue
+            cover = (_exact_cover if len(ball) <= exact_threshold
+                     else _greedy_cover)
+            value = max(value, len(cover(space, ball, r / 2.0, candidates)))
+    return value
+
+
+def _doubling_spaces(rng):
+    for norm in ("euclidean", "sup", "taxicab"):
+        for n in (9, 14):
+            yield build_space(rng.standard_normal((n, 2)), norm)
+    for alpha in (0.5, 0.25):
+        yield random_metric_space(rng, 12, alpha=alpha)
+    yield snowflake(line_space(list(range(11))), 0.5)
+
+
+@pytest.mark.parametrize("exact_threshold", [4, 10])
+def test_doubling_own_radii_equal_all_radii(rng, exact_threshold):
+    for sp in _doubling_spaces(rng):
+        rep = doubling_constant_upper(sp, exact_threshold=exact_threshold)
+        assert rep.value == _doubling_all_radii(sp, exact_threshold)
+        assert len(rep.covers) == sum(
+            len(np.unique(sp.dist[x][sp.dist[x] > 0])) for x in range(sp.n))
+
+
+def test_doubling_covers_every_realized_ball(rng):
+    for sp in _doubling_spaces(rng):
+        rep = doubling_constant_upper(sp, exact_threshold=6)
+        for r in np.unique(sp.dist[sp.dist > 0]):
+            for x in range(sp.n):
+                ball = np.nonzero(sp.dist[x] <= r)[0]
+                if ball.size == 1:
+                    continue
+                # the reported cover of this centre with the largest
+                # radius <= r covers B(x, r) by radius-r/2 balls
+                cov = max((c for c in rep.covers
+                           if c.center == x and c.radius <= r),
+                          key=lambda c: c.radius)
+                near = sp.dist[np.ix_(list(cov.cover_centers), ball)]
+                assert (near <= r / 2.0).any(axis=0).all()
+                assert len(cov.cover_centers) <= rep.value
+
+
 def test_coords_consistency_invariant(rng):
     sp = random_metric_space(rng, 8, alpha=0.7)
     raw = np.sqrt(((sp.coords[:, None, :] - sp.coords[None, :, :]) ** 2).sum(2))

@@ -146,17 +146,20 @@ def test_cli_exact_limit_above_default(tmp_path):
     assert all(r["measured"] is not None for r in doc["checks"])
 
 
-def test_cli_gap_too_close_to_one_exits_2(tmp_path, capsys):
-    # the rays generator puts points at radii 1.0 and 0.9999999999999999, so
-    # the singleton annuli have gap K = 1 + 2^-52 and K^0.5 rounds to 1
+def test_cli_near_equal_radii_share_an_annulus(tmp_path):
+    # the rays generator puts points at radii 1.0 and 0.9999999999999999;
+    # they form one annulus, not two with gap K = 1 + 2^-52
     space_file = tmp_path / "rays.json"
+    report = tmp_path / "r.json"
     main(["generate", "--kind", "annulus-rays", "--param", "rays=3",
           "--param", "radii=[1, 2]", "--param", "include_origin=true",
           "--out", str(space_file)])
     rc = main(["run", "--suite", "decomposition", "--space", str(space_file),
-               "--p", "0.5"])
-    assert rc == 2
-    assert "K^p > 1 at p=0.5" in capsys.readouterr().err
+               "--p", "0.5", "--out", str(report)])
+    assert rc == 0
+    doc = json.loads(report.read_text())
+    assert doc["checks"]
+    assert all(r["measured"] is not None for r in doc["checks"])
 
 
 def test_cli_tol_override(tmp_path):
