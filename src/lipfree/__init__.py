@@ -37,13 +37,11 @@ from .metric import (
 from .freenorm import (
     FreeNormResult,
     Molecule,
-    SumElement,
-    SumPart,
     free_norm_exact_small,
     free_norm_p1,
     free_norm_upper,
-    lipschitz_constant,
-    lp_sum_norm,
+    measure_lipschitz,
+    norm_rows,
     norm_value,
 )
 from .decomposition import (

@@ -22,7 +22,7 @@ from .errors import (
     MissingAmenability,
     SupportMismatch,
 )
-from .freenorm import FOREST_LIMIT_DEFAULT, norm_value
+from .freenorm import FOREST_LIMIT_DEFAULT, measure_lipschitz, norm_value
 from .metric import ABS_TOL, IntervalSpec
 
 GRID_SAMPLES_PER_SEGMENT = 64
@@ -427,68 +427,31 @@ def separated_family_bound(K, p):
 
 def measure_map_into_sum(family, weight_matrix, p,
                          exact_limit=FOREST_LIMIT_DEFAULT):
-    """Measured Lipschitz constant of x -> (w_n(x) delta_n(x))_n.
+    """Measured Lipschitz constant of x -> (w_n(x) delta_n(x))_n into the
+    ell_p-sum over the parts of ``family``, by ``measure_lipschitz``.
 
     weight_matrix has shape (n_parts, n_points) over global indices.  Part
-    norms use the exact transport solver at p = 1 and support-restricted
-    oracles below (restriction can only overestimate, which keeps the
-    comparison against closed-form bounds sound).  Returns
-    (value, pair, all_exact).
+    norms are exact transport at p = 1 and support-restricted oracles below
+    (restriction can only overestimate, which keeps the comparison against
+    closed-form bounds sound).  Returns (value, pair, all_exact).
     """
-    space = family.space
-    n = space.n
-    local = []
-    for part in family.parts:
-        lookup = {g: li + 1 for li, g in enumerate(part.members)}
-        local.append(lookup)
-    best, best_pair, all_exact = 0.0, None, True
-    for x in range(n):
-        for y in range(x + 1, n):
-            d = space.dist[x, y]
-            acc = 0.0
-            for ni, part in enumerate(family.parts):
-                wx = float(weight_matrix[ni, x]) if x != space.base else 0.0
-                wy = float(weight_matrix[ni, y]) if y != space.base else 0.0
-                lx = local[ni].get(x)
-                ly = local[ni].get(y)
-                vec = np.zeros(part.subspace.n)
-                if wx != 0.0 and lx is not None:
-                    vec[lx] += wx
-                    vec[0] -= wx
-                if wy != 0.0 and ly is not None:
-                    vec[ly] -= wy
-                    vec[0] += wy
-                if np.abs(vec).max(initial=0.0) == 0.0:
-                    continue
-                v, exact = norm_value(part.subspace, vec, p, exact_limit=exact_limit)
-                all_exact = all_exact and exact
-                acc += v ** p
-            ratio = acc ** (1 / p) / d if acc > 0 else 0.0
-            if ratio > best * (1 + 1e-15):
-                best, best_pair = ratio, (x, y)
-    return best, best_pair, all_exact
+    n = family.space.n
+    parts = []
+    for ni, part in enumerate(family.parts):
+        members = list(part.members)
+        rows = np.zeros((n, part.subspace.n))
+        rows[members, np.arange(1, part.subspace.n)] = weight_matrix[ni, members]
+        parts.append((part.subspace, rows))
+    return measure_lipschitz(family.space, parts, p, exact_limit)
 
 
 def measure_diagonal_map(space, diag_weights, p, exact_limit=FOREST_LIMIT_DEFAULT):
-    """Measured Lipschitz constant of x -> w(x) delta(x) into F_p(space)."""
-    n = space.n
-    best, best_pair, all_exact = 0.0, None, True
-    for x in range(n):
-        wx = float(diag_weights[x]) if x != space.base else 0.0
-        for y in range(x + 1, n):
-            wy = float(diag_weights[y]) if y != space.base else 0.0
-            if wx == 0.0 and wy == 0.0:
-                continue
-            vec = np.zeros(n)
-            vec[x] += wx
-            vec[y] -= wy
-            vec[space.base] -= wx - wy
-            v, exact = norm_value(space, vec, p, exact_limit=exact_limit)
-            all_exact = all_exact and exact
-            ratio = v / space.dist[x, y]
-            if ratio > best * (1 + 1e-15):
-                best, best_pair = ratio, (x, y)
-    return best, best_pair, all_exact
+    """Measured Lipschitz constant of x -> w(x) delta(x) into F_p(space),
+    with delta(base) = 0: a one-part ``measure_lipschitz`` whose row x is
+    w(x) on point x.  Returns (value, pair, all_exact)."""
+    w = np.array(diag_weights, dtype=float)
+    w[space.base] = 0.0
+    return measure_lipschitz(space, [(space, np.diag(w))], p, exact_limit)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, BadSubset, InternalInvariantBroken, TooSmall
-from .freenorm import FOREST_LIMIT_DEFAULT, Molecule, norm_value
+from .freenorm import (FOREST_LIMIT_DEFAULT, Molecule, measure_lipschitz,
+                       norm_value)
 from .metric import REL_TOL, doubling_constant_upper, maximal_separated_net
 
 
@@ -256,42 +257,12 @@ def _net_layout(space, net):
     return sub, order, pos
 
 
-def _measure_assignment(space, sub, coeffs, p, exact_limit, pairs=None):
+def _measure_assignment(space, sub, coeffs, p, exact_limit):
     """Max over pairs x < y of |F(x) - F(y)| / d(x, y), with F(x) the
-    molecule over ``sub`` whose delta-coordinates are ``coeffs[x]``.
-
-    Returns (value, first maximizing pair, all norms exact).  Rows of
-    ``coeffs`` that are bitwise equal give bitwise equal differences, so
-    ``norm_value`` runs once per ordered pair of distinct rows and the pair
-    scan replays the cached values; the result is the same as normalizing
-    every pair.
-    """
-    row_class = {}
-    label = [row_class.setdefault(row.tobytes(), len(row_class))
-             for row in coeffs]
-    norms = {}  # (label[x], label[y]) -> norm, or None for a zero difference
-    best, best_pair, all_exact = 0.0, None, True
-    n = space.n
-    if pairs is None:
-        pairs = ((x, y) for x in range(n) for y in range(x + 1, n))
-    for x, y in pairs:
-        key = (label[x], label[y])
-        if key not in norms:
-            vec = coeffs[x] - coeffs[y]
-            vec[0] -= vec.sum()  # rows need not share a total; balance at base
-            if np.abs(vec).max(initial=0.0) == 0.0:
-                norms[key] = None
-            else:
-                v, exact = norm_value(sub, vec, p, exact_limit=exact_limit)
-                all_exact = all_exact and exact
-                norms[key] = v
-        v = norms[key]
-        if v is None:
-            continue
-        ratio = v / space.dist[x, y]
-        if ratio > best * (1 + 1e-15):
-            best, best_pair = ratio, (x, y)
-    return best, best_pair, all_exact
+    molecule over ``sub`` whose delta-coordinates are ``coeffs[x]``,
+    balanced at its base: a one-part ``measure_lipschitz``.  Returns
+    (value, first maximizing pair, all norms exact)."""
+    return measure_lipschitz(space, [(sub, coeffs)], p, exact_limit)
 
 
 def extension_constant(p, doubling_value):

@@ -118,34 +118,6 @@ class FreeNormResult:
         return acc ** (1.0 / self.p) if acc > 0 else 0.0
 
 
-@dataclass(frozen=True)
-class SumPart:
-    key: int
-    space: object  # PointedMetricSpace
-    molecule: Molecule
-
-
-@dataclass(frozen=True)
-class SumElement:
-    """Element of a finite ell_p-sum of free spaces."""
-
-    parts: tuple  # tuple of SumPart
-    p: float
-
-    def __sub__(self, other):
-        if other.p != self.p:
-            raise BadParameter("cannot combine sum elements with different p")
-        by_key = {part.key: part for part in self.parts}
-        out = dict(by_key)
-        for part in other.parts:
-            if part.key in by_key:
-                mine = by_key[part.key]
-                out[part.key] = SumPart(part.key, mine.space, mine.molecule - part.molecule)
-            else:
-                out[part.key] = SumPart(part.key, part.space, part.molecule * -1.0)
-        return SumElement(tuple(out[k] for k in sorted(out)), self.p)
-
-
 # ---------------------------------------------------------------------------
 # exact oracle: subset dynamic programme over tree supports
 
@@ -167,64 +139,71 @@ def _child_splits(s, x):
 
 
 @cache
-def _dp_plan(n):
-    """Schedule for ``_tree_dp``: per proper subset S of 2+ points, in
-    increasing bitmask order, S, its lowest point lo, its members, the
-    points outside it, the splits (T, S - T, members of S - T) with lo in T
-    and the splits (T, S - T) below lo; then the root splits per point."""
-    full = (1 << n) - 1
-    members = [tuple(b for b in range(n) if s >> b & 1)
-               for s in range(full + 1)]
-    steps = []
-    for s in range(3, full):
-        low = s & -s
-        if s != low:
-            lo = low.bit_length() - 1
-            steps.append((s, lo, members[s], members[full ^ s],
-                          [(s ^ r, r, members[r]) for r in _subsets(s ^ low)],
-                          [(t, s ^ t) for t in _child_splits(s, lo)]))
-    return steps, [_child_splits(full, x) for x in range(n)]
+def _dp_levels(n):
+    """Schedule for ``_tree_dp``, one level per subset size 2..n-1: the
+    subsets S (bitmasks) and their lowest points lo; the splits (T, S - T)
+    with lo in T, and the splits (T, S - T) below lo with lo repeated per
+    split, each as index arrays with the offsets where each S's run starts."""
+    levels = []
+    for size in range(2, n):
+        subs = [s for s in range(1 << n) if s.bit_count() == size]
+        lo = [(s & -s).bit_length() - 1 for s in subs]
+        runs = [[(s ^ r, r) for r in _subsets(s ^ s & -s)] for s in subs]
+        lows = [[(t, s ^ t) for t in _child_splits(s, x)]
+                for s, x in zip(subs, lo)]
+        level = [np.array(subs), np.array(lo)]
+        for group in (runs, lows):
+            level += [*np.array([sp for g in group for sp in g]).T,
+                      np.cumsum([0] + [len(g) for g in group[:-1]])]
+        levels.append((*level, np.repeat(lo, [len(g) for g in lows])))
+    return levels
 
 
-def _tree_dp(dist, vec, p, root, tree=False):
-    """Cheapest spanning tree under the concave cost sum |mu(subtree)|^p d^p.
+def _tree_dp(dist, vecs, p, root=0, tree=False):
+    """Cheapest spanning tree under the concave cost sum |mu(subtree)|^p d^p,
+    for every row i of ``vecs`` over ``dist[i]``.
 
     Subset DP after Dreyfus & Wagner, Networks 1 (1971) 195-207, in
     O(n 3^n).  For a bitmask S, ``G[S][x]`` is, for x in S, the cheapest
     tree on S rooted at x and, for x outside S, the cheapest tree on S hung
     below x by one edge.  For x in S, ``G[S][x] = min G[T][x] + G[S - T][x]``
-    over ``_child_splits(S, x)``.  Returns ``(norm, edges)``; with ``tree``,
-    the (child, parent, mass) edges of a cheapest tree, found by
-    backtracking which T and u reach each stored minimum.
+    over ``_child_splits(S, x)``.  All subsets of one size are filled at
+    once, vectorised across rows; |mass|^p and the root use Python's float
+    power (numpy's array power can differ in the last ulp).  Returns
+    ``(norms, edges)``; with ``tree``, the (child, parent, mass) edges of a
+    cheapest tree for row 0, found by backtracking which T and u reach each
+    stored minimum.
     """
-    n = len(vec)
-    steps, roots = _dp_plan(n)
-    dpow = (dist ** p).tolist()
-    mass = [0.0]  # mass[S], summed in increasing point order
-    for v in vec.tolist():
-        mass += [m + v for m in mass]
-    w = [abs(m) ** p for m in mass]
-    G = [None] * len(mass)
+    b, n = vecs.shape
+    dpow = np.moveaxis(dist ** p, 0, -1)  # rows last, as in every table
+    mass = np.zeros((1, b))  # mass[S], summed in increasing point order
+    for i in range(n):
+        mass = np.concatenate((mass, mass + vecs[:, i]))
+    w = np.reshape([abs(m) ** p for m in mass.ravel().tolist()], mass.shape)
+    G = np.empty((1 << n, n, b))
     for u in range(n):
-        G[1 << u] = gu = [w[1 << u] * dx[u] for dx in dpow]
-        gu[u] = 0.0  # not dist[u, u] ** p: the diagonal may hold ABS_TOL
-    for s, lo, mem, out, pairs, lows in steps:
-        G[s] = gs = [math.inf] * n
-        for t, r, r_mem in pairs:
-            gt, gr = G[t], G[r]
-            for x in r_mem:
-                v = gt[x] + gr[x]
-                if v < gs[x]:
-                    gs[x] = v
-        gs[lo] = min([G[t][lo] + G[r][lo] for t, r in lows])
-        ws = w[s]
-        for x in out:
-            dx = dpow[x]
-            gs[x] = min([gs[u] + ws * dx[u] for u in mem])
-    full = len(mass) - 1
-    cost = min([G[t][root] + G[full ^ t][root] for t in roots[root]],
-               default=0.0)
-    edges, stack = [], [(full, root, cost)] if tree else []
+        G[1 << u] = w[1 << u] * dpow[:, u]
+        G[1 << u, u] = 0.0  # not dist[u, u] ** p: the diagonal may be ABS_TOL
+    bits = np.arange(n)
+    for s, lo, t, r, cuts, lt, lr, lcuts, llo in _dp_levels(n):
+        in_r = (r[:, None] >> bits & 1 == 1)[:, :, None]
+        gs = np.minimum.reduceat(np.where(in_r, G[t] + G[r], np.inf), cuts)
+        gs[np.arange(len(s)), lo] = np.minimum.reduceat(
+            G[lt, llo] + G[lr, llo], lcuts)
+        inside = s[:, None] >> bits & 1 == 1
+        via = gs[:, None] + w[s][:, None, None] * dpow
+        via = np.where(inside[:, None, :, None], via, np.inf).min(axis=2)
+        G[s] = np.where(inside[:, :, None], gs, via)
+    full = (1 << n) - 1
+    splits = _child_splits(full, root)
+    cost = ((G[splits, root] + G[[full ^ t for t in splits], root]).min(axis=0)
+            if splits else np.zeros(b)).tolist()
+    norms = [c ** (1.0 / p) for c in cost]
+    if not tree:
+        return norms, []
+    G, w = G[..., 0].tolist(), w[:, 0].tolist()
+    dpow, mass = dpow[..., 0].tolist(), mass[:, 0].tolist()
+    edges, stack = [], [(full, root, cost[0])]
     while stack:
         s, x, target = stack.pop()
         for t in _child_splits(s, x):
@@ -234,7 +213,7 @@ def _tree_dp(dist, vec, p, root, tree=False):
                 edges.append((u, x, mass[t]))
                 stack += [(t, u, G[t][u]), (s ^ t, x, G[s ^ t][x])]
                 break
-    return cost ** (1.0 / p), edges
+    return norms, edges
 
 
 def _scale(vec):
@@ -261,7 +240,8 @@ def free_norm_exact_small(space, molecule, p, forest_limit=FOREST_LIMIT_DEFAULT)
         raise BadParameter("molecule does not sum to zero")
     if np.abs(vec).max(initial=0.0) <= ABS_TOL:
         return FreeNormResult(0.0, (), "exact", p)
-    value, edges = _tree_dp(space.dist, vec, p, space.base, tree=True)
+    (value,), edges = _tree_dp(space.dist[None], vec[None], p, space.base,
+                               tree=True)
     eps = 1e-15 * _scale(vec)
     rep = tuple((c, a, m) if m > 0 else (a, c, -m)
                 for c, a, m in edges if abs(m) > eps)
@@ -578,14 +558,16 @@ def _upper_value(dsub, vsub, p):
 
 def norm_value(space, vec, p, exact_limit=FOREST_LIMIT_DEFAULT, prefer="auto",
                certify=False):
-    """Fast dense-vector norm used by measurement loops.
+    """Free p-norm of one dense vector, as (value, exact flag); the
+    measurement loops use ``norm_rows``, which gives the same bits.
 
-    Returns (value, exact_flag).  At p = 1 the value is exact (transport on
-    the support, valid for metric distances).  For p < 1 the oracle runs on
-    the support-restricted space when small enough, which upper-bounds the
-    full-space norm; otherwise the star/MST upper bound is used.  With
-    ``certify`` the oracle runs on the whole space whenever it fits under
-    ``exact_limit``, trading speed for a certified exact value.
+    At p = 1 the value is transport on the support (nonzero entries and
+    the base), exact for metric distances.  For p < 1 the oracle runs on
+    the support-restricted space when it has at most ``exact_limit``
+    points, which upper-bounds the full-space norm (exact only when the
+    support is the whole space); otherwise the star/MST upper bound is
+    used.  With ``certify`` the oracle runs on the whole space whenever it
+    fits under ``exact_limit``, trading speed for a certified exact value.
     """
     _check_limit(exact_limit)
     vec = np.asarray(vec, dtype=float)
@@ -597,59 +579,135 @@ def norm_value(space, vec, p, exact_limit=FOREST_LIMIT_DEFAULT, prefer="auto",
     if prefer == "upper":
         return _upper_value(dsub, vsub, p), False
     if certify and space.n <= exact_limit:
-        return _tree_dp(space.dist, vec, p, space.base)[0], True
+        return _tree_dp(space.dist[None], vec[None], p, space.base)[0][0], True
     if len(sub) <= exact_limit:
         exact = len(sub) == space.n  # restriction can only overestimate
-        return _tree_dp(dsub, vsub, p, 0)[0], exact
+        return _tree_dp(dsub[None], vsub[None], p)[0][0], exact
     return _upper_value(dsub, vsub, p), False
 
 
-def lp_sum_norm(element, norm_backend="auto", exact_limit=FOREST_LIMIT_DEFAULT):
-    """Norm of an element of a finite ell_p-sum of free spaces."""
-    p = element.p
-    if not 0 < p <= 1:
-        raise BadParameter(f"p={p} outside (0, 1]")
-    acc = 0.0
-    for part in element.parts:
-        if callable(norm_backend):
-            v = norm_backend(part.space, part.molecule, p)
-            v = v.value if isinstance(v, FreeNormResult) else float(v)
-        else:
-            vec = part.molecule.vector(part.space.n)
-            v, _ = norm_value(part.space, vec, p, exact_limit=exact_limit,
-                              prefer=norm_backend)
-        acc += v ** p
-    return acc ** (1.0 / p) if acc > 0 else 0.0
+# ---------------------------------------------------------------------------
+# batched evaluation for the measurement loops
+
+_BLOCK = 1 << 17  # float64 entries per transient block, 1 MB
 
 
-def _diff(a, b):
-    if isinstance(a, Molecule):
-        return a - b
-    if isinstance(a, SumElement):
-        return a - b
-    return np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+def _transport_rows(dist, vecs):
+    """``_transport(dist[i], vecs[i])[0]`` for the rows whose plan is forced
+    (one side empty or a single point, once entries within 1e-14 of the
+    mass are dropped), as (values, forced); other rows are left at 0.  Its
+    mass @ cost runs as one stacked matmul per length, the same dot product
+    per row (einsum or a sum would round differently)."""
+    scale = np.abs(vecs).sum(axis=1)
+    eps = 1e-14 * np.where(scale > 0, scale, 1.0)[:, None]
+    srcs, sinks = vecs > eps, vecs < -eps
+    ns, nt = srcs.sum(axis=1), sinks.sum(axis=1)
+    forced = (ns <= 1) | (nt <= 1)
+    to_sink = (nt == 1)[:, None]  # _transport's first closed form
+    many = np.where(to_sink, srcs, sinks)
+    lone = np.where(to_sink, sinks, srcs).argmax(axis=1)
+    size = np.where(forced & (ns > 0) & (nt > 0), many.sum(axis=1), 0)
+    values = np.zeros(len(vecs))
+    for m in np.unique(size[size > 0]).tolist():
+        rows = np.flatnonzero(size == m)
+        pos = np.argsort(~many[rows], axis=1, kind="stable")[:, :m]
+        at, j = rows[:, None], lone[rows, None]
+        mass = np.take_along_axis(vecs[rows], pos, axis=1)
+        mass = np.where(to_sink[rows], mass, -mass)
+        cost = np.where(to_sink[rows], dist[at, pos, j], dist[at, j, pos])
+        values[rows] = (mass[:, None, :] @ cost[:, :, None])[:, 0, 0]
+    return values, forced
 
 
-def lipschitz_constant(source, image, target_norm, pairs=None):
-    """Measured Lipschitz constant of a point map into a normed target.
+def norm_rows(space, rows, p, exact_limit=FOREST_LIMIT_DEFAULT):
+    """``norm_value(space, rows[i], p, exact_limit)`` for every row i, as
+    arrays (values, exact), bitwise equal to the per-row calls.
 
-    image: sequence indexed like the source points, values are molecules,
-    sum elements, or coordinate tuples.  target_norm evaluates the norm of
-    a difference of two image values.  Exhaustive over all unordered pairs
-    unless ``pairs`` is given; returns (value, (i, j)) with the first
-    maximizing pair in lexicographic order.
+    Rows are grouped by support size k (ordered as ``_dense_restrict``
+    does) and taken in blocks, by the same regimes: forced p = 1 plans and
+    the p < 1 subset DP run batched, other p = 1 rows go to ``_transport``
+    and p < 1 supports above ``exact_limit`` to ``_upper_value``.
     """
-    n = source.n
-    if pairs is None:
-        pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
-    best = 0.0
-    best_pair = None
-    for i, j in pairs:
-        d = source.dist[i, j]
-        if d <= 0:
-            continue
-        ratio = target_norm(_diff(image[i], image[j])) / d
-        if ratio > best * (1 + 1e-15):
-            best = ratio
-            best_pair = (i, j)
+    _check_limit(exact_limit)
+    rows = np.asarray(rows, dtype=float)
+    values = np.zeros(len(rows))
+    exact = np.ones(len(rows), dtype=bool)
+    order = np.r_[space.base, np.delete(np.arange(space.n), space.base)]
+    held = (rows != 0)[:, order]
+    held[:, 0] = True
+    size = np.where(np.abs(rows).max(axis=1, initial=0.0) > ABS_TOL,
+                    held.sum(axis=1), 0)
+    for k in np.unique(size[size > 0]).tolist():
+        dp = p < 1 and k <= exact_limit
+        todo = np.flatnonzero(size == k)
+        step = max(1, _BLOCK // (k * 3 ** (k - 1) if dp else k * k))
+        for at in np.array_split(todo, -(-len(todo) // step)):
+            sub = order[np.argsort(~held[at], axis=1, kind="stable")[:, :k]]
+            vsub = np.take_along_axis(rows[at], sub, axis=1)
+            dsub = space.dist[sub[:, :, None], sub[:, None, :]]
+            if p == 1.0:
+                v, forced = _transport_rows(dsub, vsub)
+                for i in np.flatnonzero(~forced).tolist():
+                    v[i] = _transport(dsub[i], vsub[i])[0]
+            elif dp:
+                v = _tree_dp(dsub, vsub, p)[0]
+                exact[at] = k == space.n  # restriction can only overestimate
+            else:
+                v = [_upper_value(d, x, p) for d, x in zip(dsub, vsub)]
+                exact[at] = False
+            values[at] = v
+    return values, exact
+
+
+def _scan_pairs(space, norms):
+    """The first pair x < y, in lexicographic order, whose ratio
+    ``norms(x, ys) / d(x, ys)`` beats the best so far by a relative 1e-15,
+    as (best ratio, pair or None); one row of pairs at a time."""
+    best, best_pair = 0.0, None
+    for x in range(space.n - 1):
+        ys = np.arange(x + 1, space.n)
+        ratios = norms(x, ys) / space.dist[x, ys]
+        for y, r in zip(ys.tolist(), ratios.tolist()):
+            if r > best * (1 + 1e-15):
+                best, best_pair = r, (x, y)
     return best, best_pair
+
+
+def measure_lipschitz(space, parts, p, exact_limit=FOREST_LIMIT_DEFAULT):
+    """Max over pairs x < y of |F(x) - F(y)| / d(x, y), for a map F of the
+    points of ``space`` into an ell_p-sum of free spaces.
+
+    ``parts`` lists (target space, rows): row x holds F(x)'s coefficients
+    over that target, and differences are balanced at its base.  One part
+    gives its free norm; several give (sum of part norms^p)^(1/p), summed
+    in part order.  Each part norms one difference per ordered pair of
+    distinct rows, in batches through ``norm_rows``.  Returns (value, first
+    maximizing pair or None, whether every norm was exact).
+    """
+    all_exact, tables = True, []
+    for target, rows in parts:
+        rows = np.ascontiguousarray(rows, dtype=float)
+        keys = rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
+        _, first, label = np.unique(keys, return_index=True, return_inverse=True)
+        last = len(rows) - 1 - np.unique(label[::-1], return_index=True)[1]
+        a, b = np.nonzero(first[:, None] < last)  # labels of some x < y
+        table = np.zeros((len(first), len(first)))
+        step = max(1, _BLOCK // rows.shape[1])
+        for lo in range(0, len(a), step):
+            ka, kb = a[lo:lo + step], b[lo:lo + step]
+            diff = rows[first[ka]] - rows[first[kb]]
+            diff[:, target.base] -= diff.sum(axis=1)
+            v, exact = norm_rows(target, diff, p, exact_limit)
+            all_exact = all_exact and bool(exact.all())
+            table[ka, kb] = v if len(parts) == 1 else [x ** p for x in v.tolist()]
+        tables.append((label, table))
+
+    def norms(x, ys):
+        if len(tables) == 1:
+            label, table = tables[0]
+            return table[label[x], label[ys]]
+        acc = np.zeros(len(ys))
+        for label, table in tables:
+            acc += table[label[x], label[ys]]
+        return np.array([a ** (1 / p) for a in acc.tolist()])
+    return (*_scan_pairs(space, norms), all_exact)

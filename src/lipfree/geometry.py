@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BadParameter, BadSubset, NotSigmaClosed, PoleInDomain
 from .extension import ExtensionMap, _measure_assignment
-from .freenorm import FOREST_LIMIT_DEFAULT
+from .freenorm import FOREST_LIMIT_DEFAULT, _scan_pairs
 from .metric import REL_TOL
 
 
@@ -160,13 +160,8 @@ def radial_retraction(space, S, snap_tol=None, rule=default_scaling):
             continue
         target = rule(space.coords[i], S / norms[i])
         pmap.append(_snap(space, target, snap_tol))
-    best, pair = 0.0, None
-    for x in range(space.n):
-        for y in range(x + 1, space.n):
-            img = space.dist[pmap[x], pmap[y]]
-            ratio = img / space.dist[x, y]
-            if ratio > best * (1 + 1e-15):
-                best, pair = ratio, (x, y)
+    img = np.array(pmap)
+    best, pair = _scan_pairs(space, lambda x, ys: space.dist[img[x], img[ys]])
     fixes = all(pmap[i] == i for i in range(space.n) if norms[i] <= S + snap_tol)
     idem = all(pmap[pmap[i]] == pmap[i] for i in range(space.n))
     return RetractionReport(point_map=tuple(pmap), measured_lip=float(best),

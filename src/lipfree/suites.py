@@ -197,7 +197,7 @@ def suite_decomposition(config):
             rep.measured_T <= rep.bound_T * (1 + 1e-9),
             witness=rep.witness_pair,
             bound_inputs={"p": p, "R": R, "k": 2, "K1": 3 * 2 / margin,
-                          "K2": 1.0}))
+                          "K2": 1.0, "measured_exact": rep.measured_exact}))
         records.append(_record(f"weight_sums_p{p}", rep.weight_sum_error, None,
                                rep.weight_sum_error <= 1e-12, tol=1e-12))
 
@@ -302,7 +302,8 @@ def suite_whitney(config):
             f"extension_lip_p{p}", ext.measured_lip, ext.lip_bound,
             ext.measured_lip <= ext.lip_bound * (1 + 1e-9),
             witness=ext.witness_pair,
-            bound_inputs={"p": p, "doubling_upper": system.doubling_value}))
+            bound_inputs={"p": p, "doubling_upper": system.doubling_value,
+                          "measured_exact": ext.measured_exact}))
         resid = linearization_residual(ext)
         records.append(_record(f"linearization_residual_p{p}", resid, None,
                                resid <= 1e-10, tol=1e-10))

@@ -23,6 +23,9 @@ from lipfree import (
     verify_pst_identity,
     verify_separated_inverse,
 )
+from lipfree import decomposition
+from lipfree.decomposition import measure_diagonal_map, measure_map_into_sum
+from lipfree.freenorm import norm_value
 from lipfree.generators import annulus_rays
 from lipfree.suites import annulus_family_exact
 
@@ -308,3 +311,94 @@ def test_operator_t_with_measured_constant():
     assert np.array_equal(mat.matrix, np.eye(3))
     assert measured == pytest.approx(1.0, rel=1e-9)
     assert measured <= norm_bound_T(1.0, 1, 2.0, 3.0, 1.0)
+
+
+def _sum_map_every_pair(family, weight_matrix, p, exact_limit):
+    """Reference: per pair, one norm per part with a nonzero difference,
+    their p-th powers summed in part order; first maximum kept."""
+    space = family.space
+    local = [{g: li + 1 for li, g in enumerate(part.members)}
+             for part in family.parts]
+    best, best_pair, all_exact = 0.0, None, True
+    for x in range(space.n):
+        for y in range(x + 1, space.n):
+            acc = 0.0
+            for ni, part in enumerate(family.parts):
+                wx = float(weight_matrix[ni, x]) if x != space.base else 0.0
+                wy = float(weight_matrix[ni, y]) if y != space.base else 0.0
+                lx, ly = local[ni].get(x), local[ni].get(y)
+                vec = np.zeros(part.subspace.n)
+                if wx != 0.0 and lx is not None:
+                    vec[lx] += wx
+                    vec[0] -= wx
+                if wy != 0.0 and ly is not None:
+                    vec[ly] -= wy
+                    vec[0] += wy
+                if np.abs(vec).max(initial=0.0) == 0.0:
+                    continue
+                v, exact = norm_value(part.subspace, vec, p,
+                                      exact_limit=exact_limit)
+                all_exact = all_exact and exact
+                acc += v ** p
+            ratio = acc ** (1 / p) / space.dist[x, y] if acc > 0 else 0.0
+            if ratio > best * (1 + 1e-15):
+                best, best_pair = ratio, (x, y)
+    return best, best_pair, all_exact
+
+
+def _diagonal_map_every_pair(space, diag_weights, p, exact_limit):
+    """Reference: one norm per pair x < y of w(x) delta(x) - w(y) delta(y)."""
+    best, best_pair, all_exact = 0.0, None, True
+    for x in range(space.n):
+        wx = float(diag_weights[x]) if x != space.base else 0.0
+        for y in range(x + 1, space.n):
+            wy = float(diag_weights[y]) if y != space.base else 0.0
+            if wx == 0.0 and wy == 0.0:
+                continue
+            vec = np.zeros(space.n)
+            vec[x] += wx
+            vec[y] -= wy
+            vec[space.base] -= wx - wy
+            v, exact = norm_value(space, vec, p, exact_limit=exact_limit)
+            all_exact = all_exact and exact
+            ratio = v / space.dist[x, y]
+            if ratio > best * (1 + 1e-15):
+                best, best_pair = ratio, (x, y)
+    return best, best_pair, all_exact
+
+
+def _repeating_weights(rng, shape):
+    """Weights drawn from a few shared values (equal weights give a zero
+    base coefficient) mixed with zeros and random ones."""
+    w = rng.choice([0.0, 0.25, 0.5, 1.0, 1.0], size=shape)
+    fresh = rng.random(shape) < 0.3
+    w[fresh] = rng.random(int(fresh.sum()))
+    return w
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, 0.25])
+@pytest.mark.parametrize("exact_limit", [2, 8])
+def test_sum_and_diagonal_maps_match_every_pair(rng, monkeypatch, p,
+                                                exact_limit):
+    """Bitwise the per-pair loops, on overlapping annuli, a hat partition
+    and repeated weights; exact limit 2 sends 3-point supports to the upper
+    bound.  No per-vector ``norm_value`` call is made."""
+    sp = annulus_rays(rays=3, radii=(0.5, 1.0, 2.0, 4.0), include_origin=True)
+    intervals = [IntervalSpec(float(n), float(n + 2), True, True)
+                 for n in range(-3, 3)]
+    fam = annulus_family(sp, 2.0, intervals)
+    us = np.log2(np.where(sp.radii() > 0, sp.radii(), 1.0))
+    hats = build_hat_partition([(n - 0.5, n + 1.5) for n in range(-3, 3)],
+                               r=0.5, k=2, window=(-1.0, 2.0)).psi_values(us)
+    moved = build_space(sp.coords, base=4)
+    for wmat in (hats, _repeating_weights(rng, hats.shape)):
+        monkeypatch.setattr(decomposition, "norm_value", None)
+        got = measure_map_into_sum(fam, wmat, p, exact_limit=exact_limit)
+        monkeypatch.undo()
+        assert got == _sum_map_every_pair(fam, wmat, p, exact_limit)
+    for space in (sp, moved):
+        w = _repeating_weights(rng, space.n)
+        monkeypatch.setattr(decomposition, "norm_value", None)
+        got = measure_diagonal_map(space, w, p, exact_limit=exact_limit)
+        monkeypatch.undo()
+        assert got == _diagonal_map_every_pair(space, w, p, exact_limit)

@@ -7,19 +7,18 @@ import pytest
 from lipfree import (
     Molecule,
     SizeLimit,
-    SumElement,
-    SumPart,
     build_space,
     free_norm_exact_small,
     free_norm_p1,
     free_norm_upper,
     line_space,
-    lipschitz_constant,
-    lp_sum_norm,
+    measure_lipschitz,
+    norm_rows,
     norm_value,
     space_from_matrix,
 )
-from lipfree.freenorm import FOREST_LIMIT_MAX
+from lipfree.freenorm import (_BLOCK, FOREST_LIMIT_DEFAULT, FOREST_LIMIT_MAX,
+                              _child_splits, _tree_dp)
 from lipfree.generators import random_ball
 
 from conftest import check_result_consistency, random_metric_space, random_molecule
@@ -242,6 +241,65 @@ def test_oracle_matches_brute_force_tree_enumeration(rng):
                 check_result_consistency(sp, m, res)
 
 
+def scalar_tree_dp(dist, vec, p, root):
+    """Reference: the recurrence of ``_tree_dp`` one subset and one point
+    at a time, in increasing bitmask order, on Python floats; returns
+    (norm, edges) with the same backtracking."""
+    n = len(vec)
+    full = (1 << n) - 1
+    dpow = (dist ** p).tolist()
+    mass = [0.0]
+    for v in vec.tolist():
+        mass += [m + v for m in mass]
+    w = [abs(m) ** p for m in mass]
+    G = [None] * len(mass)
+    for u in range(n):
+        G[1 << u] = [w[1 << u] * dx[u] for dx in dpow]
+        G[1 << u][u] = 0.0
+    for s in range(3, full):
+        if s & (s - 1):  # two or more points
+            mem = [x for x in range(n) if s >> x & 1]
+            G[s] = gs = [min(G[t][x] + G[s ^ t][x] for t in _child_splits(s, x))
+                         if s >> x & 1 else math.inf for x in range(n)]
+            for x in range(n):
+                if not s >> x & 1:
+                    gs[x] = min(gs[u] + w[s] * dpow[x][u] for u in mem)
+    cost = min((G[t][root] + G[full ^ t][root]
+                for t in _child_splits(full, root)), default=0.0)
+    edges, stack = [], [(full, root, cost)]
+    while stack:
+        s, x, target = stack.pop()
+        for t in _child_splits(s, x):
+            if G[t][x] + G[s ^ t][x] == target:
+                u = next(u for u in range(n) if t >> u & 1 and
+                         G[t][u] + w[t] * dpow[x][u] == G[t][x])
+                edges.append((u, x, mass[t]))
+                stack += [(t, u, G[t][u]), (s ^ t, x, G[s ^ t][x])]
+                break
+    return cost ** (1.0 / p), edges
+
+
+def test_tree_dp_matches_scalar_reference(rng):
+    """Bitwise: values for a batch of rows, and value and tree per row at
+    every root, on snowflaked distances, a 1e-13 diagonal and zero
+    coefficients."""
+    for n in range(1, 9):
+        for p in (1.0, 0.5, 0.25, 0.7):
+            pts = rng.standard_normal((6, n, 2))
+            dist = np.sqrt(((pts[:, :, None] - pts[:, None]) ** 2).sum(-1))
+            dist[1] **= 0.5
+            dist[2][np.diag_indices(n)] = 1e-13
+            vecs = rng.standard_normal((6, n)) * 10.0 ** rng.integers(-3, 4, (6, 1))
+            vecs[rng.random((6, n)) < 0.25] = 0.0
+            norms, _ = _tree_dp(dist, vecs, p)
+            for i in range(6):
+                assert norms[i] == scalar_tree_dp(dist[i], vecs[i], p, 0)[0]
+                root = int(rng.integers(n))
+                norm, edges = scalar_tree_dp(dist[i], vecs[i], p, root)
+                assert _tree_dp(dist[i][None], vecs[i][None], p, root,
+                                tree=True) == ([norm], edges)
+
+
 def test_oracle_at_ten_points(rng):
     sp = random_ball(d=2, n=10, seed=10)
     m = dense_molecule(rng, sp)
@@ -335,39 +393,6 @@ def test_upper_deterministic_given_seed(rng):
     assert a.representation == b.representation
 
 
-def test_lp_sum_norm():
-    sp = line_space([0.0, 1.0])
-    m = Molecule.delta(1, 0)
-    one = SumElement((SumPart(0, sp, m),), 1.0)
-    assert lp_sum_norm(one) == pytest.approx(1.0, rel=1e-12)
-    two = SumElement((SumPart(0, sp, m), SumPart(1, sp, m)), 1.0)
-    assert lp_sum_norm(two) == pytest.approx(2.0, rel=1e-12)
-    two_half = SumElement((SumPart(0, sp, m), SumPart(1, sp, m)), 0.5)
-    assert lp_sum_norm(two_half) == pytest.approx(4.0, rel=1e-12)
-
-
-def test_lipschitz_constant_identity_map(rng):
-    sp = random_metric_space(rng, 6)
-    image = [Molecule.delta(i, sp.base) for i in range(sp.n)]
-
-    def norm(mol):
-        return free_norm_p1(sp, mol).value
-
-    val, pair = lipschitz_constant(sp, image, norm)
-    assert val == pytest.approx(1.0, rel=1e-9)
-    assert pair is not None
-
-
-def test_lipschitz_constant_constant_and_scaling(rng):
-    sp = random_metric_space(rng, 5)
-    const = [np.zeros(2) for _ in range(sp.n)]
-    val, _ = lipschitz_constant(sp, const, lambda d: float(np.linalg.norm(d)))
-    assert val == 0.0
-    doubled = [2.0 * sp.coords[i] for i in range(sp.n)]
-    val, _ = lipschitz_constant(sp, doubled, lambda d: float(np.linalg.norm(d)))
-    assert val == pytest.approx(2.0, rel=1e-12)
-
-
 def test_norm_value_fast_path_matches_solvers(rng):
     sp = random_metric_space(rng, 7)
     for _ in range(10):
@@ -379,3 +404,106 @@ def test_norm_value_fast_path_matches_solvers(rng):
         v5, _ = norm_value(sp, vec, 0.5)
         oracle = free_norm_exact_small(sp, m, 0.5).value
         assert v5 >= oracle * (1 - 1e-9)  # restriction may only overestimate
+
+
+def _norm_rows_cases(rng, space, count):
+    """Rows over ``space`` with supports of 1 to FOREST_LIMIT_DEFAULT + 2
+    points: balanced rows, rows with a zero base coefficient or a base
+    entry inside the 1e-14 band, rows with one huge coefficient that pushes
+    the others into the band, unbalanced single points, the base alone and
+    all-zero rows."""
+    rows = np.zeros((count, space.n))
+    others = np.delete(np.arange(space.n), space.base)
+    for row in rows:
+        size = int(rng.integers(0, min(FOREST_LIMIT_DEFAULT + 2, len(others)) + 1))
+        pts = rng.choice(others, size=size, replace=False)
+        row[pts] = rng.standard_normal(size)
+        kind = rng.integers(6)
+        if kind == 1 and size:
+            row[pts[0]] *= 1e16
+        if kind == 2 and size:
+            row[pts] = row[pts] - row[pts].mean()  # base left out, or in the band
+        elif kind == 3:
+            row[space.base] = 1.0
+        elif kind != 4:
+            row[space.base] = -row.sum()
+    rows[rng.integers(0, count, size=count // 20)] = 0.0
+    return rows
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, 0.25])
+def test_norm_rows_matches_norm_value(rng, p):
+    """Value and exact flag are bitwise those of ``norm_value``, row by row,
+    across regimes: zero, forced and general transport at p = 1, the subset
+    DP up to the exact limit and the upper bound above it at p < 1."""
+    cases = [(random_metric_space(rng, 12), 600),
+             (random_metric_space(rng, 6), 200),  # full supports: exact DP
+             (random_ball(d=2, n=20, seed=3, alpha=0.5), 200)]
+    for space, count in cases:
+        rows = _norm_rows_cases(rng, space, count)
+        values, exact = norm_rows(space, rows, p)
+        for row, v, e in zip(rows, values.tolist(), exact.tolist()):
+            assert (v, e) == norm_value(space, row, p)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+def test_norm_rows_batch_spans_blocks(rng, p):
+    """More rows of one support size than fit in one block."""
+    space = random_metric_space(rng, 10)
+    k = FOREST_LIMIT_DEFAULT
+    count = _BLOCK // (k * k) + 50 if p == 1.0 else _BLOCK // (k << k) + 50
+    rows = np.zeros((count, space.n))
+    for row in rows:
+        pts = rng.choice(np.arange(1, space.n), size=k - 1, replace=False)
+        row[pts] = rng.standard_normal(k - 1)
+        row[space.base] = -row.sum()
+    values, exact = norm_rows(space, rows, p)
+    for row, v, e in zip(rows, values.tolist(), exact.tolist()):
+        assert (v, e) == norm_value(space, row, p)
+
+
+def _measure_every_pair(space, parts, p, exact_limit):
+    """Reference for ``measure_lipschitz``: per pair x < y, one
+    ``norm_value`` per part with a nonzero difference; first maximum kept."""
+    best, best_pair, all_exact = 0.0, None, True
+    for x in range(space.n):
+        for y in range(x + 1, space.n):
+            norms = []
+            for target, rows in parts:
+                vec = rows[x] - rows[y]
+                vec[target.base] -= vec.sum()
+                if np.abs(vec).max() > 0:
+                    v, exact = norm_value(target, vec, p, exact_limit=exact_limit)
+                    all_exact = all_exact and exact
+                    norms.append(v)
+            if len(parts) == 1:
+                ratio = norms[0] / space.dist[x, y] if norms else 0.0
+            else:
+                acc = 0.0
+                for v in norms:
+                    acc += v ** p
+                ratio = acc ** (1 / p) / space.dist[x, y]
+            if ratio > best * (1 + 1e-15):
+                best, best_pair = ratio, (x, y)
+    return best, best_pair, all_exact
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, 0.25])
+def test_measure_lipschitz_matches_every_pair(rng, p):
+    """Many small spaces, so that a last-ulp change in any one norm soon
+    reaches a reported maximum: one to three parts with bases off column 0,
+    zero and shared entries, and rows that differ only at the base."""
+    for _ in range(80):
+        space = random_metric_space(rng, int(rng.integers(2, 8)))
+        parts = []
+        for _ in range(int(rng.integers(1, 4))):
+            m = int(rng.integers(2, FOREST_LIMIT_DEFAULT + 3))
+            target = random_ball(d=2, n=m, seed=int(rng.integers(1 << 30)))
+            target = target.take(list(range(m)), int(rng.integers(m)))
+            rows = rng.standard_normal((space.n, m))
+            rows[rng.random(rows.shape) < 0.3] = 0.0
+            rows[rng.integers(space.n)] = rows[0]
+            rows[rng.integers(space.n), target.base] += 1.0
+            parts.append((target, rows))
+        assert measure_lipschitz(space, parts, p) == \
+            _measure_every_pair(space, parts, p, FOREST_LIMIT_DEFAULT)
