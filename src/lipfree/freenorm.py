@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .errors import BadParameter, InternalInvariantBroken, SizeLimit
 from .metric import ABS_TOL
@@ -420,24 +418,22 @@ def _cost_of(parents, vec, dpow, p):
 
 
 def _mst_parents(dsub):
+    """Parent list of a minimum spanning tree rooted at point 0, by Prim's
+    algorithm (Prim, Bell Syst. Tech. J. 36 (1957) 1389-1401) in O(k^2).
+    Ties go to the lowest index, and a point keeps its first-found parent
+    unless a later tree point is strictly closer."""
     k = dsub.shape[0]
-    mst = minimum_spanning_tree(csr_matrix(dsub)).toarray()
-    adj = [[] for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            if mst[a, b] > 0 or mst[b, a] > 0:
-                adj[a].append(b)
-                adj[b].append(a)
-    parents = [-1] * k
-    parents[0] = 0
-    order = [0]
-    for x in order:
-        for y in adj[x]:
-            if parents[y] < 0:
-                parents[y] = x
-                order.append(y)
-    parents[0] = 0
-    return parents
+    parents = np.zeros(k, dtype=int)
+    best = dsub[0].astype(float)
+    out = np.ones(k, dtype=bool)
+    out[0] = False
+    for _ in range(k - 1):
+        v = int(np.where(out, best, np.inf).argmin())
+        out[v] = False
+        closer = out & (dsub[v] < best)
+        best[closer] = dsub[v, closer]
+        parents[closer] = v
+    return parents.tolist()
 
 
 def _descendants(parents, v):
@@ -456,11 +452,12 @@ def _descendants(parents, v):
 def free_norm_upper(space, molecule, p, budget=60, seed=0, restarts=2):
     """Feasible-representation upper bound for the free norm at p in (0, 1].
 
-    Starts from the all-mass-to-base star, a minimum-spanning-tree routing,
-    and seeded random trees; improves by re-hanging subtrees (edge swaps;
-    re-hanging under a third point implements one-intermediate reroutes, and
-    tree supports merge parallel mass by construction).  Moves are accepted
-    on strict improvement; deterministic for a fixed seed.
+    Starts from the all-mass-to-base star, the routing along Prim's minimum
+    spanning tree (``_mst_parents``), and seeded random trees; improves by
+    re-hanging subtrees (edge swaps; re-hanging under a third point
+    implements one-intermediate reroutes, and tree supports merge parallel
+    mass by construction).  Moves are accepted on strict improvement;
+    deterministic for a fixed seed.
     """
     if not 0 < p <= 1:
         raise BadParameter(f"p={p} outside (0, 1]")
@@ -542,7 +539,8 @@ def _dense_restrict(space, vec):
 
 
 def _upper_value(dsub, vsub, p):
-    """min(star routing, MST routing) -- a cheap certified upper bound."""
+    """min(star routing, routing along Prim's minimum spanning tree
+    ``_mst_parents``) -- a cheap certified upper bound."""
     k = len(vsub)
     if k <= 1:
         return 0.0

@@ -18,8 +18,10 @@ from lipfree import (
     space_from_matrix,
 )
 from lipfree.freenorm import (_BLOCK, FOREST_LIMIT_DEFAULT, FOREST_LIMIT_MAX,
-                              _child_splits, _tree_dp)
-from lipfree.generators import random_ball
+                              _child_splits, _mst_parents, _tree_dp,
+                              _upper_value)
+from lipfree.generators import grid_zd, random_ball
+from lipfree.metric import ABS_TOL
 
 from conftest import check_result_consistency, random_metric_space, random_molecule
 
@@ -391,6 +393,92 @@ def test_upper_deterministic_given_seed(rng):
     b = free_norm_upper(sp, m, 0.5, seed=11)
     assert a.value == b.value
     assert a.representation == b.representation
+
+
+def kruskal_tree(dist):
+    """Reference: Kruskal's minimum spanning tree over the pairs a < b, as
+    (edge set, weight)."""
+    k = len(dist)
+    comp = list(range(k))
+
+    def find(a):
+        while comp[a] != a:
+            a = comp[a]
+        return a
+    edges, weight = set(), 0.0
+    for w, a, b in sorted((dist[a, b], a, b)
+                          for a in range(k) for b in range(a + 1, k)):
+        if find(a) != find(b):
+            comp[find(a)] = find(b)
+            edges.add((a, b))
+            weight += w
+    return edges, weight
+
+
+def check_mst(dist, distinct):
+    parents = _mst_parents(dist)
+    k = len(dist)
+    assert len(parents) == k and parents[0] == 0
+    for v in range(k):
+        for _ in range(k):  # every point reaches 0
+            v = parents[v]
+        assert v == 0
+    edges, weight = kruskal_tree(dist)
+    got = sum(dist[parents[v], v] for v in range(1, k))
+    assert got == pytest.approx(weight, rel=1e-12, abs=k * ABS_TOL)
+    if distinct:
+        assert {tuple(sorted((v, parents[v]))) for v in range(1, k)} == edges
+    return parents
+
+
+def test_mst_parents_matches_kruskal(rng):
+    assert _mst_parents(np.zeros((1, 1))) == [0]
+    for k in (2, 3):
+        for _ in range(5):
+            check_mst(random_metric_space(rng, k).dist, distinct=True)
+    line = line_space(rng.permutation(np.cumsum(rng.random(8) + 0.1)))
+    check_mst(line.dist, distinct=True)
+    for _ in range(30):
+        sp = random_metric_space(rng, int(rng.integers(4, 13)),
+                                 alpha=float(rng.choice([1.0, 0.5])))
+        check_mst(sp.dist, distinct=True)
+        noise = rng.random(sp.dist.shape) * ABS_TOL / 2  # asymmetric
+        check_mst(sp.dist + noise * (1 - np.eye(sp.n)), distinct=True)
+
+
+@pytest.mark.parametrize("norm", ["sup", "taxicab"])
+def test_mst_parents_on_tied_grids(rng, norm):
+    grid = grid_zd(d=2, lo=-2, hi=2, norm=norm)
+    for _ in range(20):
+        sub = rng.choice(grid.n, size=int(rng.integers(3, 14)), replace=False)
+        check_mst(grid.dist[np.ix_(sub, sub)], distinct=False)
+    check_mst(grid.dist, distinct=False)
+
+
+def test_mst_parents_tie_rules():
+    # all ties, a 1e-13 diagonal: nothing beats the first-found parent 0
+    flat = np.ones((4, 4)) - np.eye(4) * (1 - 1e-13)
+    assert check_mst(flat, distinct=False) == [0, 0, 0, 0]
+    # (0,0), (0,1), (1,0), (1,1): 1 and 2 tie for next, the lowest goes
+    # first and becomes the parent of (1,1)
+    square = grid_zd(d=2, lo=0, hi=1, norm="taxicab").dist
+    assert check_mst(square, distinct=False) == [0, 0, 0, 1]
+    # coincident points are joined by their zero-length edges
+    assert check_mst(np.zeros((3, 3)), distinct=False) == [0, 0, 0]
+    line = np.array([0.0, 1.0, 1.0, 3.0, 0.0])
+    assert check_mst(np.abs(line[:, None] - line), distinct=False) \
+        == [0, 0, 1, 1, 0]
+
+
+def test_upper_value_never_below_tree_dp(rng):
+    for _ in range(40):
+        k = int(rng.integers(2, 9))
+        dsub = random_metric_space(rng, k,
+                                   alpha=float(rng.choice([1.0, 0.5]))).dist
+        vsub = rng.standard_normal(k)
+        vsub[0] = -vsub[1:].sum()
+        exact = _tree_dp(dsub[None], vsub[None], 0.5)[0][0]
+        assert _upper_value(dsub, vsub, 0.5) >= exact * (1 - 1e-12)
 
 
 def test_norm_value_fast_path_matches_solvers(rng):

@@ -1,11 +1,14 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from lipfree import Mismatch, SuiteConfig, report_diff, run_suite, suites
+from lipfree import (Mismatch, SuiteConfig, norm_value, report_diff,
+                     run_suite, suites)
 from lipfree.cli import main
 from lipfree.errors import BadSuite
+from lipfree.generators import generate
 from lipfree.serialization import load_report
 
 ALL_SUITES = ("norm-oracle", "decomposition", "whitney", "retraction",
@@ -57,6 +60,26 @@ def test_norm_oracle_skips_oracle_checks_above_exact_limit():
     assert not ok
     assert records["duality_gap_p1"]["passed"]
     assert records["delta_isometry_p0.5"]["passed"]
+
+
+@pytest.mark.parametrize("n", [1, 6, 12])
+def test_delta_isometry_matches_every_pair(n):
+    """The batched record equals one ``norm_value`` per pair, bit for bit."""
+    source = {"kind": "random-ball", "params": {"d": 2, "n": n}}
+    config = SuiteConfig(suite="norm-oracle", space_source=source, seed=5,
+                         p_list=(1.0, 0.5, 0.25, 0.7))
+    doc, _ = run_suite(config)
+    records = {r["check"]: r for r in doc["checks"]}
+    space = generate("random-ball", seed=5, **source["params"])
+    for p in config.p_list:
+        worst = 0.0
+        for x in range(n):
+            for y in range(x + 1, n):
+                vec = np.zeros(n)
+                vec[x], vec[y] = 1.0, -1.0
+                v, _ = norm_value(space, vec, p, config.exact_limit)
+                worst = max(worst, abs(v - space.dist[x, y]) / space.dist[x, y])
+        assert records[f"delta_isometry_p{p}"]["measured"] == worst
 
 
 def test_unknown_suite_and_empty_p():
