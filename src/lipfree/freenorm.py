@@ -4,7 +4,9 @@ Three solvers cover the (0, 1] exponent range:
 
 * ``free_norm_p1`` -- exact transportation cost at p = 1 by the primal-dual
   method on the dense source x sink cost block, emitting the c-transform of
-  the final potentials as a checked 1-Lipschitz dual witness.
+  the final potentials as a checked 1-Lipschitz dual witness.  The solver
+  runs on stacks of problems of one shape: one problem here, every p = 1
+  row of one (sources, sinks) shape at once in ``norm_rows``.
 * ``free_norm_exact_small`` -- exact for any p in (0, 1] as the cheapest
   spanning tree (vertex solutions of the flow polyhedron have acyclic
   support, and zero-weight edges extend any feasible forest to a spanning
@@ -253,6 +255,125 @@ def free_norm_exact_small(space, molecule, p, forest_limit=FOREST_LIMIT_DEFAULT)
 _CERT_TOL = 1e-9
 
 
+def _primal_dual(cost, excess, deficit, eps):
+    """Optimal plans for a stack of transportation problems of one shape:
+    row i ships ``excess[i]`` from ns sources to ``deficit[i]`` at nt sinks
+    over ``cost[i]``, ignoring masses within ``eps[i]``.  Returns each
+    row's plan and sink potentials, ``(flow, pot_t)``.
+
+    With one source or one sink the plan is forced.  Otherwise the
+    primal-dual method (Ford & Fulkerson, 1957) runs on all rows at once.
+    Potentials keep every residual reduced cost ``cost + pot_s - pot_t``
+    non-negative, so flow arcs are tight.  Each phase finds the
+    shortest-path forest from the sources with excess by whole-matrix
+    label-correcting half-sweeps, repeated while any row improves (a settled
+    row is a fixed point of both).  It lifts the potentials by the
+    distances, capped at the row's largest finite one, then pushes flow row
+    by row along every forest path to unmet demand, nearest sink first.  A
+    row leaves the stack once either side has at most eps left.
+    """
+    b, ns, nt = cost.shape
+    if nt == 1:
+        return excess[:, :, None], np.zeros((b, 1))
+    if ns == 1:
+        return deficit[:, None, :], cost[:, 0]
+    flow, pot_t = np.zeros((b, ns, nt)), np.zeros((b, nt))
+    done_flow, done_pot = flow, pot_t  # finished rows are written here
+    bal = np.concatenate((excess, deficit), axis=1)  # what is left to ship
+    pot_s, cut = np.zeros((b, ns)), np.array([0, ns])
+    act, srcs, cols = np.arange(b), np.arange(ns), np.arange(nt)
+    at, tol, tol3 = act[:, None], eps[:, None], eps[:, None, None]
+    tols = eps.tolist()
+    for _ in range(1000 + 40 * (ns + nt) ** 2):
+        above = bal > tol
+        # per row: is a source live, is a sink short
+        sides = np.logical_or.reduceat(above, cut, axis=1)
+        if not sides.all():
+            going = sides.all(axis=1)
+            if flow is not done_flow:
+                done_flow[act[~going]] = flow[~going]
+                done_pot[act[~going]] = pot_t[~going]
+            if not going.any():
+                break
+            act, cost, tol, tol3, flow, pot_s, pot_t, bal, above = (
+                x[going] for x in (act, cost, tol, tol3, flow, pot_s, pot_t,
+                                   bal, above))
+            at, tols = np.arange(len(act))[:, None], tol[:, 0].tolist()
+        live, short = above[:, :ns], above[:, ns:]
+        fwd = np.maximum(cost + pot_s[:, :, None] - pot_t[:, None], 0.0)
+        back = np.where(flow > tol3, 0.0, np.inf)  # flow arcs are tight
+        ds = np.where(live, 0.0, np.inf)
+        pred_s = np.full(ds.shape, -1)
+        # the first half-sweep labels every sink: each row has a live source
+        reach = ds[:, :, None] + fwd
+        pred_t = reach.argmin(axis=1)
+        dt = reach[at, pred_t, cols]
+        while True:  # labels only fall, along simple paths
+            reach = back + dt[:, None]
+            via = reach.argmin(axis=2)
+            low = reach[at, srcs, via]  # the minimum, read at the argmin
+            better = low < ds
+            if not better.any():
+                break
+            ds = np.where(better, low, ds)
+            pred_s = np.where(better, via, pred_s)
+            reach = ds[:, :, None] + fwd
+            via = reach.argmin(axis=1)
+            low = reach[at, via, cols]
+            better = low < dt
+            if not better.any():
+                break
+            dt = np.where(better, low, dt)
+            pred_t = np.where(better, via, pred_t)
+        # every reached source sits at a sink's distance, so dt's row
+        # maximum is the largest finite distance
+        pot_s += np.minimum(ds, dt.max(axis=1, keepdims=True))
+        pot_t += dt
+        for r, (ps, pt, d, e) in enumerate(zip(
+                pred_s.tolist(), pred_t.tolist(), dt.tolist(), tols)):
+            fl, ex, de = flow[r], bal[r, :ns], bal[r, ns:]
+            for t in sorted(short[r].nonzero()[0].tolist(), key=d.__getitem__):
+                root = pt[t]
+                fwd_arcs, back_arcs = [(root, t)], []
+                for _ in range(ns):  # a forest path visits each source once
+                    if ps[root] < 0:
+                        break
+                    j = ps[root]
+                    back_arcs.append((root, j))
+                    root = pt[j]
+                    fwd_arcs.append((root, j))
+                else:
+                    raise InternalInvariantBroken("cycle in shortest-path forest")
+                amt = min([ex[root], de[t]] + [fl[a] for a in back_arcs])
+                if amt <= e:
+                    continue
+                for a in fwd_arcs:
+                    fl[a] += amt
+                for a in back_arcs:
+                    fl[a] -= amt
+                ex[root] -= amt
+                de[t] -= amt
+    else:
+        raise InternalInvariantBroken("transport phase guard exceeded")
+    return done_flow, done_pot
+
+
+def _plan_values(flow, cost, eps):
+    """Per row, the dot product of its flows above ``eps`` with their costs,
+    in row-major order: ``_transport``'s ``mass @ cost[keep]``, run as one
+    stacked matmul per number of kept arcs (einsum or a sum would round
+    differently)."""
+    keep = flow > eps[:, None, None]
+    count = keep.sum(axis=(1, 2))
+    values = np.zeros(len(flow))
+    for m in np.unique(count).tolist():
+        rows = np.flatnonzero(count == m)
+        kept = keep[rows]
+        values[rows] = (flow[rows][kept].reshape(len(rows), 1, m)
+                        @ cost[rows][kept].reshape(len(rows), m, 1))[:, 0, 0]
+    return values
+
+
 def _transport(dist, vec):
     """Min-cost transportation between the positive and negative parts of vec.
 
@@ -260,17 +381,9 @@ def _transport(dist, vec):
     (source, sink, mass) arcs of an optimal plan, ``sinks`` the sink indices
     and ``g`` their dual potentials.  On a metric, the c-transform
     ``f(x) = min_j dist[x, sinks[j]] + g[j]`` is 1-Lipschitz and pairs with
-    ``vec`` to the value.
-
-    Primal-dual method (Ford & Fulkerson, 1957).  Node potentials keep every
-    residual reduced cost ``cost + pot_s - pot_t`` non-negative, so flow arcs
-    are tight.  Each phase finds the shortest-path forest from all sources
-    with excess by whole-matrix label-correcting sweeps.  It lifts the
-    potentials by the distances, capped at the largest finite one, which
-    keeps reduced costs non-negative and makes the forest tight.  It then
-    pushes flow along every forest path that reaches unmet demand, until
-    either side has at most 1e-14 of the total mass left.  With a single
-    source or sink the only feasible plan is returned directly.
+    ``vec`` to the value.  Entries within 1e-14 of the total mass are
+    dropped, and the plan is found by ``_primal_dual`` on a stack of one.
+    ``norm_rows`` applies the same band and value rule to stacks.
     """
     eps = 1e-14 * _scale(vec)
     srcs = (vec > eps).nonzero()[0]
@@ -278,76 +391,13 @@ def _transport(dist, vec):
     if len(srcs) == 0 or len(sinks) == 0:
         return 0.0, (), sinks, np.zeros(len(sinks))
     cost = dist[srcs[:, None], sinks]
-    ns, nt = cost.shape
-    if nt == 1:
-        flow, pot_t = vec[srcs, None], np.zeros(1)
-    elif ns == 1:
-        flow, pot_t = -vec[None, sinks], cost[0]
-    else:
-        excess, deficit = vec[srcs], -vec[sinks]
-        cols = np.arange(nt)
-        flow = np.zeros((ns, nt))
-        pot_s, pot_t = np.zeros(ns), np.zeros(nt)
-        for _ in range(1000 + 40 * (ns + nt) ** 2):
-            live, short = excess > eps, deficit > eps
-            if not (live.any() and short.any()):
-                break
-            fwd = np.maximum(cost + pot_s[:, None] - pot_t, 0.0)
-            back = np.where(flow > eps, 0.0, np.inf)  # flow arcs are tight
-            ds = np.where(live, 0.0, np.inf)
-            dt = np.full(nt, np.inf)
-            pred_s, pred_t = np.full(ns, -1), cols  # first sweep sets pred_t
-            while True:  # labels only fall, along simple paths
-                reach = ds[:, None] + fwd
-                via = reach.argmin(axis=0)
-                low = reach[via, cols]
-                better = low < dt
-                if not better.any():
-                    break
-                dt = np.where(better, low, dt)
-                pred_t = np.where(better, via, pred_t)
-                reach = back + dt
-                via = reach.argmin(axis=1)
-                low = reach.min(axis=1)
-                better = low < ds
-                if not better.any():
-                    break
-                ds = np.where(better, low, ds)
-                pred_s = np.where(better, via, pred_s)
-            # every reached source sits at a sink's distance, so dt.max()
-            # is the largest finite distance
-            pot_s += np.minimum(ds, dt.max())
-            pot_t += dt
-            pred_s, pred_t = pred_s.tolist(), pred_t.tolist()
-            for t in sorted(short.nonzero()[0].tolist(), key=dt.__getitem__):
-                root = pred_t[t]
-                fwd_arcs, back_arcs = [(root, t)], []
-                for _ in range(ns):  # a forest path visits each source once
-                    if pred_s[root] < 0:
-                        break
-                    j = pred_s[root]
-                    back_arcs.append((root, j))
-                    root = pred_t[j]
-                    fwd_arcs.append((root, j))
-                else:
-                    raise InternalInvariantBroken("cycle in shortest-path forest")
-                amt = min([excess[root], deficit[t]]
-                          + [flow[e] for e in back_arcs])
-                if amt <= eps:
-                    continue
-                for e in fwd_arcs:
-                    flow[e] += amt
-                for e in back_arcs:
-                    flow[e] -= amt
-                excess[root] -= amt
-                deficit[t] -= amt
-        else:
-            raise InternalInvariantBroken("transport phase guard exceeded")
-    keep = flow > eps
-    mass = flow[keep]
+    flow, pot_t = _primal_dual(cost[None], vec[srcs][None], -vec[sinks][None],
+                               np.full(1, eps))
+    keep = flow[0] > eps
+    mass = flow[0][keep]
     a, b = np.nonzero(keep)
     flows = tuple(zip(srcs[a].tolist(), sinks[b].tolist(), mass.tolist()))
-    return float(mass @ cost[keep]), flows, sinks, -pot_t
+    return float(mass @ cost[keep]), flows, sinks, -pot_t[0]
 
 
 def _certificate_defects(space, vec, value, cert):
@@ -590,41 +640,17 @@ def norm_value(space, vec, p, exact_limit=FOREST_LIMIT_DEFAULT, prefer="auto",
 _BLOCK = 1 << 17  # float64 entries per transient block, 1 MB
 
 
-def _transport_rows(dist, vecs):
-    """``_transport(dist[i], vecs[i])[0]`` for the rows whose plan is forced
-    (one side empty or a single point, once entries within 1e-14 of the
-    mass are dropped), as (values, forced); other rows are left at 0.  Its
-    mass @ cost runs as one stacked matmul per length, the same dot product
-    per row (einsum or a sum would round differently)."""
-    scale = np.abs(vecs).sum(axis=1)
-    eps = 1e-14 * np.where(scale > 0, scale, 1.0)[:, None]
-    srcs, sinks = vecs > eps, vecs < -eps
-    ns, nt = srcs.sum(axis=1), sinks.sum(axis=1)
-    forced = (ns <= 1) | (nt <= 1)
-    to_sink = (nt == 1)[:, None]  # _transport's first closed form
-    many = np.where(to_sink, srcs, sinks)
-    lone = np.where(to_sink, sinks, srcs).argmax(axis=1)
-    size = np.where(forced & (ns > 0) & (nt > 0), many.sum(axis=1), 0)
-    values = np.zeros(len(vecs))
-    for m in np.unique(size[size > 0]).tolist():
-        rows = np.flatnonzero(size == m)
-        pos = np.argsort(~many[rows], axis=1, kind="stable")[:, :m]
-        at, j = rows[:, None], lone[rows, None]
-        mass = np.take_along_axis(vecs[rows], pos, axis=1)
-        mass = np.where(to_sink[rows], mass, -mass)
-        cost = np.where(to_sink[rows], dist[at, pos, j], dist[at, j, pos])
-        values[rows] = (mass[:, None, :] @ cost[:, :, None])[:, 0, 0]
-    return values, forced
-
-
 def norm_rows(space, rows, p, exact_limit=FOREST_LIMIT_DEFAULT):
     """``norm_value(space, rows[i], p, exact_limit)`` for every row i, as
     arrays (values, exact), bitwise equal to the per-row calls.
 
     Rows are grouped by support size k (ordered as ``_dense_restrict``
-    does) and taken in blocks, by the same regimes: forced p = 1 plans and
-    the p < 1 subset DP run batched, other p = 1 rows go to ``_transport``
-    and p < 1 supports above ``exact_limit`` to ``_upper_value``.
+    does) and taken in blocks, by the same regimes.  At p = 1 the rows of a
+    block are grouped again by their numbers of sources and sinks; each
+    group is one ``_primal_dual`` stack (``_transport`` solves a stack of
+    one), valued by ``_plan_values``.  The p < 1 subset DP runs batched,
+    and p < 1 supports above
+    ``exact_limit`` go to ``_upper_value``.
     """
     _check_limit(exact_limit)
     rows = np.asarray(rows, dtype=float)
@@ -644,9 +670,21 @@ def norm_rows(space, rows, p, exact_limit=FOREST_LIMIT_DEFAULT):
             vsub = np.take_along_axis(rows[at], sub, axis=1)
             dsub = space.dist[sub[:, :, None], sub[:, None, :]]
             if p == 1.0:
-                v, forced = _transport_rows(dsub, vsub)
-                for i in np.flatnonzero(~forced).tolist():
-                    v[i] = _transport(dsub[i], vsub[i])[0]
+                scale = np.abs(vsub).sum(axis=1)  # _transport's band, per row
+                eps = 1e-14 * np.where(scale > 0, scale, 1.0)
+                srcs, sinks = vsub > eps[:, None], vsub < -eps[:, None]
+                ns, nt = srcs.sum(axis=1), sinks.sum(axis=1)
+                shape = np.where((ns > 0) & (nt > 0), ns * k + nt, 0)
+                v = np.zeros(len(at))
+                for key in np.unique(shape[shape > 0]).tolist():
+                    g = np.flatnonzero(shape == key)
+                    s = srcs[g].nonzero()[1].reshape(len(g), -1)
+                    t = sinks[g].nonzero()[1].reshape(len(g), -1)
+                    cost = dsub[g[:, None, None], s[:, :, None], t[:, None]]
+                    flow, _ = _primal_dual(
+                        cost, np.take_along_axis(vsub[g], s, axis=1),
+                        -np.take_along_axis(vsub[g], t, axis=1), eps[g])
+                    v[g] = _plan_values(flow, cost, eps[g])
             elif dp:
                 v = _tree_dp(dsub, vsub, p)[0]
                 exact[at] = k == space.n  # restriction can only overestimate

@@ -318,9 +318,9 @@ def suite_retraction(config):
     rep = radial_retraction(space, S)
     slack_tol = config.tol("retraction_slack", 0.1)
     records = [
-        _record("retraction_lip", rep.measured_lip, 2.0 + slack_tol,
-                rep.measured_lip <= 2.0 + slack_tol,
-                witness=rep.witness_pair, bound_inputs={"S": S}),
+        _record("retraction_lip", rep.measured_lip, 2.0,
+                rep.measured_lip <= 2.0 * (1 + 1e-9),
+                witness=rep.witness_pair, bound_inputs={"S": S}, tol=1e-9),
         _record("retraction_slack", rep.slack, slack_tol,
                 rep.slack <= slack_tol),
         _record("retraction_fixes_ball", None, None, rep.fixes_ball),

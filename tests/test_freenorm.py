@@ -17,9 +17,11 @@ from lipfree import (
     norm_value,
     space_from_matrix,
 )
+from lipfree import freenorm
+from lipfree.errors import InternalInvariantBroken
 from lipfree.freenorm import (_BLOCK, FOREST_LIMIT_DEFAULT, FOREST_LIMIT_MAX,
-                              _child_splits, _mst_parents, _tree_dp,
-                              _upper_value)
+                              _child_splits, _dense_restrict, _mst_parents,
+                              _scale, _transport, _tree_dp, _upper_value)
 from lipfree.generators import grid_zd, random_ball
 from lipfree.metric import ABS_TOL
 
@@ -85,6 +87,7 @@ def test_transport_many_sources_and_sinks(rng, k, alpha):
     for _ in range(2):
         m = dense_molecule(rng, sp)
         check_certificate(sp, m, free_norm_p1(sp, m))
+        check_transport(sp.dist, m.vector(sp.n))
 
 
 def test_transport_single_source_or_sink_matches_oracle(rng):
@@ -141,6 +144,175 @@ def test_triangle_violation_is_tagged_upper_bound():
     assert res.certificate is None
     assert res.value == 3.0
     assert free_norm_exact_small(sp, m, 1.0).value == pytest.approx(2.0)
+
+
+def reference_transport(dist, vec):
+    """Reference: the scalar primal-dual that solved one problem per call
+    before the solver took stacks, kept as it was; ``_transport`` and
+    ``norm_rows`` must give its bits."""
+    eps = 1e-14 * _scale(vec)
+    srcs = (vec > eps).nonzero()[0]
+    sinks = (vec < -eps).nonzero()[0]
+    if len(srcs) == 0 or len(sinks) == 0:
+        return 0.0, (), sinks, np.zeros(len(sinks))
+    cost = dist[srcs[:, None], sinks]
+    ns, nt = cost.shape
+    if nt == 1:
+        flow, pot_t = vec[srcs, None], np.zeros(1)
+    elif ns == 1:
+        flow, pot_t = -vec[None, sinks], cost[0]
+    else:
+        excess, deficit = vec[srcs], -vec[sinks]
+        cols = np.arange(nt)
+        flow = np.zeros((ns, nt))
+        pot_s, pot_t = np.zeros(ns), np.zeros(nt)
+        for _ in range(1000 + 40 * (ns + nt) ** 2):
+            live, short = excess > eps, deficit > eps
+            if not (live.any() and short.any()):
+                break
+            fwd = np.maximum(cost + pot_s[:, None] - pot_t, 0.0)
+            back = np.where(flow > eps, 0.0, np.inf)  # flow arcs are tight
+            ds = np.where(live, 0.0, np.inf)
+            dt = np.full(nt, np.inf)
+            pred_s, pred_t = np.full(ns, -1), cols  # first sweep sets pred_t
+            while True:  # labels only fall, along simple paths
+                reach = ds[:, None] + fwd
+                via = reach.argmin(axis=0)
+                low = reach[via, cols]
+                better = low < dt
+                if not better.any():
+                    break
+                dt = np.where(better, low, dt)
+                pred_t = np.where(better, via, pred_t)
+                reach = back + dt
+                via = reach.argmin(axis=1)
+                low = reach.min(axis=1)
+                better = low < ds
+                if not better.any():
+                    break
+                ds = np.where(better, low, ds)
+                pred_s = np.where(better, via, pred_s)
+            # every reached source sits at a sink's distance, so dt.max()
+            # is the largest finite distance
+            pot_s += np.minimum(ds, dt.max())
+            pot_t += dt
+            pred_s, pred_t = pred_s.tolist(), pred_t.tolist()
+            for t in sorted(short.nonzero()[0].tolist(), key=dt.__getitem__):
+                root = pred_t[t]
+                fwd_arcs, back_arcs = [(root, t)], []
+                for _ in range(ns):  # a forest path visits each source once
+                    if pred_s[root] < 0:
+                        break
+                    j = pred_s[root]
+                    back_arcs.append((root, j))
+                    root = pred_t[j]
+                    fwd_arcs.append((root, j))
+                else:
+                    raise InternalInvariantBroken("cycle in shortest-path forest")
+                amt = min([excess[root], deficit[t]]
+                          + [flow[e] for e in back_arcs])
+                if amt <= eps:
+                    continue
+                for e in fwd_arcs:
+                    flow[e] += amt
+                for e in back_arcs:
+                    flow[e] -= amt
+                excess[root] -= amt
+                deficit[t] -= amt
+        else:
+            raise InternalInvariantBroken("transport phase guard exceeded")
+    keep = flow > eps
+    mass = flow[keep]
+    a, b = np.nonzero(keep)
+    flows = tuple(zip(srcs[a].tolist(), sinks[b].tolist(), mass.tolist()))
+    return float(mass @ cost[keep]), flows, sinks, -pot_t
+
+
+def tied_spaces():
+    """Spaces with many equal distances: the 8-point line, the 2 x 4
+    taxicab grid and 5 x 5 integer grids under both grid norms."""
+    return [line_space([float(i) for i in range(8)]),
+            build_space([(x, y) for x in range(4) for y in range(2)], "taxicab"),
+            grid_zd(d=2, lo=-2, hi=2, norm="taxicab"),
+            grid_zd(d=2, lo=-2, hi=2, norm="sup")]
+
+
+def transport_rows(rng, space, count):
+    """Balanced rows on random supports of 2 to 11 points: normal, integer
+    and one-decimal coefficients over 16 decades of scale (more than the
+    1e-14 band spans, so one row's band would swallow another's masses), and
+    rows with an entry inside the 1e-14 band."""
+    rows = np.zeros((count, space.n))
+    others = np.delete(np.arange(space.n), space.base)
+    for row in rows:
+        pts = rng.choice(others, size=int(rng.integers(1, min(11, space.n))),
+                         replace=False)
+        kind = rng.integers(4)
+        coeffs = rng.standard_normal(len(pts))
+        if kind == 1:
+            coeffs = np.round(coeffs * 2)
+        elif kind == 2:
+            coeffs = np.round(coeffs, 1)
+        row[pts] = coeffs * 10.0 ** rng.integers(-8, 9)
+        if kind == 3 and len(pts) > 2:
+            row[pts[0]] = 3e-15 * np.abs(row).sum()
+        row[space.base] -= row.sum()
+    return rows
+
+
+def check_transport(dist, vec):
+    """Value, plan, sinks and potentials equal the reference's, bit for bit."""
+    got, want = _transport(dist, vec), reference_transport(dist, vec)
+    assert got[:2] == want[:2]
+    assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+
+
+def test_transport_matches_reference(rng):
+    """On random, snowflaked and tied spaces (60 and 150 points are checked
+    in ``test_transport_many_sources_and_sinks``)."""
+    spaces = tied_spaces() + [random_ball(d=2, n=30, seed=7),
+                              random_ball(d=2, n=30, seed=8, alpha=0.5)]
+    for sp in spaces:
+        for vec in transport_rows(rng, sp, 40):
+            check_transport(sp.dist, vec)
+
+
+def check_norm_rows_p1(space, rows):
+    """``norm_rows`` at p = 1 gives each row the reference's value on its
+    support block; returns the number of rows with two or more sources
+    and sinks."""
+    values, exact = norm_rows(space, rows, 1.0)
+    assert exact.all()
+    two_sided = 0
+    for row, v in zip(rows, values.tolist()):
+        _, dsub, vsub = _dense_restrict(space, row)
+        assert v == (reference_transport(dsub, vsub)[0]
+                     if np.abs(row).max() > ABS_TOL else 0.0)
+        eps = 1e-14 * _scale(vsub)
+        two_sided += min((vsub > eps).sum(), (vsub < -eps).sum()) >= 2
+    return two_sided
+
+
+def test_norm_rows_p1_batches_match_reference(rng, monkeypatch):
+    """Mixed (sources, sinks) shapes in one call, rows of one shape that
+    finish in different phases, mixed scales and band entries, on random,
+    snowflaked and tied spaces: every value is the reference's, and no row
+    is solved on its own."""
+    def per_row(*args):
+        raise AssertionError("norm_rows solved a row by itself")
+    monkeypatch.setattr(freenorm, "_transport", per_row)
+    # on the line 0, 1, 2, 3 the second row's sinks each take their nearest
+    # source in the first phase; in the first row both sinks pick source 1,
+    # and sink 3 waits for a second phase
+    line = line_space([0.0, 1.0, 2.0, 3.0])
+    staged = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
+    assert check_norm_rows_p1(line, staged[[0, 1, 1, 0, 1]]) == 5
+    spaces = tied_spaces() + [random_ball(d=2, n=20, seed=3),
+                              random_ball(d=2, n=20, seed=4, alpha=0.5)]
+    two_sided = 0
+    for sp in spaces:
+        two_sided += check_norm_rows_p1(sp, transport_rows(rng, sp, 150))
+    assert two_sided >= 500
 
 
 def test_zero_molecule():
@@ -532,6 +704,8 @@ def test_norm_rows_matches_norm_value(rng, p):
         values, exact = norm_rows(space, rows, p)
         for row, v, e in zip(rows, values.tolist(), exact.tolist()):
             assert (v, e) == norm_value(space, row, p)
+        if p == 1.0:  # norm_value shares the solver: check both against
+            check_norm_rows_p1(space, rows)  # the one-problem reference
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5])
