@@ -10,7 +10,6 @@ from .errors import (
     BadSuite,
     CoverageGap,
     DuplicatePoint,
-    EmptySubspace,
     InternalInvariantBroken,
     LipfreeError,
     Mismatch,
@@ -29,7 +28,6 @@ from .metric import (
     doubling_constant_upper,
     line_space,
     maximal_separated_net,
-    restrict,
     snowflake,
     space_from_matrix,
     validate_p_metric,

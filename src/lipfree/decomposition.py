@@ -220,7 +220,6 @@ def unit_bump_family(intervals, r, window=None):
 @dataclass(frozen=True)
 class AnnulusPart:
     key: int
-    interval: IntervalSpec        # in log_R scale
     radius_interval: IntervalSpec
     members: tuple                # global indices of nonbase points
     subspace: object              # PointedMetricSpace, base first
@@ -228,18 +227,12 @@ class AnnulusPart:
 
 @dataclass(frozen=True)
 class AnnulusFamily:
-    """Starred annuli M*_{R^{I_n}} of a pointed space."""
+    """Starred annuli M*_{A_n} of a pointed space, one per interval A_n of
+    base distances; ``R`` is the log scale the weights read."""
 
     space: object
     R: float
     parts: tuple
-
-    def is_covering(self):
-        seen = set()
-        for part in self.parts:
-            seen.update(part.members)
-        nonbase = set(range(self.space.n)) - {self.space.base}
-        return nonbase <= seen
 
     def membership_counts(self):
         counts = {i: 0 for i in range(self.space.n) if i != self.space.base}
@@ -249,20 +242,20 @@ class AnnulusFamily:
         return counts
 
 
-def annulus_family(space, R, intervals, keys=None):
-    """Build the family of starred annuli for log-scale intervals."""
+def annulus_family(space, R, radius_intervals):
+    """The starred annuli {base} + {x : d(base, x) in A_n}, one part per
+    interval A_n of base distances.  Membership is tested on the radii
+    themselves, so closed endpoints at sample radii are kept; ``R`` is the
+    scale in which ``operator_T``'s weights read log-radii."""
     if R <= 1:
         raise BadParameter(f"R={R} must exceed 1")
-    if keys is None:
-        keys = list(range(len(intervals)))
     radii = space.radii()
     parts = []
-    for key, iv in zip(keys, intervals):
-        riv = iv.exp_base(R)
+    for key, riv in enumerate(radius_intervals):
         mask = riv.contains(radii)
         members = tuple(i for i in range(space.n) if mask[i] and i != space.base)
         subspace = space.take([space.base] + list(members), 0)
-        parts.append(AnnulusPart(int(key), iv, riv, members, subspace))
+        parts.append(AnnulusPart(key, riv, members, subspace))
     return AnnulusFamily(space=space, R=R, parts=tuple(parts))
 
 
@@ -597,9 +590,9 @@ def verify_pst_identity(space, cores, r, R, p, outer_intervals=None, k=None,
     window = (float(finite.min()), float(finite.max()))
     weights = build_hat_partition(js, r, k, window=window)
 
-    j_ivs = [IntervalSpec(lo, hi, False, False) for lo, hi in js]
+    j_ivs = [IntervalSpec(lo, hi, False, False).exp_base(R) for lo, hi in js]
     fam_j = annulus_family(space, R, j_ivs)
-    fam_i = annulus_family(space, R, list(outer_intervals))
+    fam_i = annulus_family(space, R, [iv.exp_base(R) for iv in outer_intervals])
     T = operator_T(fam_j, weights)
     S = operator_block_inclusion(fam_j, fam_i)
     P = operator_P(fam_i)
@@ -651,9 +644,9 @@ def verify_etp_identity(space, bump_intervals, inner_intervals, r, R, p,
         if iv.intersect(inner) != iv:
             raise BadFamily(f"inner interval {iv} escapes plateau [{a + r}, {b - r}]")
     weights = unit_bump_family(js, r)
-    j_ivs = [IntervalSpec(a, b, False, False) for a, b in js]
+    j_ivs = [IntervalSpec(a, b, False, False).exp_base(R) for a, b in js]
     fam_j = annulus_family(space, R, j_ivs)
-    fam_i = annulus_family(space, R, list(inner_intervals))
+    fam_i = annulus_family(space, R, [iv.exp_base(R) for iv in inner_intervals])
     for pj, pi in zip(fam_j.parts, fam_i.parts):
         missing = set(pi.members) - set(pj.members)
         if missing:

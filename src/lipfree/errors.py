@@ -13,10 +13,6 @@ class DuplicatePoint(LipfreeError):
     """Two input points coincide under the chosen norm."""
 
 
-class EmptySubspace(LipfreeError):
-    """A restriction produced no points."""
-
-
 class SizeLimit(LipfreeError):
     """Instance exceeds the exact-solver size cap."""
 

@@ -62,9 +62,6 @@ class Molecule:
         return Molecule.balanced({i: v for i, v in enumerate(vec) if v != 0.0 and i != base},
                                  base)
 
-    def as_dict(self):
-        return dict(self.coeffs)
-
     def vector(self, n):
         v = np.zeros(n)
         for i, c in self.coeffs:
@@ -511,18 +508,15 @@ def free_norm_upper(space, molecule, p, budget=60, seed=0, restarts=2):
     """
     if not 0 < p <= 1:
         raise BadParameter(f"p={p} outside (0, 1]")
-    n = space.n
-    vec_full = molecule.vector(n)
+    vec_full = molecule.vector(space.n)
     if abs(vec_full.sum()) > ABS_TOL * _scale(vec_full):
         raise BadParameter("molecule does not sum to zero")
     if np.abs(vec_full).max(initial=0.0) <= ABS_TOL:
         return FreeNormResult(0.0, (), "upper-bound", p)
-    sub = sorted({space.base} | {i for i in range(n) if vec_full[i] != 0.0})
-    sub = [space.base] + [i for i in sub if i != space.base]
+    sub, dsub, vec = _dense_restrict(space, vec_full)
+    sub = sub.tolist()
     k = len(sub)
-    dsub = space.dist[np.ix_(sub, sub)]
     dpow = dsub ** p
-    vec = vec_full[sub]
 
     starts = [[0] * k]
     if k > 2:

@@ -374,11 +374,8 @@ def radial_clamp_builder(snap_tol_factor=1e-9, rule=default_scaling):
             target_local = gmap[cj + 1]
             g_target = part_j.members[target_local - 1]
             block[pos_i[g_target], cj] = 1.0
-        lip = 0.0
-        for a in range(sub_j.n):
-            for b in range(a + 1, sub_j.n):
-                img = sub_j.dist[gmap[a], gmap[b]]
-                lip = max(lip, img / sub_j.dist[a, b])
+        img = np.array(gmap)
+        lip, _ = _scan_pairs(sub_j, lambda x, ys: sub_j.dist[img[x], img[ys]])
         return block, float(lip)
 
     return build

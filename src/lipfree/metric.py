@@ -1,4 +1,4 @@
-"""Finite pointed metric spaces: construction, restriction, nets, doubling bounds.
+"""Finite pointed metric spaces: construction, subspaces, nets, doubling bounds.
 
 Distances are stored as a dense symmetric float64 matrix.  Identity/zero
 checks use absolute tolerance ``ABS_TOL``; bound comparisons use relative
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BadParameter, DuplicatePoint, EmptySubspace
+from .errors import BadParameter, DuplicatePoint
 
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
@@ -249,31 +249,6 @@ def validate_p_metric(space, p):
             worst = (float(s[x, z]), (x, y, z))
     slack, triple = worst
     return PMetricReport(slack >= -ABS_TOL, p, triple, slack)
-
-
-def restrict(space, interval, keep_base=True):
-    """Induced subspace of points whose base distance lies in ``interval``.
-
-    With keep_base the base point is adjoined regardless of its radius
-    (the starred annulus); otherwise the first surviving point in stored
-    order becomes the base.
-    """
-    radii = space.radii()
-    mask = np.asarray(interval.contains(radii), dtype=bool)
-    mask[space.base] = bool(mask[space.base])
-    idx = [i for i in range(space.n) if mask[i] and i != space.base]
-    if keep_base:
-        idx = sorted(idx + [space.base])
-        base_pos = idx.index(space.base)
-    else:
-        if not idx and mask[space.base]:
-            idx = [space.base]
-        if not idx:
-            raise EmptySubspace(f"no points with base distance in {interval}")
-        base_pos = 0
-    if not idx:
-        raise EmptySubspace(f"no points with base distance in {interval}")
-    return space.take(idx, base_pos)
 
 
 def maximal_separated_net(space, subset, r):

@@ -1,4 +1,4 @@
-"""JSON and CSV interchange for spaces, molecules, families, and reports.
+"""JSON and CSV interchange for spaces and reports.
 
 Reports are dumped with sorted keys and a fixed indent so reruns with the
 same seed are byte-identical and diffs stay stable.
@@ -8,13 +8,11 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 
 import numpy as np
 
 from .errors import BadParameter
-from .freenorm import FreeNormResult, Molecule
-from .metric import IntervalSpec, build_space, space_from_matrix
+from .metric import build_space, space_from_matrix
 
 
 def space_to_json(space):
@@ -63,113 +61,6 @@ def space_from_csv(path, norm="euclidean", alpha=1.0, base=0):
                 continue
             rows.append([float(c) for c in row])
     return build_space(np.asarray(rows), norm, alpha=alpha, base=base)
-
-
-def molecule_to_json(molecule):
-    return {"coeffs": {str(i): c for i, c in molecule.coeffs}}
-
-
-def molecule_from_json(doc, base):
-    return Molecule.balanced({int(k): float(v) for k, v in doc["coeffs"].items()},
-                             base)
-
-
-def free_norm_result_to_json(result):
-    return {
-        "value": result.value,
-        "p": result.p,
-        "exactness": result.exactness,
-        "representation": [[t, h, w] for t, h, w in result.representation],
-        "certificate": (None if result.certificate is None
-                        else [float(v) for v in result.certificate]),
-    }
-
-
-def free_norm_result_from_json(doc):
-    cert = doc.get("certificate")
-    return FreeNormResult(
-        value=float(doc["value"]),
-        representation=tuple((int(t), int(h), float(w))
-                             for t, h, w in doc["representation"]),
-        exactness=doc["exactness"],
-        p=float(doc["p"]),
-        certificate=None if cert is None else np.asarray(cert, dtype=float),
-    )
-
-
-def _num(x):
-    """JSON-safe float: infinities become signed sentinels strings."""
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
-    return float(x)
-
-
-def _unnum(x):
-    if x == "inf":
-        return math.inf
-    if x == "-inf":
-        return -math.inf
-    return float(x)
-
-
-def family_to_json(R, intervals, margin_r, keys=None):
-    if keys is None:
-        keys = list(range(len(intervals)))
-    return {
-        "R": float(R),
-        "margin_r": float(margin_r),
-        "intervals": [
-            {"id": int(k), "lo": _num(iv.lo), "hi": _num(iv.hi),
-             "lo_closed": iv.lo_closed, "hi_closed": iv.hi_closed}
-            for k, iv in zip(keys, intervals)
-        ],
-    }
-
-
-def family_from_json(doc):
-    intervals = [IntervalSpec(_unnum(e["lo"]), _unnum(e["hi"]),
-                              bool(e["lo_closed"]), bool(e["hi_closed"]))
-                 for e in doc["intervals"]]
-    keys = [int(e["id"]) for e in doc["intervals"]]
-    return float(doc["R"]), intervals, float(doc["margin_r"]), keys
-
-
-def whitney_report_json(system, ext=None, lf_residual=None, crucial=None):
-    doc = {
-        "doubling_upper": system.doubling_value,
-        "overlap_bound": system.overlap_bound,
-        "overlap_histogram": {str(k): v for k, v in
-                              sorted(system.overlap_histogram().items())},
-        "properties": [
-            {"name": c.name, "passed": c.passed, "margin": c.margin,
-             "witness": None if c.witness is None else list(c.witness)}
-            for c in system.checks
-        ],
-    }
-    if ext is not None:
-        doc["measured_lip"] = ext.measured_lip
-        doc["lip_bound"] = ext.lip_bound
-        doc["measured_exact"] = ext.measured_exact
-    if lf_residual is not None:
-        doc["linearization_residual"] = lf_residual
-    if crucial is not None:
-        doc["weight_variation"] = {"passed": crucial.passed,
-                                   "max_ratio": crucial.max_ratio,
-                                   "worst_pair": None if crucial.worst_pair is None
-                                   else list(crucial.worst_pair)}
-    return doc
-
-
-def stereo_report_csv(report, path):
-    """Columns: height, measured radius, expected radius, absolute error."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["h", "radius", "xi_h", "abs_error"])
-        for h, r, e in zip(report.heights, report.radii, report.expected_radii):
-            w.writerow([repr(float(h)), repr(float(r)), repr(float(e)),
-                        repr(abs(float(r) - float(e)))])
 
 
 def dump_report(doc, path):

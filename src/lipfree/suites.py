@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .decomposition import (
+    annulus_family,
     commuting_approximants,
     unit_interval_cores,
     verify_pst_identity,
@@ -48,7 +49,7 @@ from .geometry import (
     radial_retraction,
     stereographic,
 )
-from .metric import REL_TOL, IntervalSpec, maximal_separated_net
+from .metric import REL_TOL, IntervalSpec, build_space, maximal_separated_net
 from .serialization import dump_report, load_space
 
 
@@ -208,7 +209,7 @@ def suite_decomposition(config):
         else:
             groups.append([r, r])
     intervals = [IntervalSpec(lo, hi, True, True) for lo, hi in groups]
-    fam = annulus_family_exact(space, intervals)
+    fam = annulus_family(space, R, intervals)
     for p in config.p_list:
         rep = verify_separated_inverse(fam, p, samples=60, seed=config.seed,
                                        exact_limit=config.exact_limit)
@@ -240,27 +241,6 @@ def suite_decomposition(config):
     records.append(_record("P_norm_one_sampled", worst, 1.0,
                            worst <= 1 + 1e-9))
     return records
-
-
-def annulus_family_exact(space, radius_intervals, keys=None):
-    """Annulus family straight from radius intervals (no log roundtrip)."""
-    from .decomposition import AnnulusFamily, AnnulusPart
-
-    if keys is None:
-        keys = list(range(len(radius_intervals)))
-    radii = space.radii()
-    parts = []
-    for key, riv in zip(keys, radius_intervals):
-        mask = riv.contains(radii)
-        members = tuple(i for i in range(space.n)
-                        if mask[i] and i != space.base)
-        sub = space.take([space.base] + list(members), 0)
-        log_iv = IntervalSpec(
-            math.log(riv.lo, 2) if riv.lo > 0 else -math.inf,
-            math.log(riv.hi, 2) if math.isfinite(riv.hi) else math.inf,
-            riv.lo_closed, riv.hi_closed)
-        parts.append(AnnulusPart(int(key), log_iv, riv, members, sub))
-    return AnnulusFamily(space=space, R=2.0, parts=tuple(parts))
 
 
 def suite_whitney(config):
@@ -327,7 +307,6 @@ def suite_retraction(config):
         _record("retraction_idempotent", None, None, rep.idempotent),
     ]
     # scale invariance of the measured ratio
-    from .metric import build_space
     scaled = build_space(space.coords * 3.0, space.norm, alpha=space.alpha,
                          base=space.base)
     rep2 = radial_retraction(scaled, 3.0 * S)
@@ -414,7 +393,6 @@ def suite_point_removal(config):
     for t in range(count):
         n = int(rng.integers(3, 7))
         coords = rng.standard_normal((n, 2))
-        from .metric import build_space
         space = build_space(coords, "euclidean")
         x0 = int(rng.integers(1, n))
         for p in config.p_list:
@@ -502,7 +480,9 @@ def run_suite(config):
 
 
 def report_diff(old, new):
-    """Textual diff of measured constants between two reports of one suite."""
+    """Textual diff of two reports of one suite: one line per change to a
+    check's measured value, bound or tol; a changed pass flag is tagged on
+    the first of them, or gets a line of its own."""
     if old.get("suite") != new.get("suite"):
         raise Mismatch(f"suite mismatch: {old.get('suite')} vs {new.get('suite')}")
     old_checks = {r["check"]: r for r in old["checks"]}
@@ -513,18 +493,24 @@ def report_diff(old, new):
         if o is None or n is None:
             lines.append(f"{name}: only in {'new' if o is None else 'old'}")
             continue
-        mo, mn = o["measured"], n["measured"]
-        if mo is None or mn is None:
-            if o["passed"] != n["passed"]:
-                lines.append(f"{name}: passed {o['passed']} -> {n['passed']}")
-            continue
-        if mo == mn:
-            continue
-        delta = mn - mo
-        tag = ""
-        if n["passed"] and mo != 0 and (mn - mo) / abs(mo) > 0.01:
-            tag = "  [regression: measured constant grew > 1%]"
+        changes = []
+        for key in ("measured", "bound", "tol"):
+            vo, vn = o.get(key), n.get(key)
+            if vo == vn:
+                continue
+            label = "" if key == "measured" else f"{key} "
+            text = f"{name}: {label}{vo!r} -> {vn!r}"
+            if vo is not None and vn is not None:
+                text += f" (delta {vn - vo:+.3e})"
+                if (key == "measured" and n["passed"] and vo != 0
+                        and (vn - vo) / abs(vo) > 0.01):
+                    text += "  [regression: measured constant grew > 1%]"
+            changes.append(text)
         if o["passed"] != n["passed"]:
-            tag += f"  [passed {o['passed']} -> {n['passed']}]"
-        lines.append(f"{name}: {mo!r} -> {mn!r} (delta {delta:+.3e}){tag}")
+            flip = f"passed {o['passed']} -> {n['passed']}"
+            if changes:
+                changes[0] += f"  [{flip}]"
+            else:
+                changes.append(f"{name}: {flip}")
+        lines.extend(changes)
     return "\n".join(lines)

@@ -12,6 +12,7 @@ from lipfree import (
     IntervalSpec,
     Molecule,
     SuiteConfig,
+    annulus_family,
     build_hat_partition,
     build_space,
     commuting_approximants,
@@ -36,7 +37,6 @@ from lipfree import (
 from lipfree.decomposition import _max_open_overlap
 from lipfree.generators import annulus_rays, grid_zd, line, sphere_fibonacci
 from lipfree.geometry import SphereSample
-from lipfree.suites import annulus_family_exact
 
 from conftest import random_metric_space, random_molecule
 
@@ -162,7 +162,7 @@ def test_criterion_06_inverse_bound(rng):
         sp = line(n=1)  # placeholder replaced below
         sp = build_space(np.array([0.0] + radii)[:, None], "euclidean")
         ivs = [IntervalSpec(K ** (2 * n), K ** (2 * n + 1)) for n in range(3)]
-        fam = annulus_family_exact(sp, ivs)
+        fam = annulus_family(sp, 2.0, ivs)
         for p in (1.0, 0.5):
             rep = verify_separated_inverse(fam, p, samples=1000,
                                            seed=int(K * 10 + p * 2))

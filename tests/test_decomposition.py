@@ -27,7 +27,6 @@ from lipfree import decomposition
 from lipfree.decomposition import measure_diagonal_map, measure_map_into_sum
 from lipfree.freenorm import norm_value
 from lipfree.generators import annulus_rays
-from lipfree.suites import annulus_family_exact
 
 
 def test_single_interval_partition_is_one():
@@ -124,7 +123,7 @@ def test_separated_bound_examples():
 
 def test_operator_p_is_inclusion():
     sp = line_space([0.0, 1.0, 2.0, 4.0])
-    fam = annulus_family(sp, 2.0, [IntervalSpec(-1.0, 3.0)])
+    fam = annulus_family(sp, 2.0, [IntervalSpec(0.5, 8.0)])
     P = operator_P(fam)
     assert P.matrix.shape == (3, 3)
     assert np.array_equal(P.matrix, np.eye(3))
@@ -135,7 +134,7 @@ def test_operator_p_is_inclusion():
 def test_operator_t_single_active_weight():
     sp = line_space([0.0, 1.0, 2.0, 4.0])
     ws = build_hat_partition([(-2.0, 4.0)], r=1.0, k=1, window=(0.0, 2.0))
-    fam = annulus_family(sp, 2.0, [IntervalSpec(-2.0, 4.0)])
+    fam = annulus_family(sp, 2.0, [IntervalSpec(0.25, 16.0)])
     T = operator_T(fam, ws)
     assert np.array_equal(T.matrix, np.eye(3))
 
@@ -143,7 +142,7 @@ def test_operator_t_single_active_weight():
 def test_operator_t_support_mismatch():
     sp = line_space([0.0, 1.0, 2.0, 4.0])
     ws = build_hat_partition([(-2.0, 3.0)], r=0.5, k=1, window=(0.0, 2.0))
-    fam = annulus_family(sp, 2.0, [IntervalSpec(-2.0, 1.0)])  # d in (1/4, 2]
+    fam = annulus_family(sp, 2.0, [IntervalSpec(0.25, 2.0)])
     with pytest.raises(SupportMismatch):
         operator_T(fam, ws)
 
@@ -176,9 +175,20 @@ def test_pst_single_covering_interval_trivial():
     assert rep.residual <= 1e-12
 
 
+def test_annulus_family_keeps_closed_endpoints_at_sample_radii():
+    # membership is tested on the radii themselves: 2 ** log2(5) is not 5,
+    # so a log-scale interval could drop a point sitting on its endpoint
+    sp = line_space([0.0, 3.0, 5.0])
+    fam = annulus_family(sp, 2.0, [IntervalSpec(3.0, 3.0, True, True),
+                                   IntervalSpec(3.0, 5.0, True, True),
+                                   IntervalSpec(3.0, 5.0, False, True)])
+    assert [part.members for part in fam.parts] == [(1,), (1, 2), (2,)]
+    assert fam.parts[0].subspace.points == (0.0, 3.0)
+
+
 def test_separated_inverse_single_annulus():
     sp = line_space([0.0, 1.0, 1.5, 2.0])
-    fam = annulus_family_exact(sp, [IntervalSpec(0.5, 2.5, True, True)])
+    fam = annulus_family(sp, 2.0, [IntervalSpec(0.5, 2.5, True, True)])
     rep = verify_separated_inverse(fam, 1.0, samples=30, seed=0)
     assert rep.max_ratio <= 1.0 + 1e-9
     assert rep.bound == 1.0
@@ -194,7 +204,7 @@ def test_separated_inverse_geometric_family():
     sp = line_space([0.0] + radii)
     ivs = [IntervalSpec(c * K ** (2 * n), c * K ** (2 * n + 1))
            for n in range(3)]
-    fam = annulus_family_exact(sp, ivs)
+    fam = annulus_family(sp, 2.0, ivs)
     for p in (1.0, 0.5):
         rep = verify_separated_inverse(fam, p, samples=100, seed=1)
         assert rep.gap == pytest.approx(K, rel=1e-12)
@@ -206,15 +216,15 @@ def test_separated_inverse_geometric_family():
 
 def test_separated_inverse_rejects_gapless_family():
     sp = line_space([0.0, 1.0, 2.0, 4.0])
-    fam = annulus_family_exact(sp, [IntervalSpec(0.5, 2.0, True, True),
-                                    IntervalSpec(2.0, 5.0, False, True)])
+    fam = annulus_family(sp, 2.0, [IntervalSpec(0.5, 2.0, True, True),
+                                   IntervalSpec(2.0, 5.0, False, True)])
     with pytest.raises(BadFamily):
         verify_separated_inverse(fam, 1.0, samples=5, seed=0)
 
 
 def test_separated_inverse_requires_partition():
     sp = line_space([0.0, 1.0, 2.0, 40.0])
-    fam = annulus_family_exact(sp, [IntervalSpec(0.5, 2.5, True, True)])
+    fam = annulus_family(sp, 2.0, [IntervalSpec(0.5, 2.5, True, True)])
     with pytest.raises(BadFamily):
         verify_separated_inverse(fam, 1.0, samples=5, seed=0)
 
@@ -239,6 +249,37 @@ def test_etp_identity_with_radial_extensions():
             assert rep.residual <= 1e-10
             assert rep.bump_error <= 1e-12
             assert rep.measured_T <= rep.bound_T * (1 + 1e-9)
+
+
+def _clamp_lip_every_pair(part_j, part_i, block):
+    """Reference: the point map read off the extension block, and its
+    ratio max over every pair of the bump annulus in one double loop."""
+    sub_j = part_j.subspace
+    local = {g: li + 1 for li, g in enumerate(part_j.members)}
+    gmap = [0] + [local[part_i.members[int(np.argmax(block[:, cj]))]]
+                  for cj in range(len(part_j.members))]
+    lip = 0.0
+    for a in range(sub_j.n):
+        for b in range(a + 1, sub_j.n):
+            img = sub_j.dist[gmap[a], gmap[b]]
+            lip = max(lip, img / sub_j.dist[a, b])
+    return float(lip)
+
+
+@pytest.mark.parametrize("rays", [2, 3, 5])
+def test_radial_clamp_constant_matches_every_pair(rays):
+    sp = _etp_fixture(rays)
+    fam_j = annulus_family(sp, 2.0, [IntervalSpec(4 * n - 2.0, 4 * n + 2.0,
+                                                  False, False).exp_base(2.0)
+                                     for n in range(3)])
+    fam_i = annulus_family(sp, 2.0, [IntervalSpec(4 * n - 1.1, 4 * n + 1.1,
+                                                  True, True).exp_base(2.0)
+                                     for n in range(3)])
+    builder = radial_clamp_builder()
+    for part_j, part_i in zip(fam_j.parts, fam_i.parts):
+        block, lip = builder(part_j, part_i, 1.0)
+        assert block.sum(axis=0).tolist() == [1.0] * len(part_j.members)
+        assert lip == _clamp_lip_every_pair(part_j, part_i, block)
 
 
 def test_etp_single_interval_reduces_to_retraction_identity():
@@ -306,7 +347,7 @@ def test_two_band_family_on_sphere():
 def test_operator_t_with_measured_constant():
     sp = line_space([0.0, 1.0, 2.0, 4.0])
     ws = build_hat_partition([(-2.0, 4.0)], r=1.0, k=1, window=(0.0, 2.0))
-    fam = annulus_family(sp, 2.0, [IntervalSpec(-2.0, 4.0)])
+    fam = annulus_family(sp, 2.0, [IntervalSpec(0.25, 16.0)])
     mat, measured = operator_T(fam, ws, p=1.0)
     assert np.array_equal(mat.matrix, np.eye(3))
     assert measured == pytest.approx(1.0, rel=1e-9)
@@ -384,7 +425,7 @@ def test_sum_and_diagonal_maps_match_every_pair(rng, monkeypatch, p,
     and repeated weights; exact limit 2 sends 3-point supports to the upper
     bound.  No per-vector ``norm_value`` call is made."""
     sp = annulus_rays(rays=3, radii=(0.5, 1.0, 2.0, 4.0), include_origin=True)
-    intervals = [IntervalSpec(float(n), float(n + 2), True, True)
+    intervals = [IntervalSpec(2.0 ** n, 2.0 ** (n + 2), True, True)
                  for n in range(-3, 3)]
     fam = annulus_family(sp, 2.0, intervals)
     us = np.log2(np.where(sp.radii() > 0, sp.radii(), 1.0))

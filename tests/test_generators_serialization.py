@@ -1,10 +1,9 @@
 import json
-import math
 
 import numpy as np
 import pytest
 
-from lipfree import Molecule, TooLarge, free_norm_p1, line_space, space_from_matrix
+from lipfree import TooLarge, space_from_matrix
 from lipfree.generators import (
     annulus_rays,
     generate,
@@ -12,20 +11,7 @@ from lipfree.generators import (
     random_ball,
     sphere_fibonacci,
 )
-from lipfree.geometry import SphereSample, stereographic
-from lipfree.metric import IntervalSpec
-from lipfree.serialization import (
-    family_from_json,
-    family_to_json,
-    free_norm_result_from_json,
-    free_norm_result_to_json,
-    molecule_from_json,
-    molecule_to_json,
-    space_from_csv,
-    space_from_json,
-    space_to_json,
-    stereo_report_csv,
-)
+from lipfree.serialization import space_from_csv, space_from_json, space_to_json
 
 
 def test_grid_zd_shape_and_metric():
@@ -89,58 +75,3 @@ def test_space_csv_ingestion(tmp_path):
     sp = space_from_csv(str(path))
     assert sp.n == 3
     assert sp.d(0, 2) == 2.0
-
-
-def test_molecule_json_roundtrip():
-    sp = line_space([0.0, 1.0, 2.0])
-    m = Molecule.balanced({1: 0.5, 2: -2.0}, 0)
-    back = molecule_from_json(molecule_to_json(m), 0)
-    assert back == m
-
-
-def test_result_json_roundtrip():
-    sp = line_space([0.0, 1.0, 2.0])
-    res = free_norm_p1(sp, Molecule.delta(2, 0))
-    doc = free_norm_result_to_json(res)
-    back = free_norm_result_from_json(json.loads(json.dumps(doc)))
-    assert back.value == res.value
-    assert back.representation == res.representation
-    assert np.array_equal(back.certificate, res.certificate)
-
-
-def test_family_json_roundtrip_with_infinite_ends():
-    ivs = [IntervalSpec(-math.inf, 0.5, False, False),
-           IntervalSpec(0.0, math.inf, False, False)]
-    doc = family_to_json(2.0, ivs, 0.25)
-    R, back, margin, keys = family_from_json(json.loads(json.dumps(doc)))
-    assert R == 2.0 and margin == 0.25 and keys == [0, 1]
-    assert back[0].lo == -math.inf and back[1].hi == math.inf
-
-
-def test_stereo_csv(tmp_path):
-    v = sphere_fibonacci(d=2, n=40)
-    rep = stereographic(SphereSample(v))
-    path = tmp_path / "stereo.csv"
-    stereo_report_csv(rep, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "h,radius,xi_h,abs_error"
-    assert len(lines) == 41
-
-
-def test_whitney_report_json():
-    from lipfree import doubling_extension_map, linearization_residual, weight_variation_check, whitney_cover
-    from lipfree.serialization import whitney_report_json
-
-    sp = grid_zd(d=2, lo=0, hi=4)
-    net = sorted({i for i in range(sp.n) if sp.coords[i][0] <= 1} | {sp.base})
-    system = whitney_cover(sp, net)
-    ext = doubling_extension_map(sp, net, 1.0, system=system)
-    doc = whitney_report_json(system, ext,
-                              lf_residual=linearization_residual(ext),
-                              crucial=weight_variation_check(system, 1.0))
-    assert doc["doubling_upper"] == system.doubling_value
-    assert len(doc["properties"]) == 5
-    assert all(p["passed"] for p in doc["properties"])
-    assert doc["measured_lip"] <= doc["lip_bound"]
-    assert doc["weight_variation"]["passed"]
-    json.dumps(doc)  # serializable

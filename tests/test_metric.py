@@ -6,13 +6,11 @@ import pytest
 from lipfree import (
     BadParameter,
     DuplicatePoint,
-    EmptySubspace,
     IntervalSpec,
     build_space,
     doubling_constant_upper,
     line_space,
     maximal_separated_net,
-    restrict,
     snowflake,
     space_from_matrix,
     validate_p_metric,
@@ -74,41 +72,6 @@ def test_p_metric_violation_and_boundary():
 def test_snowflaked_space_still_metric(rng):
     sp = random_metric_space(rng, 6, alpha=0.5)
     assert validate_p_metric(sp, 1.0).valid
-
-
-def test_restrict_interval():
-    sp = line_space([0.0, 1.0, 2.0, 5.0])
-    sub = restrict(sp, IntervalSpec(1.0, 3.0), keep_base=True)
-    assert sub.points == (0.0, 2.0)
-    assert sub.base == 0
-
-
-def test_restrict_whole_space():
-    sp = line_space([0.0, 1.0, 2.0, 5.0])
-    sub = restrict(sp, IntervalSpec(0.0, math.inf), keep_base=True)
-    assert sub.n == sp.n
-
-
-def test_restrict_single_point_no_base():
-    sp = line_space([0.0, 1.0, 2.0, 5.0])
-    sub = restrict(sp, IntervalSpec(5.0, 5.0, True, True), keep_base=False)
-    assert sub.points == (5.0,)
-    assert sub.base == 0
-
-
-def test_restrict_empty_raises():
-    sp = line_space([0.0, 1.0])
-    with pytest.raises(EmptySubspace):
-        restrict(sp, IntervalSpec(10.0, 20.0), keep_base=False)
-
-
-def test_restrict_nested_equals_intersection():
-    sp = line_space([0.0, 0.5, 1.0, 2.0, 3.5, 5.0])
-    a = IntervalSpec(0.4, 4.0)
-    b = IntervalSpec(0.9, 3.6)
-    once = restrict(restrict(sp, a), b)
-    both = restrict(sp, a.intersect(b))
-    assert once.points == both.points
 
 
 def test_snowflake_monotone():

@@ -122,6 +122,24 @@ def test_report_diff_flags_regression():
     assert "regression" in text
 
 
+def test_report_diff_lists_bound_tol_and_new_measured():
+    old = {"suite": "s", "checks": [
+        {"check": "retraction_lip", "measured": 1.0, "bound": 2.1,
+         "tol": None, "passed": True},
+        {"check": "residual", "measured": None, "bound": None, "tol": 1e-9,
+         "passed": True}]}
+    new = {"suite": "s", "checks": [
+        {"check": "retraction_lip", "measured": 1.0, "bound": 2.0,
+         "tol": 1e-9, "passed": True},
+        {"check": "residual", "measured": 1e-9, "bound": None, "tol": 1e-9,
+         "passed": True}]}
+    assert report_diff(old, new).splitlines() == [
+        "residual: None -> 1e-09",
+        "retraction_lip: bound 2.1 -> 2.0 (delta -1.000e-01)",
+        "retraction_lip: tol None -> 1e-09",
+    ]
+
+
 def test_cli_generate_and_run(tmp_path):
     space_file = tmp_path / "space.json"
     rc = main(["generate", "--kind", "line", "--param", "n=5",
