@@ -13,7 +13,6 @@ from .errors import (
     InternalInvariantBroken,
     LipfreeError,
     Mismatch,
-    MissingAmenability,
     NotSigmaClosed,
     PoleInDomain,
     SizeLimit,

@@ -19,7 +19,6 @@ from .errors import (
     BadFamily,
     BadParameter,
     CoverageGap,
-    MissingAmenability,
     SupportMismatch,
 )
 from .freenorm import FOREST_LIMIT_DEFAULT, measure_lipschitz, norm_value
@@ -131,7 +130,7 @@ class WeightSystem:
             raise CoverageGap(f"weight total vanishes at u={u}", witness=u)
         return raw / total
 
-    def refined_grid(self, samples_per_segment=GRID_SAMPLES_PER_SEGMENT):
+    def refined_grid(self):
         """Breakpoint union refined with intermediate samples, within window."""
         lo, hi = self.window
         xs = {lo, hi}
@@ -140,7 +139,7 @@ class WeightSystem:
         xs = sorted(xs)
         grid = []
         for a, b in zip(xs, xs[1:]):
-            grid.extend(np.linspace(a, b, samples_per_segment + 2)[:-1])
+            grid.extend(np.linspace(a, b, GRID_SAMPLES_PER_SEGMENT + 2)[:-1])
         grid.append(xs[-1])
         return np.unique(np.array(grid))  # near-coincident breakpoints
 
@@ -148,9 +147,9 @@ class WeightSystem:
         """The closed-form bound 3k/r for each normalized weight."""
         return 3.0 * self.k / self.r
 
-    def measured_lipschitz(self, samples_per_segment=GRID_SAMPLES_PER_SEGMENT):
+    def measured_lipschitz(self):
         """Largest difference quotient of any psi_n on the refined grid."""
-        grid = self.refined_grid(samples_per_segment)
+        grid = self.refined_grid()
         vals = self.psi_values(grid)
         dq = np.abs(np.diff(vals, axis=1)) / np.diff(grid)[None, :]
         return float(dq.max())
@@ -198,16 +197,16 @@ def build_hat_partition(intervals, r, k, window=None):
                         k=k, r=r, window=tuple(window))
 
 
-def unit_bump_family(intervals, r, window=None):
+def unit_bump_family(intervals, r):
     """Disjoint unit-height bumps: value 1 on [a_n + r, b_n - r], support
-    (a_n, b_n).  Used where no normalization is wanted."""
+    (a_n, b_n).  Used where no normalization is wanted; the window spans the
+    finite support endpoints."""
     supports = [(float(lo), float(hi)) for lo, hi in intervals]
     for (lo, hi), (lo2, hi2) in zip(sorted(supports), sorted(supports)[1:]):
         if hi > lo2 + ABS_TOL:
             raise BadFamily("unit bump supports must be pairwise disjoint")
-    if window is None:
-        finite = [x for s in supports for x in s if math.isfinite(x)]
-        window = (min(finite), max(finite)) if finite else (-1.0, 1.0)
+    finite = [x for s in supports for x in s if math.isfinite(x)]
+    window = (min(finite), max(finite)) if finite else (-1.0, 1.0)
     phis = tuple(trapezoid(lo, hi, r, height=1.0) for lo, hi in supports)
     return WeightSystem(phis=phis, supports=tuple(supports), phi_total=None,
                         k=1, r=r, window=tuple(window), normalized=False)
@@ -313,15 +312,13 @@ def log_radii(space, R):
     return out
 
 
-def operator_T(family, weights, p=None, support_tol=1e-12,
-               exact_limit=FOREST_LIMIT_DEFAULT):
+def operator_T(family, weights):
     """Weighted diagonal-to-sum operator delta(x) -> (psi_n(u_x) delta_n(x))_n.
 
     Requires each weight's support to stay inside its annulus interval on
-    the realized radii, so the extension choice delta_n(x) = 0 off the
-    annulus is never exercised with a nonzero weight.  With ``p`` given,
-    returns (matrix, measured Lipschitz constant of the generating map);
-    otherwise just the matrix.
+    the realized radii (up to ``ABS_TOL``), so the extension choice
+    delta_n(x) = 0 off the annulus is never exercised with a nonzero weight.
+    ``measure_map_into_sum`` measures the generating map.
     """
     space = family.space
     us = log_radii(space, family.R)
@@ -338,17 +335,12 @@ def operator_T(family, weights, p=None, support_tol=1e-12,
             if val == 0.0 or not math.isfinite(us[g]):
                 continue
             if g not in member_sets[ni]:
-                if abs(val) <= support_tol:
+                if abs(val) <= ABS_TOL:
                     continue
                 raise SupportMismatch(
                     f"weight {ni} is {val} at point {g} outside its annulus")
             m[row_pos[(part.key, g)], ci] = val
-    mat = LinearMapMatrix(rows, cols, m)
-    if p is None:
-        return mat
-    measured, pair, _ = measure_map_into_sum(family, w, p,
-                                             exact_limit=exact_limit)
-    return mat, float(measured)
+    return LinearMapMatrix(rows, cols, m)
 
 
 def operator_block_inclusion(fine, coarse):
@@ -445,10 +437,6 @@ def measure_diagonal_map(space, diag_weights, p, exact_limit=FOREST_LIMIT_DEFAUL
     w = np.array(diag_weights, dtype=float)
     w[space.base] = 0.0
     return measure_lipschitz(space, [(space, np.diag(w))], p, exact_limit)
-
-
-# ---------------------------------------------------------------------------
-# verification drivers
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +540,6 @@ class IdentityReport:
     bound_T: float
     witness_pair: tuple | None
     weight_sum_error: float
-    complementation_bound: float
     measured_exact: bool
 
     @property
@@ -609,7 +596,6 @@ def verify_pst_identity(space, cores, r, R, p, outer_intervals=None, k=None,
     return IdentityReport(residual=residual, measured_T=float(measured),
                           bound_T=float(bound), witness_pair=pair,
                           weight_sum_error=weight_sum_error,
-                          complementation_bound=float(bound),
                           measured_exact=exact)
 
 
@@ -619,7 +605,6 @@ class ReverseIdentityReport:
     measured_T: float
     bound_T: float
     measured_E: float
-    declared_K: float
     bump_error: float
     measured_exact: bool
 
@@ -629,14 +614,13 @@ class ReverseIdentityReport:
 
 
 def verify_etp_identity(space, bump_intervals, inner_intervals, r, R, p,
-                        e_blocks=None, e_builder=None, declared_K=None,
-                        exact_limit=FOREST_LIMIT_DEFAULT):
+                        e_builder, exact_limit=FOREST_LIMIT_DEFAULT):
     """The reverse identity E o T o P = Id on the ell_p-sum basis.
 
     ``bump_intervals`` are the pairwise disjoint open J_n = (a_n, b_n);
     ``inner_intervals`` the I_n with I_n inside [a_n + r, b_n - r].  The
-    per-part extension operators E_n come either as matrices (J-basis to
-    I-basis) or from ``e_builder(sub_j, sub_i)``.
+    per-part extension operators E_n come from ``e_builder(part_j, part_i,
+    p)`` as (matrix from the J-basis to the I-basis, measured constant).
     """
     js = [(float(a), float(b)) for a, b in bump_intervals]
     for (a, b), iv in zip(js, inner_intervals):
@@ -652,17 +636,12 @@ def verify_etp_identity(space, bump_intervals, inner_intervals, r, R, p,
         if missing:
             raise BadFamily(f"inner annulus points {missing} missing from bump annulus")
 
-    if e_blocks is None:
-        if e_builder is None:
-            raise MissingAmenability("no extension operators supplied")
-        e_blocks = []
-        measured_E = 0.0
-        for pj, pi in zip(fam_j.parts, fam_i.parts):
-            block, lip = e_builder(pj, pi, p)
-            e_blocks.append(block)
-            measured_E = max(measured_E, lip)
-    else:
-        measured_E = float("nan")
+    e_blocks = []
+    measured_E = 0.0
+    for pj, pi in zip(fam_j.parts, fam_i.parts):
+        block, lip = e_builder(pj, pi, p)
+        e_blocks.append(block)
+        measured_E = max(measured_E, lip)
 
     T = operator_T(fam_j, weights)
     P_i = operator_P(fam_i)
@@ -688,7 +667,6 @@ def verify_etp_identity(space, bump_intervals, inner_intervals, r, R, p,
     return ReverseIdentityReport(residual=residual, measured_T=float(measured),
                                  bound_T=float(bound),
                                  measured_E=float(measured_E),
-                                 declared_K=float(declared_K or 0.0),
                                  bump_error=err, measured_exact=exact)
 
 

@@ -33,10 +33,6 @@ class BadFamily(LipfreeError):
     """Annulus family violates a structural precondition."""
 
 
-class MissingAmenability(LipfreeError):
-    """No extension operator available for a required subspace."""
-
-
 class TooSmall(LipfreeError):
     """Space has too few points for the requested operation."""
 

@@ -140,7 +140,7 @@ def _h_checks(space, net, comp, indices, v_masks, phi, phi_total, d_net, K):
     return tuple(checks)
 
 
-def whitney_cover(space, net, exact_threshold=10):
+def whitney_cover(space, net):
     """Whitney system for a subset ``net`` (global indices, base included).
 
     Scales range over the dyadic exponents realized by distances to the
@@ -155,7 +155,7 @@ def whitney_cover(space, net, exact_threshold=10):
         raise BadSubset("subset must contain the base point")
     comp = [i for i in range(space.n) if i not in set(net)]
     net_sub = space.take(net, net.index(space.base))
-    doubling = doubling_constant_upper(net_sub, exact_threshold=exact_threshold)
+    doubling = doubling_constant_upper(net_sub)
     K = 3 * doubling.value ** 4
 
     if not comp:
@@ -257,14 +257,6 @@ def _net_layout(space, net):
     return sub, order, pos
 
 
-def _measure_assignment(space, sub, coeffs, p, exact_limit):
-    """Max over pairs x < y of |F(x) - F(y)| / d(x, y), with F(x) the
-    molecule over ``sub`` whose delta-coordinates are ``coeffs[x]``,
-    balanced at its base: a one-part ``measure_lipschitz``.  Returns
-    (value, first maximizing pair, all norms exact)."""
-    return measure_lipschitz(space, [(sub, coeffs)], p, exact_limit)
-
-
 def extension_constant(p, doubling_value):
     """The closed-form target 112 * 15^{1/p} * D^{4/p}."""
     return 112.0 * 15.0 ** (1.0 / p) * float(doubling_value) ** (4.0 / p)
@@ -330,7 +322,8 @@ def doubling_extension_map(space, net, p, system=None,
                 coeffs[x, pos[y]] += w
     bound = extension_constant(p, system.doubling_value)
     if measure:
-        lip, pair, exact = _measure_assignment(space, sub, coeffs, p, exact_limit)
+        lip, pair, exact = measure_lipschitz(space, [(sub, coeffs)], p,
+                                             exact_limit)
     else:
         lip, pair, exact = float("nan"), None, False
     return ExtensionMap(space=space, net=tuple(system.net), net_subspace=sub,
@@ -375,6 +368,8 @@ def point_removal_map(space, x0, p, exact_limit=FOREST_LIMIT_DEFAULT):
     if space.n < 2:
         raise TooSmall("need at least two points to remove one")
     x0 = int(x0)
+    if not 0 <= x0 < space.n:
+        raise BadParameter(f"point {x0} out of range for {space.n} points")
     if x0 == space.base:
         raise BadParameter("removal of the base point is not supported")
     keep = [i for i in range(space.n) if i != x0]
@@ -387,7 +382,7 @@ def point_removal_map(space, x0, p, exact_limit=FOREST_LIMIT_DEFAULT):
     for g in keep:
         coeffs[g, pos[g]] = 1.0
     # x0 row stays zero
-    lip, pair, exact = _measure_assignment(space, sub, coeffs, p, exact_limit)
+    lip, pair, exact = measure_lipschitz(space, [(sub, coeffs)], p, exact_limit)
     bound = 2.0 ** (1.0 / p)
     # chain: d^p(x0, b) + d^p(x, b) <= d^p(x0, x) + 2 d^p(x0, b)
     #        <= (1 + 2 (1 + eps)^p) d^p(x0, x) for every x != x0

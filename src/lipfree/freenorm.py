@@ -496,15 +496,20 @@ def _descendants(parents, v):
     return out
 
 
-def free_norm_upper(space, molecule, p, budget=60, seed=0, restarts=2):
+_UPPER_RESTARTS = 2  # seeded random starting trees
+_UPPER_PASSES = 60  # improving moves per starting tree
+
+
+def free_norm_upper(space, molecule, p, seed=0):
     """Feasible-representation upper bound for the free norm at p in (0, 1].
 
     Starts from the all-mass-to-base star, the routing along Prim's minimum
-    spanning tree (``_mst_parents``), and seeded random trees; improves by
-    re-hanging subtrees (edge swaps; re-hanging under a third point
-    implements one-intermediate reroutes, and tree supports merge parallel
-    mass by construction).  Moves are accepted on strict improvement;
-    deterministic for a fixed seed.
+    spanning tree (``_mst_parents``), and ``_UPPER_RESTARTS`` seeded random
+    trees; improves each by at most ``_UPPER_PASSES`` re-hangings of
+    subtrees (edge swaps; re-hanging under a third point implements
+    one-intermediate reroutes, and tree supports merge parallel mass by
+    construction).  Moves are accepted on strict improvement; deterministic
+    for a fixed seed.
     """
     if not 0 < p <= 1:
         raise BadParameter(f"p={p} outside (0, 1]")
@@ -522,7 +527,7 @@ def free_norm_upper(space, molecule, p, budget=60, seed=0, restarts=2):
     if k > 2:
         starts.append(_mst_parents(dsub))
     rng = np.random.default_rng(seed)
-    for _ in range(restarts):
+    for _ in range(_UPPER_RESTARTS):
         parents = [0] * k
         for v in range(2, k):
             parents[v] = int(rng.integers(0, v))
@@ -533,7 +538,7 @@ def free_norm_upper(space, molecule, p, budget=60, seed=0, restarts=2):
     for parents in starts:
         parents = list(parents)
         cost, _ = _cost_of(parents, vec, dpow, p)
-        for _ in range(max(1, budget)):
+        for _ in range(_UPPER_PASSES):
             gain_move = None
             gain_cost = cost
             for v in range(1, k):

@@ -2,10 +2,10 @@
 maps into free spaces, self-similarity axioms, and the stereographic
 decomposition of spheres.
 
-Scaling maps act through coordinates (sigma(x, t) = t * x by default) and
-land back in the sample by snap-to-nearest within a tolerance proportional
-to the working radius; generators that emit points on rays through the
-origin are sigma-closed by construction.
+Scaling maps act through coordinates (sigma(x, t) = t * x) and land back
+in the sample by snap-to-nearest within a tolerance proportional to the
+working radius; generators that emit points on rays through the origin are
+sigma-closed by construction.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, BadSubset, NotSigmaClosed, PoleInDomain
-from .extension import ExtensionMap, _measure_assignment
-from .freenorm import FOREST_LIMIT_DEFAULT, _scan_pairs
+from .extension import ExtensionMap
+from .freenorm import FOREST_LIMIT_DEFAULT, _scan_pairs, measure_lipschitz
 from .metric import REL_TOL
 
 
@@ -32,16 +32,10 @@ def _ambient_norms(space):
     return np.sqrt((c ** 2).sum(axis=1))
 
 
-def default_scaling(coords, t):
-    """The scalar scaling rule sigma(x, t) = t * x."""
-    return t * np.asarray(coords, dtype=float)
-
-
 @dataclass(frozen=True)
 class SelfSimilarStructure:
-    """A parametrized scaling rule with its admissible parameter set."""
+    """The admissible parameter set of the scaling sigma(x, t) = t * x."""
 
-    rule: object = default_scaling
     kind: str = "contraction"  # or "dilation"
 
     def admissible(self, rng, count):
@@ -71,8 +65,7 @@ def verify_self_similar(space, structure=None, samples=200, seed=0):
 
     The axioms live in the underlying (unsnowflaked) ambient metric; the
     snowflake exponent only enters Lipschitz measurements elsewhere.  The
-    base point must sit at the scaling center (the origin for the default
-    rule).
+    base point must sit at the scaling center, the origin.
     """
     if structure is None:
         structure = SelfSimilarStructure()
@@ -98,15 +91,14 @@ def verify_self_similar(space, structure=None, samples=200, seed=0):
     ts = structure.admissible(rng, samples)
     for x, y, s, t in zip(idx, jdx, ss, ts):
         cx, cy = coords[x], coords[y]
-        g1 = max(dist(structure.rule(cx, 0.0), basec),
-                 dist(structure.rule(cx, 1.0), cx))
+        g1 = max(dist(0.0 * cx, basec), dist(1.0 * cx, cx))
         if g1 > v1[0]:
             v1 = (g1, (int(x),))
-        lhs = dist(structure.rule(cx, t), structure.rule(cx, s))
+        lhs = dist(t * cx, s * cx)
         rhs = abs(s - t) * dist(cx, basec)
         if lhs - rhs > v2[0]:
             v2 = (lhs - rhs, (int(x), float(s), float(t)))
-        lhs = dist(structure.rule(cx, t), structure.rule(cy, t))
+        lhs = dist(t * cx, t * cy)
         rhs = t * dist(cx, cy)
         if lhs - rhs > v3[0]:
             v3 = (lhs - rhs, (int(x), int(y), float(t)))
@@ -140,7 +132,7 @@ class RetractionReport:
     idempotent: bool
 
 
-def radial_retraction(space, S, snap_tol=None, rule=default_scaling):
+def radial_retraction(space, S, snap_tol=None):
     """Radial retraction onto the ball of radius S around the origin.
 
     Points inside stay put; outer points are pulled along their ray to the
@@ -158,8 +150,7 @@ def radial_retraction(space, S, snap_tol=None, rule=default_scaling):
         if norms[i] <= S + snap_tol:
             pmap.append(i)
             continue
-        target = rule(space.coords[i], S / norms[i])
-        pmap.append(_snap(space, target, snap_tol))
+        pmap.append(_snap(space, (S / norms[i]) * space.coords[i], snap_tol))
     img = np.array(pmap)
     best, pair = _scan_pairs(space, lambda x, ys: space.dist[img[x], img[ys]])
     fixes = all(pmap[i] == i for i in range(space.n) if norms[i] <= S + snap_tol)
@@ -170,26 +161,20 @@ def radial_retraction(space, S, snap_tol=None, rule=default_scaling):
                             idempotent=idem)
 
 
-def outward_amenability_map(space, S, p, alpha=None, snap_tol=None,
-                            rule=default_scaling, exact_limit=FOREST_LIMIT_DEFAULT):
+def outward_amenability_map(space, S, p, exact_limit=FOREST_LIMIT_DEFAULT):
     """Scaled outward map onto the part of the sample at radius >= S.
 
     Inner points are pushed out along their ray and their delta is scaled
-    by (radius / S)^alpha, so the map restricts to delta on the outer part;
-    measured constant compared against 3^{1/p}.  The sample must not
-    contain the origin, and the base point must already be outer.  With
-    ``alpha`` given the space is re-snowflaked to that exponent first.
+    by (radius / S)^alpha, with alpha the space's snowflake exponent, so the
+    map restricts to delta on the outer part; measured constant compared
+    against 3^{1/p}.  The sample must not contain the origin, and the base
+    point must already be outer.  Radii within 1e-9 * S count as equal.
     """
     if S <= 0:
         raise BadParameter(f"S={S} must be positive")
     if not 0 < p <= 1:
         raise BadParameter(f"p={p} outside (0, 1]")
-    if alpha is not None and alpha != space.alpha:
-        from .metric import snowflake
-
-        space = snowflake(space, alpha)
-    if snap_tol is None:
-        snap_tol = 1e-9 * S
+    snap_tol = 1e-9 * S
     norms = _ambient_norms(space)
     if norms.min() <= snap_tol:
         raise BadSubset("sample contains the origin")
@@ -205,9 +190,9 @@ def outward_amenability_map(space, S, p, alpha=None, snap_tol=None,
         if norms[i] >= S - snap_tol:
             coeffs[i, pos[i]] = 1.0
         else:
-            j = _snap(space, rule(space.coords[i], S / norms[i]), snap_tol)
+            j = _snap(space, (S / norms[i]) * space.coords[i], snap_tol)
             coeffs[i, pos[j]] = (norms[i] / S) ** alpha
-    lip, pair, exact = _measure_assignment(space, sub, coeffs, p, exact_limit)
+    lip, pair, exact = measure_lipschitz(space, [(sub, coeffs)], p, exact_limit)
     bound = 3.0 ** (1.0 / p)
     return ExtensionMap(space=space, net=tuple(sorted(outer)),
                         net_subspace=sub, coeffs=coeffs, p=p,
@@ -309,7 +294,6 @@ def stereographic(sample):
     # band correspondence: height equals eta(chordal distance to the pole)
     band_err = float(np.abs(h - eta(pole_dist)).max())
     # injectivity on the sample
-    m = image.shape[0]
     injective = True
     order = np.lexsort(image.T)
     for a, b in zip(order, order[1:]):
@@ -331,51 +315,48 @@ def mirror_band_residual(sample):
     return float(np.abs(dv - dw).max())
 
 
-def radial_clamp_builder(snap_tol_factor=1e-9, rule=default_scaling):
-    """Extension-operator builder for sigma-closed annulus families.
+def radial_clamp_builder(part_j, part_i, p):
+    """Extension operator E_n of a sigma-closed annulus family: the matrix
+    of the linearized radial retraction of the bump part onto the inner
+    part, with its measured Lipschitz constant.  ``p`` is unused, since the
+    constant of a point map is read off the metric.
 
-    Returns a callable mapping (bump part, inner part, p) to the matrix of
-    the linearized radial retraction onto the inner annulus together with
-    its measured Lipschitz constant.  Outer points are pulled along their
-    ray to the nearest realized inner radius and snapped onto an inner
-    sample point, so interval endpoints never need to coincide with sample
-    radii exactly.
+    Outer points are pulled along their ray to the nearest realized inner
+    radius and snapped onto an inner sample point within 1e-9 times the
+    largest inner radius (at least 1e-9), so interval endpoints never need
+    to coincide with sample radii exactly.
     """
-
-    def build(part_j, part_i, p):
-        sub_j = part_j.subspace
-        norms = _ambient_norms(sub_j)
-        member_pos = {g: li + 1 for li, g in enumerate(part_j.members)}
-        inner_local = [member_pos[g] for g in part_i.members]
-        if not inner_local:
-            raise NotSigmaClosed("inner annulus holds no sample points")
-        inner_coords = sub_j.coords[inner_local]
-        inner_radii = np.array(sorted({float(norms[li]) for li in inner_local}))
-        inner_set = set(inner_local)
-        tol = snap_tol_factor * max(float(inner_radii.max()), 1.0)
-        gmap = [0]  # base stays put
-        for li in range(1, sub_j.n):
-            if li in inner_set:
-                gmap.append(li)
-                continue
-            rad = norms[li]
-            s = float(inner_radii[int(np.argmin(np.abs(inner_radii - rad)))])
-            target = rule(sub_j.coords[li], s / rad)
-            d = np.abs(inner_coords - target[None, :]).max(axis=1)
-            j = int(np.argmin(d))
-            if d[j] > tol:
-                raise NotSigmaClosed(
-                    f"retracted image of local point {li} is {d[j]:.3g} from "
-                    f"the nearest inner sample")
-            gmap.append(inner_local[j])
-        pos_i = {g: ri for ri, g in enumerate(part_i.members)}
-        block = np.zeros((len(part_i.members), len(part_j.members)))
-        for cj, gj in enumerate(part_j.members):
-            target_local = gmap[cj + 1]
-            g_target = part_j.members[target_local - 1]
-            block[pos_i[g_target], cj] = 1.0
-        img = np.array(gmap)
-        lip, _ = _scan_pairs(sub_j, lambda x, ys: sub_j.dist[img[x], img[ys]])
-        return block, float(lip)
-
-    return build
+    sub_j = part_j.subspace
+    norms = _ambient_norms(sub_j)
+    member_pos = {g: li + 1 for li, g in enumerate(part_j.members)}
+    inner_local = [member_pos[g] for g in part_i.members]
+    if not inner_local:
+        raise NotSigmaClosed("inner annulus holds no sample points")
+    inner_coords = sub_j.coords[inner_local]
+    inner_radii = np.array(sorted({float(norms[li]) for li in inner_local}))
+    inner_set = set(inner_local)
+    tol = 1e-9 * max(float(inner_radii.max()), 1.0)
+    gmap = [0]  # base stays put
+    for li in range(1, sub_j.n):
+        if li in inner_set:
+            gmap.append(li)
+            continue
+        rad = norms[li]
+        s = float(inner_radii[int(np.argmin(np.abs(inner_radii - rad)))])
+        target = (s / rad) * sub_j.coords[li]
+        d = np.abs(inner_coords - target[None, :]).max(axis=1)
+        j = int(np.argmin(d))
+        if d[j] > tol:
+            raise NotSigmaClosed(
+                f"retracted image of local point {li} is {d[j]:.3g} from "
+                f"the nearest inner sample")
+        gmap.append(inner_local[j])
+    pos_i = {g: ri for ri, g in enumerate(part_i.members)}
+    block = np.zeros((len(part_i.members), len(part_j.members)))
+    for cj, gj in enumerate(part_j.members):
+        target_local = gmap[cj + 1]
+        g_target = part_j.members[target_local - 1]
+        block[pos_i[g_target], cj] = 1.0
+    img = np.array(gmap)
+    lip, _ = _scan_pairs(sub_j, lambda x, ys: sub_j.dist[img[x], img[ys]])
+    return block, float(lip)

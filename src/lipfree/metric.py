@@ -187,14 +187,12 @@ def line_space(values, alpha=1.0, base=0):
                        points=tuple(float(v) for v in values))
 
 
-def space_from_matrix(matrix, base=0, points=None, alpha=1.0):
-    """Build a space from an explicit distance matrix."""
+def space_from_matrix(matrix, base=0, alpha=1.0):
+    """Build a space from an explicit distance matrix; points are labelled
+    0, ..., n - 1."""
     m = np.asarray(matrix, dtype=float)
-    n = m.shape[0]
-    if points is None:
-        points = tuple(range(n))
-    return PointedMetricSpace(points=tuple(points), dist=m, base=base,
-                              coords=None, alpha=alpha, norm="matrix")
+    return PointedMetricSpace(points=tuple(range(m.shape[0])), dist=m,
+                              base=base, coords=None, alpha=alpha, norm="matrix")
 
 
 def snowflake(space, alpha):

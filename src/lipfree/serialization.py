@@ -52,15 +52,16 @@ def load_space(path):
         return space_from_json(json.load(fh))
 
 
-def space_from_csv(path, norm="euclidean", alpha=1.0, base=0):
-    """One point per row, coordinates as columns."""
+def space_from_csv(path):
+    """One point per row, coordinates as columns; the euclidean norm with
+    alpha = 1, based at the first row."""
     rows = []
     with open(path) as fh:
         for row in csv.reader(fh):
             if not row or all(not c.strip() for c in row):
                 continue
             rows.append([float(c) for c in row])
-    return build_space(np.asarray(rows), norm, alpha=alpha, base=base)
+    return build_space(np.asarray(rows), "euclidean")
 
 
 def dump_report(doc, path):

@@ -145,7 +145,7 @@ def test_criterion_05_etp_identity():
     worst = 0.0
     for p in (1.0, 0.5):
         rep = verify_etp_identity(sp, bumps, inners, r=0.8, R=2.0, p=p,
-                                  e_builder=radial_clamp_builder())
+                                  e_builder=radial_clamp_builder)
         worst = max(worst, rep.residual)
     _line(5, worst <= 1e-10,
           f"E*T*P identity with radial extensions: max residual {worst:.2e}")

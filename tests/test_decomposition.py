@@ -242,10 +242,9 @@ def test_etp_identity_with_radial_extensions():
         bumps = [(4 * n - 2.0, 4 * n + 2.0) for n in range(3)]
         inners = [IntervalSpec(4 * n - 1.1, 4 * n + 1.1, True, True)
                   for n in range(3)]
-        builder = radial_clamp_builder()
         for p in (1.0, 0.5):
             rep = verify_etp_identity(sp, bumps, inners, r=0.8, R=2.0, p=p,
-                                      e_builder=builder, declared_K=2.0)
+                                      e_builder=radial_clamp_builder)
             assert rep.residual <= 1e-10
             assert rep.bump_error <= 1e-12
             assert rep.measured_T <= rep.bound_T * (1 + 1e-9)
@@ -275,9 +274,8 @@ def test_radial_clamp_constant_matches_every_pair(rays):
     fam_i = annulus_family(sp, 2.0, [IntervalSpec(4 * n - 1.1, 4 * n + 1.1,
                                                   True, True).exp_base(2.0)
                                      for n in range(3)])
-    builder = radial_clamp_builder()
     for part_j, part_i in zip(fam_j.parts, fam_i.parts):
-        block, lip = builder(part_j, part_i, 1.0)
+        block, lip = radial_clamp_builder(part_j, part_i, 1.0)
         assert block.sum(axis=0).tolist() == [1.0] * len(part_j.members)
         assert lip == _clamp_lip_every_pair(part_j, part_i, block)
 
@@ -287,7 +285,7 @@ def test_etp_single_interval_reduces_to_retraction_identity():
     rep = verify_etp_identity(sp, [(-2.0, 5.0)],
                               [IntervalSpec(-1.1, 3.1, True, True)],
                               r=0.8, R=2.0, p=1.0,
-                              e_builder=radial_clamp_builder())
+                              e_builder=radial_clamp_builder)
     assert rep.residual <= 1e-12
 
 
@@ -348,7 +346,10 @@ def test_operator_t_with_measured_constant():
     sp = line_space([0.0, 1.0, 2.0, 4.0])
     ws = build_hat_partition([(-2.0, 4.0)], r=1.0, k=1, window=(0.0, 2.0))
     fam = annulus_family(sp, 2.0, [IntervalSpec(0.25, 16.0)])
-    mat, measured = operator_T(fam, ws, p=1.0)
+    mat = operator_T(fam, ws)
+    us = decomposition.log_radii(sp, fam.R)
+    wmat = ws.psi_values(np.where(np.isfinite(us), us, 0.0))
+    measured, _, _ = measure_map_into_sum(fam, wmat, 1.0)
     assert np.array_equal(mat.matrix, np.eye(3))
     assert measured == pytest.approx(1.0, rel=1e-9)
     assert measured <= norm_bound_T(1.0, 1, 2.0, 3.0, 1.0)

@@ -17,8 +17,8 @@ from lipfree import (
     whitney_cover,
 )
 from lipfree import extension, freenorm
-from lipfree.extension import _measure_assignment
-from lipfree.freenorm import FOREST_LIMIT_DEFAULT as LIMIT, norm_value
+from lipfree.freenorm import FOREST_LIMIT_DEFAULT as LIMIT
+from lipfree.freenorm import measure_lipschitz, norm_value
 from lipfree.generators import grid_zd
 
 from conftest import random_metric_space
@@ -141,6 +141,10 @@ def test_point_removal_guards():
     sp = line_space([0.0, 1.0])
     with pytest.raises(BadParameter):
         point_removal_map(sp, 0, 1.0)
+    sp = line_space([0.0, 1.0, 2.0])
+    for x0 in (-1, 3):  # outside [0, n)
+        with pytest.raises(BadParameter):
+            point_removal_map(sp, x0, 1.0)
 
 
 def test_amenability_isometric_at_p1(rng):
@@ -216,7 +220,7 @@ def test_measure_assignment_matches_every_pair(rng, monkeypatch, p, m):
             return norm_value(*args, **kwargs)
         monkeypatch.setattr(extension, "norm_value", counted)
         monkeypatch.setattr(freenorm, "norm_value", counted)
-        got = _measure_assignment(sp, sub, coeffs, p, LIMIT)
+        got = measure_lipschitz(sp, [(sub, coeffs)], p, LIMIT)
         monkeypatch.undo()
         assert got == _measure_every_pair(sp, sub, coeffs, p, LIMIT)
         assert calls == []  # every norm comes from the batched kernel

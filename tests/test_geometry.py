@@ -15,6 +15,7 @@ from lipfree import (
     mirror_band_residual,
     outward_amenability_map,
     radial_retraction,
+    snowflake,
     stereographic,
     verify_r_closed,
     verify_self_similar,
@@ -199,7 +200,7 @@ def test_outward_map_explicit_alpha():
     norms = np.sqrt((sp.coords ** 2).sum(axis=1))
     base = int(np.nonzero(np.isclose(norms, 1.0))[0][0])
     sp = build_space(sp.coords, "euclidean", base=base)
-    ext = outward_amenability_map(sp, 1.0, 1.0, alpha=0.5)
+    ext = outward_amenability_map(snowflake(sp, 0.5), 1.0, 1.0)
     x = int(np.nonzero(np.isclose(norms, 0.5))[0][0])
     # the scaled coefficient uses the snowflaked radius ratio
     assert ext.coeffs[x].sum() == pytest.approx(0.5 ** 0.5, abs=1e-12)
