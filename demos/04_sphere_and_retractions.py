@@ -19,16 +19,13 @@ from lipfree import (
     outward_amenability_map,
     radial_retraction,
     stereographic,
-    verify_self_similar,
 )
 from lipfree.generators import annulus_rays, sphere_fibonacci
 
 # sigma-closed polar sample: rays through the origin at shared radii
 sample = annulus_rays(rays=12, radii=np.linspace(0.2, 2.0, 10),
                       include_origin=True)
-for report in verify_self_similar(sample, samples=200, seed=0):
-    assert report.passed
-print(f"polar sample: {sample.n} points, scaling axioms hold")
+print(f"polar sample: {sample.n} points")
 
 rep = radial_retraction(sample, S=1.0)
 print(f"radial retraction onto the unit ball: measured Lip "

@@ -70,7 +70,6 @@ from .extension import (
     whitney_cover,
 )
 from .geometry import (
-    SelfSimilarStructure,
     SphereSample,
     eta,
     mirror_band_residual,
@@ -79,7 +78,6 @@ from .geometry import (
     radial_retraction,
     stereographic,
     verify_r_closed,
-    verify_self_similar,
     xi,
 )
 from .generators import generate

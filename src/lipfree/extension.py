@@ -18,7 +18,8 @@ import numpy as np
 from .errors import BadParameter, BadSubset, InternalInvariantBroken, TooSmall
 from .freenorm import (FOREST_LIMIT_DEFAULT, Molecule, measure_lipschitz,
                        norm_value)
-from .metric import REL_TOL, doubling_constant_upper, maximal_separated_net
+from .metric import (_BLOCK, REL_TOL, doubling_constant_upper,
+                     maximal_separated_net)
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,7 @@ def whitney_cover(space, net):
     if space.base not in net:
         raise BadSubset("subset must contain the base point")
     comp = [i for i in range(space.n) if i not in set(net)]
+    comp_idx = np.array(comp, dtype=int)
     net_sub = space.take(net, net.index(space.base))
     doubling = doubling_constant_upper(net_sub)
     K = 3 * doubling.value ** 4
@@ -181,7 +183,7 @@ def whitney_cover(space, net):
         if shell.size == 0:
             continue
         net_pts = maximal_separated_net(space, net, radius)
-        dmat = space.dist[np.ix_([comp[c] for c in shell], net_pts)]
+        dmat = space.dist[np.ix_(comp_idx[shell], net_pts)]
         nearest = np.argmin(dmat, axis=1)  # ties -> first (stored order)
         for yi, y in enumerate(net_pts):
             members = shell[nearest == yi]
@@ -189,7 +191,7 @@ def whitney_cover(space, net):
                 continue
             w = np.zeros(len(comp), dtype=bool)
             w[members] = True
-            dcell = space.dist[np.ix_(comp, [comp[c] for c in members])].min(axis=1)
+            dcell = space.dist[np.ix_(comp_idx, comp_idx[members])].min(axis=1)
             v = dcell < radius / 2.0
             indices.append((scale, int(y)))
             w_rows.append(w)
@@ -197,13 +199,13 @@ def whitney_cover(space, net):
 
     v_masks = np.array(v_rows, dtype=bool) if v_rows else np.zeros((0, len(comp)), bool)
     w_masks = np.array(w_rows, dtype=bool) if w_rows else np.zeros((0, len(comp)), bool)
+    # phi_i = d(., X \ V_i) on V_i and 0 off it, computed on V_i's rows only
     phi = np.zeros((len(indices), len(comp)))
-    for ii in range(len(indices)):
+    for ii, v in enumerate(v_masks):
+        rows = comp_idx[v]
         outside = np.ones(space.n, dtype=bool)
-        for c in np.nonzero(v_masks[ii])[0]:
-            outside[comp[c]] = False
-        phi[ii] = space.dist[np.ix_(comp, np.nonzero(outside)[0])].min(axis=1)
-        phi[ii][~v_masks[ii]] = 0.0
+        outside[rows] = False
+        phi[ii, v] = space.dist[np.ix_(rows, np.flatnonzero(outside))].min(axis=1)
     phi_total = phi.sum(axis=0)
     if np.any(phi_total <= 0):
         raise InternalInvariantBroken("weight total vanishes off the subset")
@@ -274,26 +276,43 @@ def weight_variation_check(system, p):
 
     sum_i |psi_i(x) - psi_i(y)|^p <= (2 * 8^p * K / A^p) * d^p(x, y)
     with A the larger of the two distances to the subset.
+
+    The sums run over blocks of rows x.  Index i adds its terms only on
+    the pairs where x or y lies in psi_i's support; every other term is
+    +0.0, which leaves a non-negative sum unchanged, so each sum is the
+    one over all i in index order.  The worst pair is the first maximum
+    in (x, y) order.
     """
-    comp = system.complement
-    if len(comp) < 2:
+    comp = np.array(system.complement, dtype=int)
+    m = len(comp)
+    if m < 2:
         return CrucialReport(True, None, 0.0)
     psi = system.psi
+    psi_p = psi ** p  # |psi_i(x) - 0|^p
+    held = [(np.flatnonzero(row), np.flatnonzero(row == 0)) for row in psi]
     d_net = system.dist_to_net
     K = system.overlap_bound
-    dist = system.space.dist
     worst, wpair = 0.0, None
-    m = len(comp)
-    for a in range(m - 1):
-        diff = np.abs(psi[:, a][:, None] - psi[:, a + 1:]) ** p
-        lhs = diff.sum(axis=0)
-        A = np.maximum(d_net[a], d_net[a + 1:])
-        d = np.array([dist[comp[a], comp[b]] for b in range(a + 1, m)])
+    step = max(1, _BLOCK // m)
+    for lo in range(0, m - 1, step):
+        hi = min(lo + step, m - 1)
+        lhs = np.zeros((hi - lo, m))
+        for row, row_p, (on, off) in zip(psi, psi_p, held):
+            lhs[:, on] += np.abs(row[lo:hi, None] - row[on]) ** p
+            x = on[(on >= lo) & (on < hi)]
+            lhs[np.ix_(x - lo, off)] += row_p[x, None]
+        if hi == m - 1:
+            # numpy sums a single column pairwise: the last pair keeps that
+            lhs[-1, -1] = (np.abs(psi[:, -2] - psi[:, -1]) ** p).sum()
+        A = np.maximum(d_net[lo:hi, None], d_net)
+        d = system.space.dist[np.ix_(comp[lo:hi], comp)]
         rhs = 2.0 * 8.0 ** p * K * (d / A) ** p
-        ratio = lhs / rhs
-        j = int(np.argmax(ratio))
-        if ratio[j] > worst:
-            worst, wpair = float(ratio[j]), (comp[a], comp[a + 1 + j])
+        upper = np.arange(m) > np.arange(lo, hi)[:, None]
+        ratio = np.divide(lhs, rhs, out=np.full_like(lhs, -np.inf),
+                          where=upper)
+        a, b = divmod(int(np.argmax(ratio)), m)
+        if ratio[a, b] > worst:
+            worst, wpair = float(ratio[a, b]), (int(comp[lo + a]), int(comp[b]))
     return CrucialReport(worst <= 1 + 1e-9, wpair, worst)
 
 
@@ -315,11 +334,9 @@ def doubling_extension_map(space, net, p, system=None,
     coeffs = np.zeros((space.n, sub.n))
     for g in system.net:
         coeffs[g, pos[g]] = 1.0
-    for ci, x in enumerate(system.complement):
-        for ii, (_, y) in enumerate(system.indices):
-            w = system.psi[ii, ci]
-            if w != 0.0:
-                coeffs[x, pos[y]] += w
+    comp = np.array(system.complement, dtype=int)
+    for (_, y), w in zip(system.indices, system.psi):
+        coeffs[comp, pos[y]] += w  # index order; adding +0.0 changes nothing
     bound = extension_constant(p, system.doubling_value)
     if measure:
         lip, pair, exact = measure_lipschitz(space, [(sub, coeffs)], p,

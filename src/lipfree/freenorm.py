@@ -24,7 +24,7 @@ from functools import cache
 import numpy as np
 
 from .errors import BadParameter, InternalInvariantBroken, SizeLimit
-from .metric import ABS_TOL
+from .metric import _BLOCK, ABS_TOL
 
 FOREST_LIMIT_DEFAULT = 8
 FOREST_LIMIT_MAX = 12  # an exact oracle call: ~0.1 s at 12 points, ~0.35 s at 13
@@ -635,8 +635,6 @@ def norm_value(space, vec, p, exact_limit=FOREST_LIMIT_DEFAULT, prefer="auto",
 
 # ---------------------------------------------------------------------------
 # batched evaluation for the measurement loops
-
-_BLOCK = 1 << 17  # float64 entries per transient block, 1 MB
 
 
 def norm_rows(space, rows, p, exact_limit=FOREST_LIMIT_DEFAULT):

@@ -1,6 +1,5 @@
 """Geometric maps on embedded samples: radial retractions, outward scaling
-maps into free spaces, self-similarity axioms, and the stereographic
-decomposition of spheres.
+maps into free spaces, and the stereographic decomposition of spheres.
 
 Scaling maps act through coordinates (sigma(x, t) = t * x) and land back
 in the sample by snap-to-nearest within a tolerance proportional to the
@@ -10,7 +9,6 @@ sigma-closed by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,81 +28,6 @@ def _ambient_norms(space):
     if space.norm == "taxicab":
         return np.abs(c).sum(axis=1)
     return np.sqrt((c ** 2).sum(axis=1))
-
-
-@dataclass(frozen=True)
-class SelfSimilarStructure:
-    """The admissible parameter set of the scaling sigma(x, t) = t * x."""
-
-    kind: str = "contraction"  # or "dilation"
-
-    def admissible(self, rng, count):
-        if self.kind == "contraction":
-            return rng.uniform(0.0, 1.0, size=count)
-        if self.kind == "dilation":
-            ts = rng.uniform(1.0, 4.0, size=count)
-            ts[rng.uniform(size=count) < 0.1] = 0.0
-            return ts
-        raise BadParameter(f"unknown kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    name: str
-    max_violation: float
-    witness: tuple | None
-
-    @property
-    def passed(self):
-        return self.max_violation <= 1e-9
-
-
-def verify_self_similar(space, structure=None, samples=200, seed=0):
-    """Sampled check of the scaling axioms: endpoints, radial speed bound,
-    and joint contraction; returns one report per axiom.
-
-    The axioms live in the underlying (unsnowflaked) ambient metric; the
-    snowflake exponent only enters Lipschitz measurements elsewhere.  The
-    base point must sit at the scaling center, the origin.
-    """
-    if structure is None:
-        structure = SelfSimilarStructure()
-    norms = _ambient_norms(space)
-    coords = space.coords
-    basec = coords[space.base]
-    rng = np.random.default_rng(seed)
-
-    def dist(a, b):
-        diff = np.atleast_1d(a - b)
-        if space.norm == "sup":
-            return float(np.abs(diff).max())
-        if space.norm == "taxicab":
-            return float(np.abs(diff).sum())
-        return math.sqrt(float((diff ** 2).sum()))
-
-    v1 = (0.0, None)
-    v2 = (0.0, None)
-    v3 = (0.0, None)
-    idx = rng.integers(0, space.n, size=samples)
-    jdx = rng.integers(0, space.n, size=samples)
-    ss = structure.admissible(rng, samples)
-    ts = structure.admissible(rng, samples)
-    for x, y, s, t in zip(idx, jdx, ss, ts):
-        cx, cy = coords[x], coords[y]
-        g1 = max(dist(0.0 * cx, basec), dist(1.0 * cx, cx))
-        if g1 > v1[0]:
-            v1 = (g1, (int(x),))
-        lhs = dist(t * cx, s * cx)
-        rhs = abs(s - t) * dist(cx, basec)
-        if lhs - rhs > v2[0]:
-            v2 = (lhs - rhs, (int(x), float(s), float(t)))
-        lhs = dist(t * cx, t * cy)
-        rhs = t * dist(cx, cy)
-        if lhs - rhs > v3[0]:
-            v3 = (lhs - rhs, (int(x), int(y), float(t)))
-    return (AxiomReport("endpoints", v1[0], v1[1]),
-            AxiomReport("radial_speed", v2[0], v2[1]),
-            AxiomReport("joint_contraction", v3[0], v3[1]))
 
 
 def _snap(space, target, tol):

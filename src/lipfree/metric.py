@@ -19,6 +19,9 @@ REL_TOL = 1e-9
 
 NORM_KINDS = ("euclidean", "sup", "taxicab", "matrix")
 
+_BLOCK = 1 << 17  # float64 entries per transient block, 1 MB
+_EXACT_COVER_POINTS = 10  # balls up to this size get a minimum cover
+
 
 @dataclass(frozen=True)
 class IntervalSpec:
@@ -267,59 +270,114 @@ def maximal_separated_net(space, subset, r):
     return chosen
 
 
-def _membership(space, ball, radius, candidates):
-    """Bool matrix: candidate row covers ball column within ``radius``."""
-    return space.dist[np.ix_(candidates, ball)] <= radius
+def _greedy_covers(dist, centers, radii):
+    """Greedy covers (Johnson 1974) of the balls B(centers[k], radii[k]) by
+    radius-r/2 balls centred at the points, all balls in lockstep.
 
-
-def _greedy_cover(space, ball, radius, candidates):
-    """Greedy set cover of ``ball`` by radius-``radius`` balls centered at
-    ``candidates``; ties broken by candidate order."""
-    member = _membership(space, ball, radius, candidates)
-    uncovered = np.ones(len(ball), dtype=bool)
-    cover = []
-    while uncovered.any():
-        gains = (member & uncovered[None, :]).sum(axis=1)
-        c = int(np.argmax(gains))
-        if gains[c] <= 0:  # cannot happen: each point covers itself
+    Each step gives every ball that is not yet covered the first point
+    that covers the most of its uncovered points.  The (balls, points,
+    points) membership tensor is taken in blocks of balls within
+    ``_BLOCK``.  Returns one tuple of centres per ball.
+    """
+    n = len(dist)
+    covers = []
+    step = max(1, 8 * _BLOCK // (n * n))  # a 1 MB bool tensor per block
+    for lo in range(0, len(centers), step):
+        x, r = centers[lo:lo + step], radii[lo:lo + step]
+        member = dist[None] <= r[:, None, None] / 2.0  # [ball, centre, point]
+        uncovered = dist[x] <= r[:, None]
+        picks = np.full((len(x), n), -1)
+        live = np.arange(len(x))
+        for at in range(n):  # every point covers itself: n steps suffice
+            gains = np.count_nonzero(member[live] & uncovered[live, None],
+                                     axis=2)
+            best = gains.argmax(axis=1)  # ties -> first point
+            picks[live, at] = best
+            uncovered[live] &= ~member[live, best]
+            live = live[uncovered[live].any(axis=1)]
+            if not live.size:
+                break
+        if live.size:  # a diagonal entry above r/2
             raise BadParameter("uncoverable ball")
-        cover.append(candidates[c])
-        uncovered &= ~member[c]
-    return cover
+        covers += _rows(picks[:, :at + 1])
+    return covers
 
 
-def _exact_cover(space, ball, radius, candidates):
-    """Minimum set cover by branch and bound (small balls only)."""
-    member = _membership(space, ball, radius, candidates)
-    raw = [(candidates[c], frozenset(np.nonzero(member[c])[0]))
-           for c in range(len(candidates)) if member[c].any()]
-    # keep only maximal candidate sets (preserves the optimum)
-    raw.sort(key=lambda t: -len(t[1]))
-    kept = []
-    for c, s in raw:
-        if not any(s <= s2 for _, s2 in kept):
-            kept.append((c, s))
-    best = _greedy_cover(space, ball, radius, candidates)
-    best_len = len(best)
-    full = frozenset(range(len(ball)))
-    cover_by = {e: [cs for cs in kept if e in cs[1]] for e in full}
+def _minimum_covers(dist, centers, radii, sizes):
+    """Minimum covers of the same balls for balls of at most
+    ``_EXACT_COVER_POINTS`` points, by breadth-first search over the
+    covered subsets of each ball (bitmasks, at most 2**size states), the
+    balls of a block in lockstep.
 
-    def search(uncovered, chosen):
-        nonlocal best, best_len
-        if not uncovered:
-            if len(chosen) < best_len:
-                best, best_len = list(chosen), len(chosen)
-            return
-        max_size = max(len(s & uncovered) for _, s in kept)
-        lower = len(chosen) + math.ceil(len(uncovered) / max_size)
-        if lower >= best_len:
-            return
-        pivot = min(uncovered, key=lambda e: len(cover_by[e]))
-        for c, s in cover_by[pivot]:
-            search(uncovered - s, chosen + [c])
+    Only the first centre of each maximal covered subset is expanded, which
+    keeps a minimum cover.  A ball's first visit to its full mask is at the
+    minimum cover size; the centres are read back along the stored
+    (previous state, centre) links.  Returns one tuple of centres per ball.
+    """
+    if not len(centers):
+        return []
+    n = len(dist)
+    m = int(sizes.max())
+    states = 1 << m
+    # ball k holds the sizes[k] nearest points of its centre; bit j is the
+    # j-th of them
+    near = np.argsort(dist[centers], axis=1, kind="stable")[:, :m]
+    bit = np.where(np.arange(m) < sizes[:, None], 1 << np.arange(m), 0)
+    earlier = np.tri(n, k=-1, dtype=bool)  # [c, c2]: c2 < c
+    # per ball, the largest array: int32 links, distances, subset flags
+    step = max(1, 8 * _BLOCK // max(4 * states, 8 * n * m, n * n))
+    chunk = max(1, _BLOCK // n)  # frontier entries per expansion
+    covers = []
+    for lo in range(0, len(centers), step):
+        r, bits = radii[lo:lo + step], bit[lo:lo + step]
+        masks = ((dist[near[lo:lo + step, None, :], np.arange(n)[None, :, None]]
+                  <= r[:, None, None] / 2.0) * bits[:, None, :]).sum(axis=2)
+        inside = (masks[:, :, None] & ~masks[:, None, :]) == 0  # [k, c, c2]
+        dominated = (inside & (~inside.transpose(0, 2, 1) | earlier)).any(axis=2)
+        kept = n - dominated.sum(axis=1)
+        cand = np.argsort(dominated, axis=1, kind="stable")[:, :kept.max()]
+        masks = np.where(np.arange(cand.shape[1]) < kept[:, None],
+                         np.take_along_axis(masks, cand, axis=1), 0)
+        full = bits.sum(axis=1)
+        depth = np.full((len(r), states), -1, dtype=np.int8)
+        depth[:, 0] = 0
+        prev = np.zeros((len(r), states), dtype=np.int32)
+        via = np.zeros((len(r), states), dtype=np.int32)
+        live = np.ones(len(r), dtype=bool)
+        for d in range(m):  # the ball's own points cover it: m levels suffice
+            # flat indices: 2-d np.nonzero is several times slower
+            ball, state = np.divmod(np.flatnonzero(depth == d), states)
+            ball, state = ball[live[ball]], state[live[ball]]
+            for at in range(0, len(ball), chunk):
+                b, s = ball[at:at + chunk], state[at:at + chunk]
+                nxt = s[:, None] | masks[b]
+                row, col = np.divmod(
+                    np.flatnonzero(depth[b[:, None], nxt] < 0), nxt.shape[1])
+                b_new, t_new = b[row], nxt[row, col]
+                depth[b_new, t_new] = d + 1
+                prev[b_new, t_new] = s[row]
+                via[b_new, t_new] = col
+            live &= depth[np.arange(len(r)), full] < 0
+            if not live.any():
+                break
+        if live.any():
+            raise BadParameter("uncoverable ball")
+        picks = np.full((len(r), m), -1)
+        ball, state = np.arange(len(r)), full
+        for at in range(m):
+            ball, state = ball[state > 0], state[state > 0]
+            if not ball.size:
+                break
+            picks[ball, at] = cand[ball, via[ball, state]]
+            state = prev[ball, state]
+        covers += _rows(picks)
+    return covers
 
-    search(full, [])
-    return best
+
+def _rows(picks):
+    """The rows of a -1-padded array of centres, as tuples."""
+    return [tuple(row[:k]) for row, k in
+            zip(picks.tolist(), (picks >= 0).sum(axis=1).tolist())]
 
 
 @dataclass(frozen=True)
@@ -337,12 +395,8 @@ class DoublingReport:
     value: int
     covers: tuple = field(repr=False)
 
-    def witness(self):
-        """The ball realizing the reported bound."""
-        return max(self.covers, key=lambda c: len(c.cover_centers))
 
-
-def doubling_constant_upper(space, exact_threshold=10):
+def doubling_constant_upper(space):
     """Doubling-constant upper bound from one cover per distinct ball.
 
     Each centre x is scanned at its own nonzero distances d_1 < d_2 < ...
@@ -350,28 +404,31 @@ def doubling_constant_upper(space, exact_threshold=10):
     B(x, d_k), and a cover of it by radius-d_k/2 balls also covers it at
     radius r/2, so every realized radius is accounted for.  Each scanned
     ball B(x, r) is covered by radius-r/2 balls centered at space points:
-    greedily in general, by exact minimum set cover when the ball holds at
-    most ``exact_threshold`` points.  The maximum emitted cover size is an
-    upper bound for the doubling constant and may be safely substituted
-    into bounds that increase with it.
+    by an exact minimum set cover (breadth-first search over covered-point
+    bitmasks) when the ball holds at most ``_EXACT_COVER_POINTS`` points,
+    and greedily otherwise, ties going to the first point.  The greedy
+    covers of all balls run in lockstep.  The maximum emitted cover size
+    is an upper bound for the doubling constant and may be safely
+    substituted into bounds that increase with it.
     """
-    candidates = list(range(space.n))
-    covers = []
-    value = 1
+    centers, radii, sizes = [], [], []
     for x in range(space.n):
-        drow = space.dist[x]
-        for r in np.unique(drow[drow > 0]).tolist():
-            ball = [int(b) for b in np.nonzero(drow <= r)[0]]
-            if len(ball) <= 1:
-                continue
-            if len(ball) <= exact_threshold:
-                cov = _exact_cover(space, ball, r / 2.0, candidates)
-                exact = True
-            else:
-                cov = _greedy_cover(space, ball, r / 2.0, candidates)
-                exact = False
-            covers.append(BallCover(x, float(r), tuple(cov), exact))
-            value = max(value, len(cov))
-    if not covers:
-        covers.append(BallCover(space.base, 0.0, (space.base,), True))
-    return DoublingReport(value, tuple(covers))
+        row = np.sort(space.dist[x])
+        r = np.unique(row[row > 0])
+        size = np.searchsorted(row, r, side="right")
+        keep = size > 1
+        centers.append(np.full(keep.sum(), x))
+        radii.append(r[keep])
+        sizes.append(size[keep])
+    centers, radii, sizes = (np.concatenate(a) for a in (centers, radii, sizes))
+    if not len(centers):
+        cover = BallCover(space.base, 0.0, (space.base,), True)
+        return DoublingReport(1, (cover,))
+    exact = sizes <= _EXACT_COVER_POINTS
+    found = {True: iter(_minimum_covers(space.dist, centers[exact],
+                                        radii[exact], sizes[exact])),
+             False: iter(_greedy_covers(space.dist, centers[~exact],
+                                        radii[~exact]))}
+    covers = tuple(BallCover(x, r, next(found[e]), e) for x, r, e in
+                   zip(centers.tolist(), radii.tolist(), exact.tolist()))
+    return DoublingReport(max(len(c.cover_centers) for c in covers), covers)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from lipfree import (
 from lipfree import extension, freenorm
 from lipfree.freenorm import FOREST_LIMIT_DEFAULT as LIMIT
 from lipfree.freenorm import measure_lipschitz, norm_value
-from lipfree.generators import grid_zd
+from lipfree.generators import grid_zd, random_ball
 
 from conftest import random_metric_space
 
@@ -238,3 +240,108 @@ def test_point_removal_and_extension_match_every_pair(rng, p):
     ext = doubling_extension_map(sp, net, p)
     assert (ext.measured_lip, ext.witness_pair, ext.measured_exact) == \
         _measure_every_pair(sp, ext.net_subspace, ext.coeffs, p, LIMIT)
+
+
+def _reference_phi(space, system):
+    """Reference: phi_i = d(., X minus V_i) on every complement row, then
+    zeroed off V_i."""
+    comp = system.complement
+    phi = np.zeros((len(system.indices), len(comp)))
+    for ii in range(len(system.indices)):
+        outside = np.ones(space.n, dtype=bool)
+        for c in np.nonzero(system.v_masks[ii])[0]:
+            outside[comp[c]] = False
+        phi[ii] = space.dist[np.ix_(comp, np.nonzero(outside)[0])].min(axis=1)
+        phi[ii][~system.v_masks[ii]] = 0.0
+    return phi
+
+
+def _reference_weight_variation(system, p):
+    """Reference: one row x at a time, every index's term summed."""
+    comp = system.complement
+    if len(comp) < 2:
+        return extension.CrucialReport(True, None, 0.0)
+    psi = system.psi
+    d_net = system.dist_to_net
+    K = system.overlap_bound
+    dist = system.space.dist
+    worst, wpair = 0.0, None
+    m = len(comp)
+    for a in range(m - 1):
+        diff = np.abs(psi[:, a][:, None] - psi[:, a + 1:]) ** p
+        lhs = diff.sum(axis=0)
+        A = np.maximum(d_net[a], d_net[a + 1:])
+        d = np.array([dist[comp[a], comp[b]] for b in range(a + 1, m)])
+        rhs = 2.0 * 8.0 ** p * K * (d / A) ** p
+        ratio = lhs / rhs
+        j = int(np.argmax(ratio))
+        if ratio[j] > worst:
+            worst, wpair = float(ratio[j]), (comp[a], comp[a + 1 + j])
+    return extension.CrucialReport(worst <= 1 + 1e-9, wpair, worst)
+
+
+def _reference_coeffs(space, system):
+    """Reference: one coefficient add per (complement point, index)."""
+    sub, _, pos = extension._net_layout(space, system.net)
+    coeffs = np.zeros((space.n, sub.n))
+    for g in system.net:
+        coeffs[g, pos[g]] = 1.0
+    for ci, x in enumerate(system.complement):
+        for ii, (_, y) in enumerate(system.indices):
+            w = system.psi[ii, ci]
+            if w != 0.0:
+                coeffs[x, pos[y]] += w
+    return coeffs
+
+
+def _cloud_subset(n, k, seed):
+    """A random-ball cloud and a k-point subset holding the base."""
+    rng = np.random.default_rng(seed)
+    subset = [0] + sorted((1 + rng.choice(n - 1, k - 1, replace=False)).tolist())
+    return random_ball(d=2, n=n, seed=seed), subset
+
+
+@pytest.fixture(scope="module", params=[(300, 30, 1), (120, 12, 4)],
+                ids=["cloud300", "cloud120"])
+def cloud_system(request):
+    space, subset = _cloud_subset(*request.param)
+    return space, whitney_cover(space, subset)
+
+
+def test_whitney_weights_match_reference(cloud_system):
+    space, system = cloud_system
+    phi = _reference_phi(space, system)
+    phi_total = phi.sum(axis=0)
+    assert np.array_equal(system.phi, phi)
+    assert np.array_equal(system.phi_total, phi_total)
+    assert np.array_equal(system.psi, phi / phi_total[None, :])
+    checks = extension._h_checks(
+        space, list(system.net), list(system.complement),
+        list(system.indices), system.v_masks, phi, phi_total,
+        system.dist_to_net, system.overlap_bound)
+    assert system.checks == checks  # margins and witnesses, bit for bit
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, 0.25])
+def test_weight_variation_and_coeffs_match_reference(cloud_system, p):
+    space, system = cloud_system
+    assert weight_variation_check(system, p) == \
+        _reference_weight_variation(system, p)
+    ext = doubling_extension_map(space, list(system.net), p, system=system,
+                                 measure=False)
+    assert np.array_equal(ext.coeffs, _reference_coeffs(space, system))
+
+
+def test_weight_variation_last_pair_sum():
+    # numpy sums the reference's single last column pairwise; these terms
+    # give a different value summed in index order
+    terms = np.zeros(16)
+    terms[[0, 1, 8]] = 1e-16, 1.0, 1e-16
+    assert terms.sum() != (terms[0] + terms[1]) + terms[8]
+    system = SimpleNamespace(
+        complement=(1, 2), psi=np.column_stack([terms, np.zeros(16)]),
+        dist_to_net=np.ones(2), overlap_bound=1 / 16,
+        space=SimpleNamespace(dist=1.0 - np.eye(3)))
+    rep = weight_variation_check(system, 1.0)
+    assert rep == _reference_weight_variation(system, 1.0)
+    assert rep.max_ratio == terms.sum()

@@ -7,7 +7,6 @@ from lipfree import (
     BadSubset,
     NotSigmaClosed,
     PoleInDomain,
-    SelfSimilarStructure,
     SphereSample,
     build_space,
     eta,
@@ -18,36 +17,9 @@ from lipfree import (
     snowflake,
     stereographic,
     verify_r_closed,
-    verify_self_similar,
     xi,
 )
 from lipfree.generators import annulus_rays, grid_zd, sphere_fibonacci
-
-
-def _origin_based_cloud(rng, n, alpha=1.0):
-    coords = np.vstack([np.zeros(2), rng.standard_normal((n - 1, 2))])
-    return build_space(coords, "euclidean", alpha=alpha, base=0)
-
-
-def test_scalar_scaling_satisfies_axioms(rng):
-    sp = _origin_based_cloud(rng, 10)
-    for report in verify_self_similar(sp, samples=300, seed=2):
-        assert report.passed, report
-
-
-def test_scalar_scaling_axioms_on_snowflake(rng):
-    # the axioms concern the underlying metric; the snowflake exponent on
-    # the space does not disturb them
-    sp = _origin_based_cloud(rng, 8, alpha=0.6)
-    for report in verify_self_similar(sp, samples=200, seed=3):
-        assert report.passed, report
-
-
-def test_dilation_structure(rng):
-    sp = _origin_based_cloud(rng, 8)
-    structure = SelfSimilarStructure(kind="dilation")
-    for report in verify_self_similar(sp, structure, samples=200, seed=4):
-        assert report.passed, report
 
 
 def test_retraction_fixes_inner_points():

@@ -15,9 +15,64 @@ from lipfree import (
     space_from_matrix,
     validate_p_metric,
 )
-from lipfree.metric import _exact_cover, _greedy_cover
+from lipfree import metric
+from lipfree.generators import generate
 
 from conftest import random_metric_space
+
+
+def _membership(space, ball, radius, candidates):
+    """Bool matrix: candidate row covers ball column within ``radius``."""
+    return space.dist[np.ix_(candidates, ball)] <= radius
+
+
+def _greedy_cover(space, ball, radius, candidates):
+    """Reference: one greedy set cover of ``ball`` by radius-``radius``
+    balls centered at ``candidates``; ties broken by candidate order."""
+    member = _membership(space, ball, radius, candidates)
+    uncovered = np.ones(len(ball), dtype=bool)
+    cover = []
+    while uncovered.any():
+        gains = (member & uncovered[None, :]).sum(axis=1)
+        c = int(np.argmax(gains))
+        assert gains[c] > 0  # each point covers itself
+        cover.append(candidates[c])
+        uncovered &= ~member[c]
+    return cover
+
+
+def _exact_cover(space, ball, radius, candidates):
+    """Reference: one minimum set cover by branch and bound."""
+    member = _membership(space, ball, radius, candidates)
+    raw = [(candidates[c], frozenset(np.nonzero(member[c])[0]))
+           for c in range(len(candidates)) if member[c].any()]
+    # keep only maximal candidate sets (preserves the optimum)
+    raw.sort(key=lambda t: -len(t[1]))
+    kept = []
+    for c, s in raw:
+        if not any(s <= s2 for _, s2 in kept):
+            kept.append((c, s))
+    best = _greedy_cover(space, ball, radius, candidates)
+    best_len = len(best)
+    full = frozenset(range(len(ball)))
+    cover_by = {e: [cs for cs in kept if e in cs[1]] for e in full}
+
+    def search(uncovered, chosen):
+        nonlocal best, best_len
+        if not uncovered:
+            if len(chosen) < best_len:
+                best, best_len = list(chosen), len(chosen)
+            return
+        max_size = max(len(s & uncovered) for _, s in kept)
+        lower = len(chosen) + math.ceil(len(uncovered) / max_size)
+        if lower >= best_len:
+            return
+        pivot = min(uncovered, key=lambda e: len(cover_by[e]))
+        for c, s in cover_by[pivot]:
+            search(uncovered - s, chosen + [c])
+
+    search(full, [])
+    return best
 
 
 def test_two_point_line():
@@ -126,16 +181,18 @@ def test_doubling_single_point():
     assert doubling_constant_upper(sp).value == 1
 
 
-def test_doubling_equilateral_exact():
+def test_doubling_equilateral_exact(monkeypatch):
     n = 5
     mat = np.ones((n, n)) - np.eye(n)
     sp = space_from_matrix(mat)
-    assert doubling_constant_upper(sp, exact_threshold=n).value == n
+    monkeypatch.setattr(metric, "_EXACT_COVER_POINTS", n)
+    assert doubling_constant_upper(sp).value == n
 
 
-def test_doubling_integer_segment():
+def test_doubling_integer_segment(monkeypatch):
     sp = line_space(list(range(11)))
-    rep = doubling_constant_upper(sp, exact_threshold=16)
+    monkeypatch.setattr(metric, "_EXACT_COVER_POINTS", 16)
+    rep = doubling_constant_upper(sp)
     assert rep.value == 3  # frozen from the exact set cover
 
 
@@ -177,17 +234,19 @@ def _doubling_spaces(rng):
 
 
 @pytest.mark.parametrize("exact_threshold", [4, 10])
-def test_doubling_own_radii_equal_all_radii(rng, exact_threshold):
+def test_doubling_own_radii_equal_all_radii(rng, monkeypatch, exact_threshold):
+    monkeypatch.setattr(metric, "_EXACT_COVER_POINTS", exact_threshold)
     for sp in _doubling_spaces(rng):
-        rep = doubling_constant_upper(sp, exact_threshold=exact_threshold)
+        rep = doubling_constant_upper(sp)
         assert rep.value == _doubling_all_radii(sp, exact_threshold)
         assert len(rep.covers) == sum(
             len(np.unique(sp.dist[x][sp.dist[x] > 0])) for x in range(sp.n))
 
 
-def test_doubling_covers_every_realized_ball(rng):
+def test_doubling_covers_every_realized_ball(rng, monkeypatch):
+    monkeypatch.setattr(metric, "_EXACT_COVER_POINTS", 6)
     for sp in _doubling_spaces(rng):
-        rep = doubling_constant_upper(sp, exact_threshold=6)
+        rep = doubling_constant_upper(sp)
         for r in np.unique(sp.dist[sp.dist > 0]):
             for x in range(sp.n):
                 ball = np.nonzero(sp.dist[x] <= r)[0]
@@ -201,6 +260,52 @@ def test_doubling_covers_every_realized_ball(rng):
                 near = sp.dist[np.ix_(list(cov.cover_centers), ball)]
                 assert (near <= r / 2.0).any(axis=0).all()
                 assert len(cov.cover_centers) <= rep.value
+
+
+def _reference_covers(space):
+    """Reference scan: one scalar cover per ball, in the scan's order."""
+    candidates = list(range(space.n))
+    covers = []
+    for x in range(space.n):
+        drow = space.dist[x]
+        for r in np.unique(drow[drow > 0]).tolist():
+            ball = [int(b) for b in np.nonzero(drow <= r)[0]]
+            if len(ball) <= 1:
+                continue
+            exact = len(ball) <= metric._EXACT_COVER_POINTS
+            cover = _exact_cover if exact else _greedy_cover
+            covers.append((x, r, cover(space, ball, r / 2.0, candidates),
+                           exact))
+    return covers
+
+
+def test_lockstep_covers_match_scalar_references(rng):
+    ball = generate("random-ball", seed=1, d=2, n=300)
+    subset = [0] + sorted((1 + rng.choice(299, 29, replace=False)).tolist())
+    for sp in [*_doubling_spaces(rng), ball.take(subset, 0)]:
+        rep = doubling_constant_upper(sp)
+        ref = _reference_covers(sp)
+        assert len(rep.covers) == len(ref)
+        for got, (x, r, cover, exact) in zip(rep.covers, ref):
+            assert (got.center, got.radius, got.exact) == (x, r, exact)
+            assert len(got.cover_centers) == len(cover)
+            if not exact:  # greedy ties go to the first point in both
+                assert list(got.cover_centers) == cover
+            ball_pts = np.nonzero(sp.dist[x] <= r)[0]
+            near = sp.dist[np.ix_(list(got.cover_centers), ball_pts)]
+            assert (near <= r / 2.0).any(axis=0).all()
+        assert rep.value == max(len(c) for _, _, c, _ in ref)
+
+
+@pytest.mark.parametrize("exact_threshold", [0, 10])
+def test_doubling_rejects_uncoverable_ball(monkeypatch, exact_threshold):
+    # point 0's diagonal entry (within ABS_TOL) exceeds half the radius of
+    # its smallest ball, so point 0 covers nothing there
+    mat = np.array([[8e-13, 1.2e-12, 5.0], [1.2e-12, 0.0, 5.0],
+                    [5.0, 5.0, 0.0]])
+    monkeypatch.setattr(metric, "_EXACT_COVER_POINTS", exact_threshold)
+    with pytest.raises(BadParameter):
+        doubling_constant_upper(space_from_matrix(mat))
 
 
 def test_coords_consistency_invariant(rng):
