@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .errors import BadParameter
-from .metric import build_space, space_from_matrix
+from .metric import build_space, space_from_matrix, validate_p_metric
 
 
 def space_to_json(space):
@@ -45,11 +45,22 @@ def save_space(space, path):
 
 
 def load_space(path):
+    """Read a JSON or CSV space file.  A distance matrix that breaks the
+    triangle inequality is rejected: the solvers assume a metric, and the
+    p = 1 transport value would be tagged exact on it."""
     path = str(path)
     if path.endswith(".csv"):
         return space_from_csv(path)
     with open(path) as fh:
-        return space_from_json(json.load(fh))
+        space = space_from_json(json.load(fh))
+    if space.coords is None:
+        check = validate_p_metric(space, 1.0)
+        if not check.valid:
+            x, y, z = check.worst_triple
+            raise BadParameter(
+                f"{path}: the distance matrix is not a metric: d({x}, {z}) > "
+                f"d({x}, {y}) + d({y}, {z}), slack {check.slack:.6g}")
+    return space
 
 
 def space_from_csv(path):

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +23,7 @@ from lipfree import extension, freenorm
 from lipfree.freenorm import FOREST_LIMIT_DEFAULT as LIMIT
 from lipfree.freenorm import measure_lipschitz, norm_value
 from lipfree.generators import grid_zd, random_ball
+from lipfree.metric import REL_TOL
 
 from conftest import random_metric_space
 
@@ -320,6 +322,57 @@ def test_whitney_weights_match_reference(cloud_system):
         list(system.indices), system.v_masks, phi, phi_total,
         system.dist_to_net, system.overlap_bound)
     assert system.checks == checks  # margins and witnesses, bit for bit
+
+
+def _reference_h3(space, system, phi):
+    """Reference: the H3 scan over every pair for every index, deciding and
+    naming the witness at the first maximum; its margin is taken over the
+    pairs x != y with phi_i(x) != 0."""
+    comp = list(system.complement)
+    dcomp = space.dist[np.ix_(comp, comp)]
+    off_diag = ~np.eye(len(comp), dtype=bool)
+    margin = math.inf
+    for ii, row in enumerate(phi):
+        diff = np.abs(row[:, None] - row[None, :]) - dcomp
+        held = (row != 0)[:, None] & off_diag
+        margin = min(margin, -float(diff[held].max(initial=-math.inf)))
+        a, b = divmod(int(np.argmax(diff)), len(comp))
+        if diff[a, b] > REL_TOL * max(1.0, dcomp[a, b]):
+            return False, (comp[a], comp[b]), margin
+        if np.any((row > 0) & ~system.v_masks[ii]):
+            return False, (comp[int(np.argmax((row > 0) & ~system.v_masks[ii]))],), margin
+    return True, None, margin if margin != math.inf else 0.0
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, 40.0])
+def test_h3_scan_matches_full_reference(cloud_system, scale):
+    """The support-restricted H3 scan keeps the full scan's verdict and
+    witness, and its margin is the slack off the diagonal.  phi_i =
+    d(., X - V_i) is attained at complement points off V_i, so the margin
+    is exactly 0 at scale 1 and positive at scale 1/2 (where the diagonal
+    pairs read 0); at scale 40 the weights are too steep to pass."""
+    space, system = cloud_system
+    phi = system.phi * scale
+    h3 = extension._h_checks(
+        space, list(system.net), list(system.complement),
+        list(system.indices), system.v_masks, phi, phi.sum(axis=0),
+        system.dist_to_net, system.overlap_bound)[2]
+    assert h3.name == "H3_lipschitz_support"
+    assert (h3.passed, h3.witness, h3.margin) == _reference_h3(space, system, phi)
+    assert h3.passed == (scale < 40)
+    if scale < 40:
+        assert (h3.margin > 0) == (scale < 1) and h3.margin >= 0
+
+
+def test_h3_witness_is_the_first_worst_pair():
+    """The H3 witness is the first worst pair in row-major order over all
+    pairs, here one whose first point is off phi's support."""
+    sp = line_space([0.0, 1.0, 2.0, 3.0])
+    phi = np.array([[0.0, 5.0, 0.0]])
+    h3 = extension._h_checks(sp, [3], [0, 1, 2], [(0, 3)],
+                             np.array([[False, True, True]]), phi, phi[0],
+                             np.array([3.0, 2.0, 1.0]), 3.0)[2]
+    assert (h3.passed, h3.witness, h3.margin) == (False, (0, 1), -4.0)
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5, 0.25])

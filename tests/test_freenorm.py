@@ -20,8 +20,9 @@ from lipfree import (
 from lipfree import freenorm
 from lipfree.errors import InternalInvariantBroken
 from lipfree.freenorm import (_BLOCK, FOREST_LIMIT_DEFAULT, FOREST_LIMIT_MAX,
-                              _child_splits, _dense_restrict, _mst_parents,
-                              _scale, _transport, _tree_dp, _upper_value)
+                              _child_splits, _dense_restrict, _dp_levels,
+                              _mst_parents, _scale, _transport, _tree_dp,
+                              _upper_value)
 from lipfree.generators import grid_zd, random_ball
 from lipfree.metric import ABS_TOL
 
@@ -415,10 +416,10 @@ def test_oracle_matches_brute_force_tree_enumeration(rng):
                 check_result_consistency(sp, m, res)
 
 
-def scalar_tree_dp(dist, vec, p, root):
+def scalar_tree_dp(dist, vec, p):
     """Reference: the recurrence of ``_tree_dp`` one subset and one point
     at a time, in increasing bitmask order, on Python floats; returns
-    (norm, edges) with the same backtracking."""
+    (norm, edges) with the same backtracking, at every root in turn."""
     n = len(vec)
     full = (1 << n) - 1
     dpow = (dist ** p).tolist()
@@ -438,40 +439,78 @@ def scalar_tree_dp(dist, vec, p, root):
             for x in range(n):
                 if not s >> x & 1:
                     gs[x] = min(gs[u] + w[s] * dpow[x][u] for u in mem)
-    cost = min((G[t][root] + G[full ^ t][root]
-                for t in _child_splits(full, root)), default=0.0)
-    edges, stack = [], [(full, root, cost)]
-    while stack:
-        s, x, target = stack.pop()
-        for t in _child_splits(s, x):
-            if G[t][x] + G[s ^ t][x] == target:
-                u = next(u for u in range(n) if t >> u & 1 and
-                         G[t][u] + w[t] * dpow[x][u] == G[t][x])
-                edges.append((u, x, mass[t]))
-                stack += [(t, u, G[t][u]), (s ^ t, x, G[s ^ t][x])]
-                break
-    return cost ** (1.0 / p), edges
+    out = []
+    for root in range(n):
+        cost = min((G[t][root] + G[full ^ t][root]
+                    for t in _child_splits(full, root)), default=0.0)
+        edges, stack = [], [(full, root, cost)]
+        while stack:
+            s, x, target = stack.pop()
+            for t in _child_splits(s, x):
+                if G[t][x] + G[s ^ t][x] == target:
+                    u = next(u for u in range(n) if t >> u & 1 and
+                             G[t][u] + w[t] * dpow[x][u] == G[t][x])
+                    edges.append((u, x, mass[t]))
+                    stack += [(t, u, G[t][u]), (s ^ t, x, G[s ^ t][x])]
+                    break
+        out.append((cost ** (1.0 / p), edges))
+    return out
 
 
 def test_tree_dp_matches_scalar_reference(rng):
-    """Bitwise: values for a batch of rows, and value and tree per row at
-    every root, on snowflaked distances, a 1e-13 diagonal and zero
-    coefficients."""
-    for n in range(1, 9):
+    """Bitwise, up to 10 points and at every root: values for a batch of
+    rows over per-row distances and over one shared distance table, and
+    value and tree per row, on snowflaked distances, a 1e-13 diagonal and
+    zero coefficients."""
+    for n in range(1, 11):
+        b = 6 if n <= 8 else 3
         for p in (1.0, 0.5, 0.25, 0.7):
-            pts = rng.standard_normal((6, n, 2))
+            pts = rng.standard_normal((b, n, 2))
             dist = np.sqrt(((pts[:, :, None] - pts[:, None]) ** 2).sum(-1))
             dist[1] **= 0.5
             dist[2][np.diag_indices(n)] = 1e-13
-            vecs = rng.standard_normal((6, n)) * 10.0 ** rng.integers(-3, 4, (6, 1))
-            vecs[rng.random((6, n)) < 0.25] = 0.0
-            norms, _ = _tree_dp(dist, vecs, p)
-            for i in range(6):
-                assert norms[i] == scalar_tree_dp(dist[i], vecs[i], p, 0)[0]
-                root = int(rng.integers(n))
-                norm, edges = scalar_tree_dp(dist[i], vecs[i], p, root)
-                assert _tree_dp(dist[i][None], vecs[i][None], p, root,
-                                tree=True) == ([norm], edges)
+            vecs = rng.standard_normal((b, n)) * 10.0 ** rng.integers(-3, 4, (b, 1))
+            vecs[rng.random((b, n)) < 0.25] = 0.0
+            want = [scalar_tree_dp(dist[i], vecs[i], p) for i in range(b)]
+            # rows 0-2 over row 2's distances, shared as one (1, n, n) table
+            shared = [scalar_tree_dp(dist[2], v, p) for v in vecs[:2]] + want[2:3]
+            for root in range(n):
+                assert _tree_dp(dist, vecs, p, root)[0] == [
+                    w[root][0] for w in want]
+                assert _tree_dp(dist[2:3], vecs[:3], p, root)[0] == [
+                    w[root][0] for w in shared]
+                for i in range(b):
+                    norm, edges = want[i][root]
+                    assert _tree_dp(dist[i][None], vecs[i][None], p, root,
+                                    tree=True) == ([norm], edges)
+
+
+def test_dp_levels_are_the_admissible_splits():
+    """Each (S, x) rectangle of ``_dp_levels`` holds, as a set, exactly the
+    splits {T, S - T} of a tree on S rooted at x, with T the subtree below
+    x that holds the lowest point of S - {x}; every row names its own S
+    and a point of S, or a point off S where it should."""
+    for n in range(1, 8):
+        levels = _dp_levels(n)
+        assert len(levels) == max(n - 2, 0)
+        for size, (s, a, r, inside, outside, d) in enumerate(levels, 2):
+            assert s.tolist() == [m for m in range(1 << n)
+                                  if m.bit_count() == size]
+            assert a.shape == r.shape == (len(s), size, 1 << size - 2)
+            for k, S in enumerate(s.tolist()):
+                mem = [x for x in range(n) if S >> x & 1]
+                off = [x for x in range(n) if not S >> x & 1]
+                assert inside[k].tolist() == [S * n + x for x in mem]
+                assert outside[k].tolist() == [S * n + x for x in off]
+                assert d[k].tolist() == [[x * n + u for x in off] for u in mem]
+                for j, x in enumerate(mem):
+                    low = min(set(mem) - {x})
+                    want = {frozenset((t, S ^ t)) for t in range(1 << n)
+                            if t & ~S == 0 and not t >> x & 1 and t >> low & 1}
+                    rows = list(zip(a[k, j].tolist(), r[k, j].tolist()))
+                    assert all(ra % n == x and rb % n == x for ra, rb in rows)
+                    got = [frozenset((ra // n, rb // n)) for ra, rb in rows]
+                    assert len(set(got)) == len(got) and set(got) == want
 
 
 def test_oracle_at_ten_points(rng):

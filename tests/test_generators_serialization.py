@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from lipfree import TooLarge, space_from_matrix
+from lipfree import BadParameter, TooLarge, space_from_matrix
+from lipfree.cli import main
 from lipfree.generators import (
     annulus_rays,
     generate,
@@ -11,7 +12,8 @@ from lipfree.generators import (
     random_ball,
     sphere_fibonacci,
 )
-from lipfree.serialization import space_from_csv, space_from_json, space_to_json
+from lipfree.serialization import (load_space, space_from_csv, space_from_json,
+                                  space_to_json)
 
 
 def test_grid_zd_shape_and_metric():
@@ -67,6 +69,24 @@ def test_space_json_roundtrip_matrix():
     assert np.array_equal(back.dist, sp.dist)
     assert back.base == 1
     assert back.norm == "matrix"
+
+
+def test_load_space_rejects_non_metric_matrix(tmp_path):
+    """A matrix file that breaks the triangle inequality is refused where it
+    is loaded, naming the worst triple and its slack, and ``lipfree run``
+    exits 2 on it without writing a report; a metric matrix still loads."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"matrix": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]}))
+    with pytest.raises(BadParameter,
+                       match=r"d\(0, 2\) > d\(0, 1\) \+ d\(1, 2\), slack -1$"):
+        load_space(bad)
+    out = tmp_path / "report.json"
+    assert main(["run", "--suite", "norm-oracle", "--space", str(bad),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}))
+    assert load_space(good).dist.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 
 
 def test_space_csv_ingestion(tmp_path):
