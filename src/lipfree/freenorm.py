@@ -8,9 +8,11 @@ Three solvers cover the (0, 1] exponent range:
   runs on stacks of problems of one shape: one problem here, every p = 1
   row of one (sources, sinks) shape at once in ``norm_rows``.
 * ``free_norm_exact_small`` -- exact for any p in (0, 1] as the cheapest
-  spanning tree (vertex solutions of the flow polyhedron have acyclic
-  support, and zero-weight edges extend any feasible forest to a spanning
-  tree), found by a subset DP and capped at ``forest_limit`` points.
+  network (vertex solutions of the flow polyhedron have acyclic support),
+  found by the send-and-split subset DP ``_tree_dp`` over the support's
+  k points off the base in O(3^k n + 2^k n^2), with the other points as
+  relays when d^p satisfies the triangle inequality (every point joins
+  otherwise), and capped at ``forest_limit`` points.
 * ``free_norm_upper`` -- feasible representation found by local search over
   tree supports; never below the true norm.
 """
@@ -27,8 +29,9 @@ from .errors import BadParameter, InternalInvariantBroken, SizeLimit
 from .metric import _BLOCK, ABS_TOL
 
 FOREST_LIMIT_DEFAULT = 8
-# one exact oracle call on a 2-core Xeon: ~0.02 s at 12 points, ~0.05 s at 13,
-# after building the schedule once per size (~0.03 s and ~0.09 s)
+# one exact oracle call with the support the whole space, the worst case, on
+# a 2-core Xeon: ~0.009 s at 12 points, ~0.025 s at 13, after building the
+# schedule once per size (~0.015 s and ~0.06 s)
 FOREST_LIMIT_MAX = 12
 
 
@@ -135,82 +138,126 @@ def _child_splits(s, x):
 
 
 @cache
-def _dp_levels(n):
-    """Schedule for ``_tree_dp``, one level per subset size 2..n-1: the
-    subsets S; per S and member x, the rectangle of the 2^(size-2) splits
-    (A, S - A) that can set G[S][x], where A is a subset of S - {lo(S)}
-    holding x, or S's second point when x = lo(S); the member and the
-    non-member rows of S; all as rows S * n + x of the table flattened to
-    (mask, point); then the rows x * n + u of d^p for x outside S, u in S."""
-    masks = np.arange(1 << n)
-    held = masks[:, None] >> np.arange(n) & 1 == 1
+def _dp_levels(k, n):
+    """Schedule for ``_tree_dp`` over terminals 0..k-1 of n points, one
+    level per subset size 2..k, as rows S * n + x of the table flattened to
+    (mask, point).  Per level: the subsets S; per S, its split points,
+    first its members, then each point off the terminals twice; and per S
+    and split point x, a rectangle of 2^(size-2) splits (A, S - A), as the
+    rows of A and of S - A at x.  At a member x these are the splits that
+    can set its tree: A a subset of S - {lo(S)} holding x, or S's second
+    point when x = lo(S).  At a point off the terminals the two rectangles
+    hold the 2^(size-1) - 1 splits with lo(S) in A and S - A not empty,
+    the last one padded with the first split."""
+    masks = np.arange(1 << k)
+    held = masks[:, None] >> np.arange(k) & 1 == 1
+    far = np.repeat(np.arange(k, n), 2)
     levels = []
-    for size in range(2, n):
+    for size in range(2, k + 1):
         s = masks[held.sum(axis=1) == size]
-        inside = held[s].nonzero()[1].reshape(-1, size)
-        outside = (~held[s]).nonzero()[1].reshape(-1, n - size)
+        inside = held[s].nonzero()[1].reshape(len(s), size)
         local = held[:1 << size - 1, :size - 1]  # subsets of S - {lo}
         pick = local[:, np.r_[0, :size - 1]].T.nonzero()[1].reshape(size, -1)
-        half = (local @ (1 << inside[:, 1:]).T)[pick].transpose(2, 0, 1)
-        x = inside[:, :, None]
-        levels.append((s, half * n + x, (s[:, None, None] ^ half) * n + x,
-                       s[:, None] * n + inside, s[:, None] * n + outside,
-                       outside[:, None] * n + x))
+        spread = (local @ (1 << inside[:, 1:]).T).T
+        split = spread[:, np.r_[:(1 << size - 1) - 1, 0]] | 1 << inside[:, :1]
+        a = np.concatenate((spread[:, pick], np.tile(
+            split.reshape(len(s), 2, -1), (1, n - k, 1))), axis=1)
+        x = np.concatenate((inside, np.broadcast_to(far, (len(s), len(far)))),
+                           axis=1)
+        levels.append((s, a * n + x[:, :, None],
+                       (s[:, None, None] ^ a) * n + x[:, :, None], x))
     return levels
 
 
-def _tree_dp(dist, vecs, p, root=0, tree=False):
-    """Cheapest spanning tree under the concave cost sum |mu(subtree)|^p d^p,
-    for every row i of ``vecs`` over ``dist[i]``.
+def _tree_dp(dist, vecs, p, terms, root, tree=False):
+    """Cheapest network under the concave cost sum |mu(edge)|^p d^p that
+    carries the masses at the terminals ``terms`` to ``root``, for every
+    row i of ``vecs`` over ``dist[i]``: the free p-norm, when the network
+    may relay through the other points (Gilbert, Bell Syst. Tech. J. 46
+    (1967) 2209-2227).
 
-    Subset DP after Dreyfus & Wagner, Networks 1 (1971) 195-207, in
-    O(n 3^n).  For a bitmask S, ``G[S][x]`` is, for x in S, the cheapest
-    tree on S rooted at x and, for x outside S, the cheapest tree on S hung
-    below x by one edge.  Each level of ``_dp_levels`` fills one subset
-    size, vectorised across rows: ``G[S][x] = min G[A][x] + G[S - A][x]``
-    over x's rectangle for x in S (the trees of ``_child_splits(S, x)``),
-    then ``min over u in S of G[S][u] + |mu(S)|^p d(x, u)^p`` for x
-    outside S.  |mass|^p and the root use Python's float power (numpy's
-    array power can differ in the last ulp).  Returns ``(norms, edges)``;
-    with ``tree``, the (child, parent, mass) edges of a cheapest tree for
-    row 0, found by backtracking which T and u reach each stored minimum.
+    Send-and-split after Erickson, Monma & Veinott, Math. Oper. Res. 12
+    (1987) 634-664, in O(3^k n + 2^k n^2) for k terminals and n points.
+    For a terminal subset S, ``G[S][v]`` is the cheapest network that
+    brings S's mass to the point v.  Each level of ``_dp_levels`` fills one
+    subset size, vectorised across rows.  Split: at each split point x (a
+    member of S or a point off the terminals), ``J[S][x] = min G[A][x] +
+    G[S - A][x]`` over x's rectangles.  Send: ``G[S][v] = min over x of
+    J[S][x] + |mu(S)|^p d(x, v)^p``, with d(v, v) taken as 0.  Every value
+    is the cost of a network that carries the masses, so none is below the
+    norm.  One hop reaches the norm whenever every point but the root is a
+    terminal, whatever ``dist``, and whenever d^p satisfies the triangle
+    inequality, as a relay of degree two can then be skipped.  |mass|^p
+    and the root use Python's float power (numpy's array power can differ
+    in the last ulp).  Returns ``(norms, edges)``; with ``tree``, the
+    (child, parent, mass) edges of a cheapest network for row 0, found by
+    backtracking which split point and split reach each stored minimum.
     """
     b, n = vecs.shape
-    dpow = np.moveaxis(dist ** p, 0, -1)  # rows last, as in every table
-    mass = np.zeros((1, b))  # mass[S], summed in increasing point order
-    for i in range(n):
-        mass = np.concatenate((mass, mass + vecs[:, i]))
+    k = len(terms)
+    if k == 0:
+        return [0.0] * b, []
+    relay = np.ones(n, dtype=bool)
+    relay[terms] = relay[root] = False
+    # terminals, then the root, then the points that may relay
+    cols = np.concatenate((terms, [root], relay.nonzero()[0]))
+    dp = dist[:, cols[:, None], cols] ** p
+    dp.reshape(len(dp), -1)[:, ::n + 1] = 0.0  # the diagonal may be ABS_TOL
+    dp = dp.transpose(1, 2, 0)  # rows last, as in every table
+    mass = np.zeros((1 << k, b))  # mass[S], summed in increasing terminal order
+    for j, t in enumerate(terms.tolist()):
+        mass[1 << j:2 << j] = mass[:1 << j] + vecs[:, t]
     w = np.reshape([abs(m) ** p for m in mass.ravel().tolist()], mass.shape)
-    G = np.empty((1 << n, n, b))
-    for u in range(n):
-        G[1 << u] = w[1 << u] * dpow[:, u]
-        G[1 << u, u] = 0.0  # not dist[u, u] ** p: the diagonal may be ABS_TOL
-    flat, dflat = G.reshape(-1, b), dpow.reshape(n * n, -1)
-    for s, a, r, inside, outside, d in _dp_levels(n):
+    G = np.empty((1 << k, n, b))
+    one = 1 << np.arange(k)
+    G[one] = w[one, None] * dp[:k]
+    flat, found = G.reshape(-1, b), {}
+    for size, (s, a, r, x) in enumerate(_dp_levels(k, n), 2):
         gs = (flat[a] + flat[r]).min(axis=2)
-        flat[inside] = gs
-        via = gs[:, :, None] + w[s][:, None, None] * dflat[d]
-        flat[outside] = via.min(axis=1)
-    full = (1 << n) - 1
-    splits = _child_splits(full, root)
-    cost = ((G[splits, root] + G[[full ^ t for t in splits], root]).min(axis=0)
-            if splits else np.zeros(b)).tolist()
+        G[s] = (gs[:, :, None] + w[s][:, None, None] * dp[x]).min(axis=1)
+        if tree:  # J[S] at the members, then at each point off the terminals
+            j = np.concatenate((gs[:, :size], np.minimum(gs[:, size::2],
+                                                         gs[:, size + 1::2])), axis=1)
+            found.update(zip(s.tolist(), j[..., 0].tolist()))
+    cost = G[-1, k].tolist()
     norms = [c ** (1.0 / p) for c in cost]
     if not tree:
         return norms, []
     G, w = G[..., 0].tolist(), w[:, 0].tolist()
-    dpow, mass = dpow[..., 0].tolist(), mass[:, 0].tolist()
-    edges, stack = [], [(full, root, cost[0])]
+    dp, mass, cols = dp[..., 0].tolist(), mass[:, 0].tolist(), cols.tolist()
+    edges, stack = [], [(len(w) - 1, k, cost[0])]
     while stack:
-        s, x, target = stack.pop()
-        for t in _child_splits(s, x):
-            if G[t][x] + G[s ^ t][x] == target:
-                u = next(u for u in range(n) if t >> u & 1 and
-                         G[t][u] + w[t] * dpow[x][u] == G[t][x])
-                edges.append((u, x, mass[t]))
-                stack += [(t, u, G[t][u]), (s ^ t, x, G[s ^ t][x])]
-                break
+        s, v, target = stack.pop()
+        if s & (s - 1) == 0:  # one terminal, sent straight to v
+            u = s.bit_length() - 1
+        else:
+            points = [x for x in range(k) if s >> x & 1] + list(range(k, n))
+            value, u = next((j, u) for j, u in zip(found[s], points)
+                            if j + w[s] * dp[u][v] == target)
+            # the splits of S at u; off the terminals, every split of S
+            # into two whose first part holds lo(S)
+            splits = (_child_splits(s, u) if u < k else
+                      _child_splits(s | 1 << k, k)[1:])
+            t = next(t for t in splits if G[t][u] + G[s ^ t][u] == value)
+            stack += [(t, u, G[t][u]), (s ^ t, u, G[s ^ t][u])]
+        if u != v:
+            edges.append((cols[u], cols[v], mass[s]))
     return norms, edges
+
+
+def _terminals(dist, vec, p, root):
+    """The points ``_tree_dp`` must treat as terminals for one row over a
+    whole space: its support off the root when d^p satisfies the triangle
+    inequality within ``ABS_TOL`` (one broadcast n^3 test), so that the
+    other points may relay by one hop; otherwise every point but the root."""
+    held = vec != 0
+    if not held.all():
+        dp = dist ** p
+        np.fill_diagonal(dp, 0.0)
+        if not (dp[:, None] <= dp[:, :, None] + dp + ABS_TOL).all():
+            held[:] = True
+    held[root] = False
+    return held.nonzero()[0]
 
 
 def _scale(vec):
@@ -225,7 +272,9 @@ def _check_limit(limit):
 
 
 def free_norm_exact_small(space, molecule, p, forest_limit=FOREST_LIMIT_DEFAULT):
-    """Exact free norm for p in (0, 1] by the subset DP ``_tree_dp``."""
+    """Exact free norm for p in (0, 1] by the subset DP ``_tree_dp`` over
+    the whole space, with ``_terminals``; the representation may route
+    mass through points outside the support."""
     if not 0 < p <= 1:
         raise BadParameter(f"p={p} outside (0, 1]")
     _check_limit(forest_limit)
@@ -237,8 +286,9 @@ def free_norm_exact_small(space, molecule, p, forest_limit=FOREST_LIMIT_DEFAULT)
         raise BadParameter("molecule does not sum to zero")
     if np.abs(vec).max(initial=0.0) <= ABS_TOL:
         return FreeNormResult(0.0, (), "exact", p)
-    (value,), edges = _tree_dp(space.dist[None], vec[None], p, space.base,
-                               tree=True)
+    terms = _terminals(space.dist, vec, p, space.base)
+    (value,), edges = _tree_dp(space.dist[None], vec[None], p, terms,
+                               space.base, tree=True)
     eps = 1e-15 * _scale(vec)
     rep = tuple((c, a, m) if m > 0 else (a, c, -m)
                 for c, a, m in edges if abs(m) > eps)
@@ -614,22 +664,26 @@ def norm_value(space, vec, p, exact_limit=FOREST_LIMIT_DEFAULT, prefer="auto",
     points, which upper-bounds the full-space norm (exact only when the
     support is the whole space); otherwise the star/MST upper bound is
     used.  With ``certify`` the oracle runs on the whole space whenever it
-    fits under ``exact_limit``, trading speed for a certified exact value.
+    fits under ``exact_limit``, with the support's points as terminals and
+    the others as relays (``_terminals``), for a certified exact value.
     """
     _check_limit(exact_limit)
     vec = np.asarray(vec, dtype=float)
     if np.abs(vec).max(initial=0.0) <= ABS_TOL:
         return 0.0, True
-    sub, dsub, vsub = _dense_restrict(space, vec)
     if prefer == "p1" or (prefer == "auto" and p == 1.0):
-        return _transport(dsub, vsub)[0], True
+        return _transport(*_dense_restrict(space, vec)[1:])[0], True
     if prefer == "upper":
-        return _upper_value(dsub, vsub, p), False
+        return _upper_value(*_dense_restrict(space, vec)[1:], p), False
     if certify and space.n <= exact_limit:
-        return _tree_dp(space.dist[None], vec[None], p, space.base)[0][0], True
+        terms = _terminals(space.dist, vec, p, space.base)
+        return _tree_dp(space.dist[None], vec[None], p, terms,
+                        space.base)[0][0], True
+    sub, dsub, vsub = _dense_restrict(space, vec)
     if len(sub) <= exact_limit:
         exact = len(sub) == space.n  # restriction can only overestimate
-        return _tree_dp(dsub[None], vsub[None], p)[0][0], exact
+        return _tree_dp(dsub[None], vsub[None], p, np.arange(1, len(sub)),
+                        0)[0][0], exact
     return _upper_value(dsub, vsub, p), False
 
 
@@ -660,7 +714,9 @@ def norm_rows(space, rows, p, exact_limit=FOREST_LIMIT_DEFAULT):
     for k in np.unique(size[size > 0]).tolist():
         dp = p < 1 and k <= exact_limit
         todo = np.flatnonzero(size == k)
-        step = max(1, _BLOCK // (k * 3 ** (k - 1) if dp else k * k))
+        # a p < 1 row fills a (2^(k-1), k) table; no level's temporaries
+        # take more than twice that
+        step = max(1, _BLOCK // (k << k if dp else k * k))
         for at in np.array_split(todo, -(-len(todo) // step)):
             sub = order[np.argsort(~held[at], axis=1, kind="stable")[:, :k]]
             vsub = np.take_along_axis(rows[at], sub, axis=1)
@@ -682,7 +738,7 @@ def norm_rows(space, rows, p, exact_limit=FOREST_LIMIT_DEFAULT):
                         -np.take_along_axis(vsub[g], t, axis=1), eps[g])
                     v[g] = _plan_values(flow, cost, eps[g])
             elif dp:
-                v = _tree_dp(dsub, vsub, p)[0]
+                v = _tree_dp(dsub, vsub, p, np.arange(1, k), 0)[0]
                 exact[at] = k == space.n  # restriction can only overestimate
             else:
                 v = [_upper_value(d, x, p) for d, x in zip(dsub, vsub)]
@@ -693,15 +749,17 @@ def norm_rows(space, rows, p, exact_limit=FOREST_LIMIT_DEFAULT):
 
 def _scan_pairs(space, norms):
     """The first pair x < y, in lexicographic order, whose ratio
-    ``norms(x, ys) / d(x, ys)`` beats the best so far by a relative 1e-15,
-    as (best ratio, pair or None); one row of pairs at a time."""
+    ``norms(xs, ys) / d(xs, ys)`` beats the best so far by a relative 1e-15,
+    as (best ratio, pair or None).  ``norms`` gets every pair at once, as
+    the index arrays of the upper triangle.  Only a pair above every ratio
+    before it can beat the best, so the scan steps through those alone."""
+    xs, ys = np.triu_indices(space.n, 1)
+    ratios = norms(xs, ys) / space.dist[xs, ys]
+    before = np.fmax.accumulate(np.r_[0.0, ratios[:-1]])
     best, best_pair = 0.0, None
-    for x in range(space.n - 1):
-        ys = np.arange(x + 1, space.n)
-        ratios = norms(x, ys) / space.dist[x, ys]
-        for y, r in zip(ys.tolist(), ratios.tolist()):
-            if r > best * (1 + 1e-15):
-                best, best_pair = r, (x, y)
+    for i in np.flatnonzero(ratios > before).tolist():
+        if ratios[i] > best * (1 + 1e-15):
+            best, best_pair = float(ratios[i]), (int(xs[i]), int(ys[i]))
     return best, best_pair
 
 
@@ -734,12 +792,12 @@ def measure_lipschitz(space, parts, p, exact_limit=FOREST_LIMIT_DEFAULT):
             table[ka, kb] = v if len(parts) == 1 else [x ** p for x in v.tolist()]
         tables.append((label, table))
 
-    def norms(x, ys):
+    def norms(xs, ys):
         if len(tables) == 1:
             label, table = tables[0]
-            return table[label[x], label[ys]]
+            return table[label[xs], label[ys]]
         acc = np.zeros(len(ys))
         for label, table in tables:
-            acc += table[label[x], label[ys]]
+            acc += table[label[xs], label[ys]]
         return np.array([a ** (1 / p) for a in acc.tolist()])
     return (*_scan_pairs(space, norms), all_exact)

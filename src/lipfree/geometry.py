@@ -75,7 +75,7 @@ def radial_retraction(space, S, snap_tol=None):
             continue
         pmap.append(_snap(space, (S / norms[i]) * space.coords[i], snap_tol))
     img = np.array(pmap)
-    best, pair = _scan_pairs(space, lambda x, ys: space.dist[img[x], img[ys]])
+    best, pair = _scan_pairs(space, lambda xs, ys: space.dist[img[xs], img[ys]])
     fixes = all(pmap[i] == i for i in range(space.n) if norms[i] <= S + snap_tol)
     idem = all(pmap[pmap[i]] == pmap[i] for i in range(space.n))
     return RetractionReport(point_map=tuple(pmap), measured_lip=float(best),
@@ -281,5 +281,5 @@ def radial_clamp_builder(part_j, part_i, p):
         g_target = part_j.members[target_local - 1]
         block[pos_i[g_target], cj] = 1.0
     img = np.array(gmap)
-    lip, _ = _scan_pairs(sub_j, lambda x, ys: sub_j.dist[img[x], img[ys]])
+    lip, _ = _scan_pairs(sub_j, lambda xs, ys: sub_j.dist[img[xs], img[ys]])
     return block, float(lip)

@@ -21,8 +21,8 @@ from lipfree import freenorm
 from lipfree.errors import InternalInvariantBroken
 from lipfree.freenorm import (_BLOCK, FOREST_LIMIT_DEFAULT, FOREST_LIMIT_MAX,
                               _child_splits, _dense_restrict, _dp_levels,
-                              _mst_parents, _scale, _transport, _tree_dp,
-                              _upper_value)
+                              _mst_parents, _scale, _scan_pairs, _terminals,
+                              _transport, _tree_dp, _upper_value)
 from lipfree.generators import grid_zd, random_ball
 from lipfree.metric import ABS_TOL
 
@@ -416,101 +416,173 @@ def test_oracle_matches_brute_force_tree_enumeration(rng):
                 check_result_consistency(sp, m, res)
 
 
-def scalar_tree_dp(dist, vec, p):
-    """Reference: the recurrence of ``_tree_dp`` one subset and one point
-    at a time, in increasing bitmask order, on Python floats; returns
-    (norm, edges) with the same backtracking, at every root in turn."""
-    n = len(vec)
-    full = (1 << n) - 1
+def relay_splits(s, k):
+    """The splits of a terminal subset s at a point off the terminals: the
+    subsets of s holding its lowest terminal, other than s itself."""
+    return _child_splits(s | 1 << k, k)[1:]
+
+
+def scalar_send_split(dist, vec, p, terms, root):
+    """Reference: the recurrence of ``_tree_dp`` one terminal subset, split
+    point and target at a time, in increasing mask order, on Python floats;
+    returns (norm, edges) with the same backtracking."""
+    n, k = len(vec), len(terms)
+    if k == 0:
+        return 0.0, []
+    cols = list(terms) + [root] + [x for x in range(n)
+                                   if x != root and x not in terms]
     dpow = (dist ** p).tolist()
+    dp = [[0.0 if u == v else dpow[cu][cv] for v, cv in enumerate(cols)]
+          for u, cu in enumerate(cols)]
     mass = [0.0]
-    for v in vec.tolist():
-        mass += [m + v for m in mass]
+    for t in terms:
+        mass += [m + float(vec[t]) for m in mass]
     w = [abs(m) ** p for m in mass]
-    G = [None] * len(mass)
-    for u in range(n):
-        G[1 << u] = [w[1 << u] * dx[u] for dx in dpow]
-        G[1 << u][u] = 0.0
-    for s in range(3, full):
-        if s & (s - 1):  # two or more points
-            mem = [x for x in range(n) if s >> x & 1]
-            G[s] = gs = [min(G[t][x] + G[s ^ t][x] for t in _child_splits(s, x))
-                         if s >> x & 1 else math.inf for x in range(n)]
-            for x in range(n):
-                if not s >> x & 1:
-                    gs[x] = min(gs[u] + w[s] * dpow[x][u] for u in mem)
-    out = []
-    for root in range(n):
-        cost = min((G[t][root] + G[full ^ t][root]
-                    for t in _child_splits(full, root)), default=0.0)
-        edges, stack = [], [(full, root, cost)]
-        while stack:
-            s, x, target = stack.pop()
-            for t in _child_splits(s, x):
-                if G[t][x] + G[s ^ t][x] == target:
-                    u = next(u for u in range(n) if t >> u & 1 and
-                             G[t][u] + w[t] * dpow[x][u] == G[t][x])
-                    edges.append((u, x, mass[t]))
-                    stack += [(t, u, G[t][u]), (s ^ t, x, G[s ^ t][x])]
-                    break
-        out.append((cost ** (1.0 / p), edges))
-    return out
+    G, J = [None] * len(mass), [None] * len(mass)
+    for j in range(k):
+        G[1 << j] = [w[1 << j] * dp[j][v] for v in range(n)]
+    for s in range(3, len(mass)):
+        if s & (s - 1):  # two or more terminals
+            J[s] = {x: min(G[t][x] + G[s ^ t][x] for t in (
+                _child_splits(s, x) if x < k else relay_splits(s, k)))
+                for x in range(n) if x >= k or s >> x & 1}
+            G[s] = [min(j + w[s] * dp[x][v] for x, j in J[s].items())
+                    for v in range(n)]
+    cost = G[-1][k]
+    edges, stack = [], [(len(mass) - 1, k, cost)]
+    while stack:
+        s, v, target = stack.pop()
+        if s & (s - 1) == 0:
+            u = s.bit_length() - 1
+        else:
+            u = next(x for x, j in J[s].items() if j + w[s] * dp[x][v] == target)
+            t = next(t for t in (_child_splits(s, u) if u < k else relay_splits(s, k))
+                     if G[t][u] + G[s ^ t][u] == J[s][u])
+            stack += [(t, u, G[t][u]), (s ^ t, u, G[s ^ t][u])]
+        if u != v:
+            edges.append((cols[u], cols[v], mass[s]))
+    return cost ** (1.0 / p), edges
 
 
 def test_tree_dp_matches_scalar_reference(rng):
-    """Bitwise, up to 10 points and at every root: values for a batch of
-    rows over per-row distances and over one shared distance table, and
-    value and tree per row, on snowflaked distances, a 1e-13 diagonal and
-    zero coefficients."""
-    for n in range(1, 11):
-        b = 6 if n <= 8 else 3
-        for p in (1.0, 0.5, 0.25, 0.7):
+    """Bitwise, up to 8 points and at every root, with every other point a
+    terminal and with a random subset of them: values for a batch of rows
+    over per-row distances and over one shared distance table, and value
+    and network per row, on snowflaked distances, a 1e-13 diagonal and zero
+    coefficients."""
+    for n in range(1, 9):
+        b = 4 if n <= 6 else 3
+        for p in ((1.0, 0.5, 0.25, 0.7) if n <= 6 else (0.5, 0.7)):
             pts = rng.standard_normal((b, n, 2))
             dist = np.sqrt(((pts[:, :, None] - pts[:, None]) ** 2).sum(-1))
             dist[1] **= 0.5
             dist[2][np.diag_indices(n)] = 1e-13
             vecs = rng.standard_normal((b, n)) * 10.0 ** rng.integers(-3, 4, (b, 1))
             vecs[rng.random((b, n)) < 0.25] = 0.0
-            want = [scalar_tree_dp(dist[i], vecs[i], p) for i in range(b)]
-            # rows 0-2 over row 2's distances, shared as one (1, n, n) table
-            shared = [scalar_tree_dp(dist[2], v, p) for v in vecs[:2]] + want[2:3]
             for root in range(n):
-                assert _tree_dp(dist, vecs, p, root)[0] == [
-                    w[root][0] for w in want]
-                assert _tree_dp(dist[2:3], vecs[:3], p, root)[0] == [
-                    w[root][0] for w in shared]
-                for i in range(b):
-                    norm, edges = want[i][root]
-                    assert _tree_dp(dist[i][None], vecs[i][None], p, root,
-                                    tree=True) == ([norm], edges)
+                others = [x for x in range(n) if x != root]
+                some = sorted(x for x in others if rng.random() < 0.6)
+                for terms in (others, some):
+                    want = [scalar_send_split(dist[i], vecs[i], p, terms, root)
+                            for i in range(b)]
+                    # rows 0-2 over row 2's distances, shared as one table
+                    shared = [scalar_send_split(dist[2], v, p, terms, root)
+                              for v in vecs[:2]] + want[2:3]
+                    terms = np.array(terms, dtype=int)
+                    assert _tree_dp(dist, vecs, p, terms, root)[0] == [
+                        w[0] for w in want]
+                    assert _tree_dp(dist[2:3], vecs[:3], p, terms, root)[0] == [
+                        w[0] for w in shared]
+                    for i in range(b):
+                        norm, edges = want[i]
+                        assert _tree_dp(dist[i][None], vecs[i][None], p, terms,
+                                        root, tree=True) == ([norm], edges)
 
 
 def test_dp_levels_are_the_admissible_splits():
-    """Each (S, x) rectangle of ``_dp_levels`` holds, as a set, exactly the
-    splits {T, S - T} of a tree on S rooted at x, with T the subtree below
-    x that holds the lowest point of S - {x}; every row names its own S
-    and a point of S, or a point off S where it should."""
-    for n in range(1, 8):
-        levels = _dp_levels(n)
-        assert len(levels) == max(n - 2, 0)
-        for size, (s, a, r, inside, outside, d) in enumerate(levels, 2):
-            assert s.tolist() == [m for m in range(1 << n)
-                                  if m.bit_count() == size]
-            assert a.shape == r.shape == (len(s), size, 1 << size - 2)
-            for k, S in enumerate(s.tolist()):
-                mem = [x for x in range(n) if S >> x & 1]
-                off = [x for x in range(n) if not S >> x & 1]
-                assert inside[k].tolist() == [S * n + x for x in mem]
-                assert outside[k].tolist() == [S * n + x for x in off]
-                assert d[k].tolist() == [[x * n + u for x in off] for u in mem]
-                for j, x in enumerate(mem):
-                    low = min(set(mem) - {x})
-                    want = {frozenset((t, S ^ t)) for t in range(1 << n)
-                            if t & ~S == 0 and not t >> x & 1 and t >> low & 1}
-                    rows = list(zip(a[k, j].tolist(), r[k, j].tolist()))
-                    assert all(ra % n == x and rb % n == x for ra, rb in rows)
-                    got = [frozenset((ra // n, rb // n)) for ra, rb in rows]
-                    assert len(set(got)) == len(got) and set(got) == want
+    """Per level of ``_dp_levels(k, n)``: the terminal subsets of one size;
+    their split points, the members in order and then each point off the
+    terminals twice; at a member x, exactly the splits {T, S - T} with T
+    below x holding the lowest point of S - {x}; at a point off the
+    terminals, its two rectangles hold exactly the splits into two
+    non-empty parts.  Every row names its own split point."""
+    for k in range(1, 7):
+        for n in (k + 1, k + 3):
+            levels = _dp_levels(k, n)
+            assert len(levels) == k - 1
+            for size, (s, a, r, x) in enumerate(levels, 2):
+                assert s.tolist() == [m for m in range(1 << k)
+                                      if m.bit_count() == size]
+                assert a.shape == r.shape == (len(s), size + 2 * (n - k),
+                                              1 << size - 2)
+                for S, ra, rr, pts in zip(s.tolist(), a.tolist(), r.tolist(),
+                                          x.tolist()):
+                    mem = [y for y in range(k) if S >> y & 1]
+                    far = [y for y in range(k, n) for _ in range(2)]
+                    assert pts == mem + far
+                    got = {}
+                    for y, row_a, row_r in zip(pts, ra, rr):
+                        assert all(q % n == y for q in row_a + row_r)
+                        got.setdefault(y, set()).update(
+                            frozenset((qa // n, qr // n))
+                            for qa, qr in zip(row_a, row_r))
+                    for y, pairs in got.items():
+                        if y < k:
+                            low = min(set(mem) - {y})
+                            want = {frozenset((t, S ^ t)) for t in range(1 << k)
+                                    if t & ~S == 0 and not t >> y & 1
+                                    and t >> low & 1}
+                        else:
+                            want = {frozenset((t, S ^ t)) for t in range(1, S)
+                                    if t & ~S == 0}
+                        assert pairs == want
+                        assert all(len(pair) == 2 for pair in pairs)
+
+
+def star_of_leaves():
+    """A tree metric: base 0, a hub 1 at distance 10, and three leaves at
+    distance 1 from the hub (so 2 from each other and 11 from the base)."""
+    d = np.full((5, 5), 2.0)
+    d[0, 1:] = d[1:, 0] = 11.0
+    d[1, :] = d[:, 1] = 1.0
+    d[0, 1] = d[1, 0] = 10.0
+    np.fill_diagonal(d, 0.0)
+    return space_from_matrix(d)
+
+
+def test_oracle_relays_through_a_zero_mass_hub():
+    """Over the whole space the leaves' masses merge at the hub, which
+    carries none; the support-restricted value cannot, and is above it.
+    (At p = 0.25 merging at a leaf is cheaper still, and there is no gain.)"""
+    sp, p = star_of_leaves(), 0.5
+    m = Molecule.balanced({2: 1.0, 3: 1.0, 4: 1.0}, 0)
+    vec = m.vector(sp.n)
+    assert _terminals(sp.dist, vec, p, 0).tolist() == [2, 3, 4]
+    res = free_norm_exact_small(sp, m, p)
+    want = (3.0 + math.sqrt(3.0) * math.sqrt(10.0)) ** 2
+    assert res.value == pytest.approx(want, rel=1e-14)
+    assert res.value == pytest.approx(brute_force_norm(sp, m, p), rel=1e-14)
+    assert norm_value(sp, vec, p, certify=True) == (res.value, True)
+    restricted, exact = norm_value(sp, vec, p)
+    assert not exact and restricted > res.value * (1 + 1e-3)
+    assert sorted(res.representation) == [(1, 0, 3.0), (2, 1, 1.0),
+                                          (3, 1, 1.0), (4, 1, 1.0)]
+    check_result_consistency(sp, m, res, rel=1e-14)
+
+
+def test_certified_value_relays_off_a_non_metric_matrix():
+    """d(0, 2) = 5 breaks the triangle inequality through point 1, so the
+    zero-mass point 1 stays a terminal and the two-hop route is found."""
+    sp = space_from_matrix([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+    m = Molecule.balanced({2: 1.0}, 0)
+    vec = m.vector(sp.n)
+    assert _terminals(sp.dist, vec, 0.5, 0).tolist() == [1, 2]
+    value, exact = norm_value(sp, vec, 0.5, certify=True)
+    assert exact and value == pytest.approx(4.0, rel=1e-14)
+    assert value == pytest.approx(brute_force_norm(sp, m, 0.5), rel=1e-14)
+    res = free_norm_exact_small(sp, m, 0.5)
+    assert res.value == value
+    assert sorted(res.representation) == [(1, 0, 1.0), (2, 1, 1.0)]
 
 
 def test_oracle_at_ten_points(rng):
@@ -688,7 +760,7 @@ def test_upper_value_never_below_tree_dp(rng):
                                    alpha=float(rng.choice([1.0, 0.5]))).dist
         vsub = rng.standard_normal(k)
         vsub[0] = -vsub[1:].sum()
-        exact = _tree_dp(dsub[None], vsub[None], 0.5)[0][0]
+        exact = _tree_dp(dsub[None], vsub[None], 0.5, np.arange(1, k), 0)[0][0]
         assert _upper_value(dsub, vsub, 0.5) >= exact * (1 - 1e-12)
 
 
@@ -808,3 +880,33 @@ def test_measure_lipschitz_matches_every_pair(rng, p):
             parts.append((target, rows))
         assert measure_lipschitz(space, parts, p) == \
             _measure_every_pair(space, parts, p, FOREST_LIMIT_DEFAULT)
+
+
+def test_scan_pairs_matches_a_pair_loop(rng):
+    """The first pair whose ratio beats the best by a relative 1e-15, as a
+    loop over the pairs in lexicographic order finds it: ratios that rise
+    step by step, creep up by less than 1e-15, tie, or are zero or NaN."""
+    space = random_metric_space(rng, 12)
+    xs, ys = np.triu_indices(space.n, 1)
+    m = len(xs)
+    for case in range(60):
+        ratios = [rng.random(m), np.sort(rng.random(m)),
+                  1.0 + np.arange(m) * 4e-16 * rng.integers(1, 4),
+                  rng.integers(0, 3, m).astype(float)][case % 4]
+        ratios[rng.random(m) < 0.05] = 0.0
+        if case % 3 == 0:
+            ratios[rng.integers(m)] = np.nan
+        values = ratios * space.dist[xs, ys]
+        best, best_pair = 0.0, None
+        for x, y, v in zip(xs.tolist(), ys.tolist(), values.tolist()):
+            r = v / space.dist[x, y]
+            if r > best * (1 + 1e-15):
+                best, best_pair = r, (x, y)
+        seen = []
+
+        def norms(a, b):
+            seen.append((a, b))
+            return values
+        assert _scan_pairs(space, norms) == (best, best_pair)
+        assert [(a.tolist(), b.tolist()) for a, b in seen] == [
+            (xs.tolist(), ys.tolist())]
