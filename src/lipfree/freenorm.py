@@ -714,9 +714,11 @@ def norm_rows(space, rows, p, exact_limit=FOREST_LIMIT_DEFAULT):
     for k in np.unique(size[size > 0]).tolist():
         dp = p < 1 and k <= exact_limit
         todo = np.flatnonzero(size == k)
-        # a p < 1 row fills a (2^(k-1), k) table; no level's temporaries
-        # take more than twice that
-        step = max(1, _BLOCK // (k << k if dp else k * k))
+        # per p < 1 row, _tree_dp's largest temporaries are its widest
+        # level's split rectangles, three of them at once
+        width = max([k << k - 1] + [a.size for _, a, _, _ in
+                                     _dp_levels(k - 1, k)]) if dp else k * k
+        step = max(1, _BLOCK // width)
         for at in np.array_split(todo, -(-len(todo) // step)):
             sub = order[np.argsort(~held[at], axis=1, kind="stable")[:, :k]]
             vsub = np.take_along_axis(rows[at], sub, axis=1)
@@ -750,16 +752,22 @@ def norm_rows(space, rows, p, exact_limit=FOREST_LIMIT_DEFAULT):
 def _scan_pairs(space, norms):
     """The first pair x < y, in lexicographic order, whose ratio
     ``norms(xs, ys) / d(xs, ys)`` beats the best so far by a relative 1e-15,
-    as (best ratio, pair or None).  ``norms`` gets every pair at once, as
-    the index arrays of the upper triangle.  Only a pair above every ratio
-    before it can beat the best, so the scan steps through those alone."""
-    xs, ys = np.triu_indices(space.n, 1)
-    ratios = norms(xs, ys) / space.dist[xs, ys]
-    before = np.fmax.accumulate(np.r_[0.0, ratios[:-1]])
+    as (best ratio, pair or None).  ``norms`` gets the pairs of the upper
+    triangle as index arrays, in blocks of whole rows of about ``_BLOCK``
+    pairs.  Only a pair above every ratio before it in its block can beat
+    the best, so the scan steps through those alone."""
+    n = space.n
     best, best_pair = 0.0, None
-    for i in np.flatnonzero(ratios > before).tolist():
-        if ratios[i] > best * (1 + 1e-15):
-            best, best_pair = float(ratios[i]), (int(xs[i]), int(ys[i]))
+    step = max(1, _BLOCK // n)
+    for lo in range(0, n - 1, step):
+        xs, ys = np.nonzero(np.arange(lo, min(lo + step, n))[:, None]
+                            < np.arange(n))
+        xs += lo
+        ratios = norms(xs, ys) / space.dist[xs, ys]
+        before = np.fmax.accumulate(np.r_[0.0, ratios[:-1]])
+        for i in np.flatnonzero(ratios > before).tolist():
+            if ratios[i] > best * (1 + 1e-15):
+                best, best_pair = float(ratios[i]), (int(xs[i]), int(ys[i]))
     return best, best_pair
 
 

@@ -465,21 +465,23 @@ def scalar_send_split(dist, vec, p, terms, root):
 
 
 def test_tree_dp_matches_scalar_reference(rng):
-    """Bitwise, up to 8 points and at every root, with every other point a
-    terminal and with a random subset of them: values for a batch of rows
-    over per-row distances and over one shared distance table, and value
-    and network per row, on snowflaked distances, a 1e-13 diagonal and zero
-    coefficients."""
-    for n in range(1, 9):
-        b = 4 if n <= 6 else 3
-        for p in ((1.0, 0.5, 0.25, 0.7) if n <= 6 else (0.5, 0.7)):
+    """Bitwise, up to 10 points, with every other point a terminal and with
+    a random subset of them: values for a batch of rows over per-row
+    distances and over one shared distance table, and value and network
+    per row, on snowflaked distances, a 1e-13 diagonal and zero
+    coefficients.  Every root up to 8 points; two roots, the base and a
+    random one, at 9 and 10."""
+    for n in range(1, 11):
+        b = 6 if n <= 8 else 3
+        for p in (1.0, 0.5, 0.25, 0.7):
             pts = rng.standard_normal((b, n, 2))
             dist = np.sqrt(((pts[:, :, None] - pts[:, None]) ** 2).sum(-1))
             dist[1] **= 0.5
             dist[2][np.diag_indices(n)] = 1e-13
             vecs = rng.standard_normal((b, n)) * 10.0 ** rng.integers(-3, 4, (b, 1))
             vecs[rng.random((b, n)) < 0.25] = 0.0
-            for root in range(n):
+            roots = range(n) if n <= 8 else (0, int(rng.integers(1, n)))
+            for root in roots:
                 others = [x for x in range(n) if x != root]
                 some = sorted(x for x in others if rng.random() < 0.6)
                 for terms in (others, some):
@@ -506,8 +508,8 @@ def test_dp_levels_are_the_admissible_splits():
     below x holding the lowest point of S - {x}; at a point off the
     terminals, its two rectangles hold exactly the splits into two
     non-empty parts.  Every row names its own split point."""
-    for k in range(1, 7):
-        for n in (k + 1, k + 3):
+    for k in range(1, 10):
+        for n in ((k + 1, k + 3) if k <= 6 else (k + 1,)):
             levels = _dp_levels(k, n)
             assert len(levels) == k - 1
             for size, (s, a, r, x) in enumerate(levels, 2):
@@ -882,10 +884,11 @@ def test_measure_lipschitz_matches_every_pair(rng, p):
             _measure_every_pair(space, parts, p, FOREST_LIMIT_DEFAULT)
 
 
-def test_scan_pairs_matches_a_pair_loop(rng):
+def test_scan_pairs_matches_a_pair_loop(rng, monkeypatch):
     """The first pair whose ratio beats the best by a relative 1e-15, as a
     loop over the pairs in lexicographic order finds it: ratios that rise
-    step by step, creep up by less than 1e-15, tie, or are zero or NaN."""
+    step by step, creep up by less than 1e-15, tie, or are zero or NaN;
+    with all pairs in one block, and in blocks of two rows and of one."""
     space = random_metric_space(rng, 12)
     xs, ys = np.triu_indices(space.n, 1)
     m = len(xs)
@@ -902,11 +905,15 @@ def test_scan_pairs_matches_a_pair_loop(rng):
             r = v / space.dist[x, y]
             if r > best * (1 + 1e-15):
                 best, best_pair = r, (x, y)
-        seen = []
+        for block, rows in ((_BLOCK, space.n - 1), (2 * space.n, 2), (1, 1)):
+            monkeypatch.setattr(freenorm, "_BLOCK", block)
+            seen = []
 
-        def norms(a, b):
-            seen.append((a, b))
-            return values
-        assert _scan_pairs(space, norms) == (best, best_pair)
-        assert [(a.tolist(), b.tolist()) for a, b in seen] == [
-            (xs.tolist(), ys.tolist())]
+            def norms(a, b):
+                seen.append((a.tolist(), b.tolist()))
+                at = np.searchsorted(xs, a[0])
+                return values[at:at + len(a)]
+            assert _scan_pairs(space, norms) == (best, best_pair)
+            assert [len(set(a)) for a, _ in seen[:-1]] == [rows] * (len(seen) - 1)
+            assert [x for a, _ in seen for x in a] == xs.tolist()
+            assert [y for _, b in seen for y in b] == ys.tolist()
