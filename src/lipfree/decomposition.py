@@ -292,15 +292,21 @@ def _space_basis(space):
     return tuple(i for i in range(space.n) if i != space.base)
 
 
+def _placed(rows, cols, entries):
+    """The matrix over the labels ``rows`` and ``cols`` holding each (row
+    label, column label, value) of ``entries``."""
+    row_pos = {lab: i for i, lab in enumerate(rows)}
+    col_pos = {lab: i for i, lab in enumerate(cols)}
+    m = np.zeros((len(rows), len(cols)))
+    for r, c, v in entries:
+        m[row_pos[r], col_pos[c]] = v
+    return LinearMapMatrix(rows, cols, m)
+
+
 def operator_P(family):
     """Sum of canonical inclusions: (mu_n)_n -> sum_n L_n(mu_n)."""
-    rows = _space_basis(family.space)
-    cols = _sum_basis(family)
-    row_pos = {g: i for i, g in enumerate(rows)}
-    m = np.zeros((len(rows), len(cols)))
-    for c, (_, g) in enumerate(cols):
-        m[row_pos[g], c] = 1.0
-    return LinearMapMatrix(rows, cols, m)
+    return _placed(_space_basis(family.space), _sum_basis(family),
+                   ((g, (key, g), 1.0) for key, g in _sum_basis(family)))
 
 
 def log_radii(space, R):
@@ -322,55 +328,42 @@ def operator_T(family, weights):
     """
     space = family.space
     us = log_radii(space, family.R)
-    cols = _space_basis(space)
-    rows = _sum_basis(family)
-    row_pos = {lab: i for i, lab in enumerate(rows)}
-    finite_us = np.where(np.isfinite(us), us, 0.0)
-    w = weights.psi_values(finite_us)
-    m = np.zeros((len(rows), len(cols)))
+    w = weights.psi_values(np.where(np.isfinite(us), us, 0.0))
     member_sets = [set(part.members) for part in family.parts]
-    for ci, g in enumerate(cols):
-        for ni, part in enumerate(family.parts):
-            val = float(w[ni, g])
-            if val == 0.0 or not math.isfinite(us[g]):
-                continue
-            if g not in member_sets[ni]:
-                if abs(val) <= ABS_TOL:
+
+    def entries():
+        for g in _space_basis(space):
+            for ni, part in enumerate(family.parts):
+                val = float(w[ni, g])
+                if val == 0.0 or not math.isfinite(us[g]):
                     continue
-                raise SupportMismatch(
-                    f"weight {ni} is {val} at point {g} outside its annulus")
-            m[row_pos[(part.key, g)], ci] = val
-    return LinearMapMatrix(rows, cols, m)
+                if g not in member_sets[ni]:
+                    if abs(val) <= ABS_TOL:
+                        continue
+                    raise SupportMismatch(
+                        f"weight {ni} is {val} at point {g} outside its annulus")
+                yield (part.key, g), g, val
+    return _placed(_sum_basis(family), _space_basis(space), entries())
 
 
 def operator_block_inclusion(fine, coarse):
     """Canonical embedding of the sum over subsets (per-part inclusion)."""
-    rows = _sum_basis(coarse)
-    cols = _sum_basis(fine)
-    row_pos = {lab: i for i, lab in enumerate(rows)}
-    m = np.zeros((len(rows), len(cols)))
-    for c, lab in enumerate(cols):
-        if lab not in row_pos:
-            raise BadFamily(f"fine part member {lab} missing from coarse family")
-        m[row_pos[lab], c] = 1.0
-    return LinearMapMatrix(rows, cols, m)
+    rows, cols = _sum_basis(coarse), _sum_basis(fine)
+    held = set(rows)
+    missing = [lab for lab in cols if lab not in held]
+    if missing:
+        raise BadFamily(f"fine part member {missing[0]} missing from coarse "
+                        f"family")
+    return _placed(rows, cols, ((lab, lab, 1.0) for lab in cols))
 
 
 def operator_block_diagonal(blocks, fine, coarse):
     """Block-diagonal operator from per-part matrices (J-basis to I-basis)."""
-    rows = _sum_basis(coarse)
-    cols = _sum_basis(fine)
-    row_pos = {lab: i for i, lab in enumerate(rows)}
-    col_pos = {lab: i for i, lab in enumerate(cols)}
-    m = np.zeros((len(rows), len(cols)))
-    for part_f, part_c, block in zip(fine.parts, coarse.parts, blocks):
-        for cj, gj in enumerate(part_f.members):
-            col = col_pos[(part_f.key, gj)]
-            for ri, gi in enumerate(part_c.members):
-                v = block[ri, cj]
-                if v != 0.0:
-                    m[row_pos[(part_c.key, gi)], col] = v
-    return LinearMapMatrix(rows, cols, m)
+    return _placed(_sum_basis(coarse), _sum_basis(fine), (
+        ((part_c.key, gi), (part_f.key, gj), block[ri, cj])
+        for part_f, part_c, block in zip(fine.parts, coarse.parts, blocks)
+        for cj, gj in enumerate(part_f.members)
+        for ri, gi in enumerate(part_c.members) if block[ri, cj] != 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +552,8 @@ def verify_pst_identity(space, cores, r, R, p, outer_intervals=None, k=None,
     cores = [(float(a), float(b)) for a, b in cores]
     js = [(a - r, b + r) for a, b in cores]
     if outer_intervals is None:
-        outer_intervals = [IntervalSpec(lo, hi, True, True) if math.isfinite(lo)
-                           and math.isfinite(hi)
-                           else IntervalSpec(lo, hi, math.isfinite(lo),
-                                             math.isfinite(hi))
-                           for lo, hi in js]
+        outer_intervals = [IntervalSpec(lo, hi, math.isfinite(lo),
+                                        math.isfinite(hi)) for lo, hi in js]
     for (lo, hi), iv in zip(js, outer_intervals):
         inner = IntervalSpec(lo, hi, False, False)
         if iv.intersect(inner) != inner:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, BadSubset, InternalInvariantBroken, TooSmall
-from .freenorm import (FOREST_LIMIT_DEFAULT, Molecule, measure_lipschitz,
-                       norm_value)
+from .freenorm import (FOREST_LIMIT_DEFAULT, Molecule, _scan_pairs,
+                       measure_lipschitz, norm_value)
 from .metric import (_BLOCK, REL_TOL, doubling_constant_upper,
                      maximal_separated_net)
 
@@ -43,7 +43,6 @@ class WhitneySystem:
     complement: tuple          # global indices off the subset
     indices: tuple             # (scale n, net point global index)
     v_masks: np.ndarray        # (n_idx, n_comp) bool
-    w_masks: np.ndarray        # (n_idx, n_comp) bool
     phi: np.ndarray            # (n_idx, n_comp)
     phi_total: np.ndarray      # (n_comp,)
     psi: np.ndarray            # (n_idx, n_comp)
@@ -171,7 +170,6 @@ def whitney_cover(space, net):
         system = WhitneySystem(
             space=space, net=tuple(net), complement=(), indices=(),
             v_masks=np.zeros((0, 0), dtype=bool),
-            w_masks=np.zeros((0, 0), dtype=bool),
             phi=np.zeros((0, 0)), phi_total=np.zeros(0),
             psi=np.zeros((0, 0)), dist_to_net=np.zeros(0),
             doubling_value=doubling.value, overlap_bound=float(K), checks=())
@@ -182,7 +180,6 @@ def whitney_cover(space, net):
     n_hi = int(math.floor(math.log2(d_net.max())))
 
     indices = []
-    w_rows = []
     v_rows = []
     for scale in range(n_lo, n_hi + 1):
         radius = 2.0 ** scale
@@ -196,16 +193,12 @@ def whitney_cover(space, net):
             members = shell[nearest == yi]
             if members.size == 0:
                 continue
-            w = np.zeros(len(comp), dtype=bool)
-            w[members] = True
             dcell = space.dist[np.ix_(comp_idx, comp_idx[members])].min(axis=1)
             v = dcell < radius / 2.0
             indices.append((scale, int(y)))
-            w_rows.append(w)
             v_rows.append(v)
 
     v_masks = np.array(v_rows, dtype=bool) if v_rows else np.zeros((0, len(comp)), bool)
-    w_masks = np.array(w_rows, dtype=bool) if w_rows else np.zeros((0, len(comp)), bool)
     # phi_i = d(., X \ V_i) on V_i and 0 off it, computed on V_i's rows only
     phi = np.zeros((len(indices), len(comp)))
     for ii, v in enumerate(v_masks):
@@ -222,7 +215,7 @@ def whitney_cover(space, net):
                        d_net, K)
     system = WhitneySystem(
         space=space, net=tuple(net), complement=tuple(comp),
-        indices=tuple(indices), v_masks=v_masks, w_masks=w_masks, phi=phi,
+        indices=tuple(indices), v_masks=v_masks, phi=phi,
         phi_total=phi_total, psi=psi, dist_to_net=d_net,
         doubling_value=doubling.value, overlap_bound=float(K), checks=checks)
     if not system.all_passed:
@@ -238,12 +231,12 @@ class ExtensionMap:
     """Point-to-molecule assignment restricting to delta on the subset.
 
     coeffs[x] holds the delta-coordinates of the image of point x over the
-    subset subspace (rows sum to one); the subset subspace has the base
-    first, preserving stored order otherwise.
+    subset subspace; ``net`` lists the subset in that subspace's order,
+    the base first and stored order otherwise.
     """
 
     space: object
-    net: tuple
+    net: tuple              # global indices, in the columns' order
     net_subspace: object
     coeffs: np.ndarray      # (n_points, n_net)
     p: float
@@ -258,12 +251,29 @@ class ExtensionMap:
             {i: float(c) for i, c in enumerate(row) if c != 0.0 and i != 0}, 0)
 
 
-def _net_layout(space, net):
+def _subset_map(space, net, coeffs, p, bound, exact_limit, measure):
+    """The map x -> sum_j coeffs[x, j] delta(net[j]) into the free space
+    over ``net`` (sorted global indices, base included), with delta on
+    ``net`` itself, so callers fill only the rows off it.  The columns are
+    laid out base first, and the measured constant, if ``measure``, is
+    compared against ``bound``."""
     net = list(net)
-    order = [space.base] + [g for g in net if g != space.base]
+    cols = np.arange(len(net))
+    coeffs[net, cols] = 1.0
+    at = net.index(space.base)
+    cols = np.r_[at, np.delete(cols, at)]
+    order = tuple(net[j] for j in cols)
     sub = space.take(order, 0)
-    pos = {g: i for i, g in enumerate(order)}
-    return sub, order, pos
+    coeffs = coeffs[:, cols]
+    if measure:
+        lip, pair, exact = measure_lipschitz(space, [(sub, coeffs)], p,
+                                             exact_limit)
+    else:
+        lip, pair, exact = float("nan"), None, False
+    return ExtensionMap(space=space, net=order, net_subspace=sub,
+                        coeffs=coeffs, p=p, measured_lip=float(lip),
+                        lip_bound=float(bound), witness_pair=pair,
+                        measured_exact=exact)
 
 
 def extension_constant(p, doubling_value):
@@ -337,37 +347,21 @@ def doubling_extension_map(space, net, p, system=None,
         raise BadParameter(f"p={p} outside (0, 1]")
     if system is None:
         system = whitney_cover(space, net)
-    sub, order, pos = _net_layout(space, system.net)
-    coeffs = np.zeros((space.n, sub.n))
-    for g in system.net:
-        coeffs[g, pos[g]] = 1.0
+    net = system.net
+    coeffs = np.zeros((space.n, len(net)))
     comp = np.array(system.complement, dtype=int)
     for (_, y), w in zip(system.indices, system.psi):
-        coeffs[comp, pos[y]] += w  # index order; adding +0.0 changes nothing
-    bound = extension_constant(p, system.doubling_value)
-    if measure:
-        lip, pair, exact = measure_lipschitz(space, [(sub, coeffs)], p,
-                                             exact_limit)
-    else:
-        lip, pair, exact = float("nan"), None, False
-    return ExtensionMap(space=space, net=tuple(system.net), net_subspace=sub,
-                        coeffs=coeffs, p=p, measured_lip=float(lip),
-                        lip_bound=float(bound), witness_pair=pair,
-                        measured_exact=exact)
+        coeffs[comp, net.index(y)] += w  # index order; +0.0 changes nothing
+    return _subset_map(space, net, coeffs, p,
+                       extension_constant(p, system.doubling_value),
+                       exact_limit, measure)
 
 
 def linearization_residual(ext):
-    """Residual of L_f o L_iota = Id on the subset delta-basis."""
-    sub = ext.net_subspace
-    order = [ext.space.base] + [g for g in ext.net if g != ext.space.base]
-    resid = 0.0
-    for li in range(1, sub.n):
-        g = order[li]
-        col = ext.coeffs[g].copy()
-        col[li] -= 1.0
-        col[0] = 0.0  # base coefficient is quotiented out
-        resid = max(resid, float(np.abs(col).max()))
-    return resid
+    """Residual of L_f o L_iota = Id on the subset delta-basis; the base
+    coefficient is quotiented out."""
+    held = ext.coeffs[list(ext.net)] - np.eye(len(ext.net))
+    return float(np.abs(held[1:, 1:]).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -378,16 +372,17 @@ class PointRemovalReport:
     bound: float
     witness_pair: tuple | None
     chain_ok: bool
-    chain_margin: float
-    map: ExtensionMap
 
 
-def point_removal_map(space, x0, p, exact_limit=FOREST_LIMIT_DEFAULT):
+def point_removal_map(space, x0, p):
     """Collapse one point to zero, re-basing at its nearest neighbor.
 
-    The map sends every other point to its own delta and x0 to zero; with
-    the nearest-neighbor base choice it is 2^{1/p}-Lipschitz.  The summed
-    power-distance chain inequality is checked for every remaining point.
+    The map sends every other point to its own delta and x0 to zero, the
+    delta of the new base; with the nearest-neighbor base choice it is
+    2^{1/p}-Lipschitz.  Since delta is an isometry into F_p for every p,
+    its constant is the largest distance ratio d(f x, f y) / d(x, y).  The
+    summed power-distance chain inequality is checked for every remaining
+    point.
     """
     if space.n < 2:
         raise TooSmall("need at least two points to remove one")
@@ -399,37 +394,24 @@ def point_removal_map(space, x0, p, exact_limit=FOREST_LIMIT_DEFAULT):
     keep = [i for i in range(space.n) if i != x0]
     d0 = space.dist[x0]
     new_base = min(keep, key=lambda i: (d0[i], i))
-    order = [new_base] + [i for i in keep if i != new_base]
-    sub = space.take(order, 0)
-    pos = {g: i for i, g in enumerate(order)}
-    coeffs = np.zeros((space.n, sub.n))
-    for g in keep:
-        coeffs[g, pos[g]] = 1.0
-    # x0 row stays zero
-    lip, pair, exact = measure_lipschitz(space, [(sub, coeffs)], p, exact_limit)
-    bound = 2.0 ** (1.0 / p)
+    img = np.arange(space.n)
+    img[x0] = new_base
+    lip, pair = _scan_pairs(space, lambda xs, ys: space.dist[img[xs], img[ys]])
     # chain: d^p(x0, b) + d^p(x, b) <= d^p(x0, x) + 2 d^p(x0, b)
     #        <= (1 + 2 (1 + eps)^p) d^p(x0, x) for every x != x0
     eps = 1e-9
-    chain_ok, margin = True, math.inf
+    chain_ok = True
     for x in keep:
         if x == new_base:
             continue
         lhs = d0[new_base] ** p + space.dist[x, new_base] ** p
         mid = space.dist[x0, x] ** p + 2 * d0[new_base] ** p
         rhs = (1 + 2 * (1 + eps) ** p) * space.dist[x0, x] ** p
-        margin = min(margin, mid - lhs, rhs - mid)
         if lhs > mid * (1 + REL_TOL) or mid > rhs * (1 + REL_TOL):
             chain_ok = False
-    ext = ExtensionMap(space=space, net=tuple(sorted(keep)), net_subspace=sub,
-                       coeffs=coeffs, p=p, measured_lip=float(lip),
-                       lip_bound=float(bound), witness_pair=pair,
-                       measured_exact=exact)
     return PointRemovalReport(removed=x0, new_base=new_base,
-                              measured_lip=float(lip), bound=float(bound),
-                              witness_pair=pair, chain_ok=chain_ok,
-                              chain_margin=float(margin) if keep else 0.0,
-                              map=ext)
+                              measured_lip=float(lip), bound=2.0 ** (1.0 / p),
+                              witness_pair=pair, chain_ok=chain_ok)
 
 
 @dataclass(frozen=True)
@@ -455,7 +437,9 @@ def amenability_defect(space, net, p, samples=100, seed=0,
     net = sorted(set(int(i) for i in net))
     if space.base not in net:
         raise BadSubset("subset must contain the base point")
-    sub, order, pos = _net_layout(space, net)
+    layout = _subset_map(space, net, np.zeros((space.n, len(net))), p,
+                         math.nan, exact_limit, False)
+    sub, order = layout.net_subspace, layout.net
     rng = np.random.default_rng(seed)
     ratios = []
     certified = True

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -248,16 +248,26 @@ def _tree_dp(dist, vecs, p, terms, root, tree=False):
 def _terminals(dist, vec, p, root):
     """The points ``_tree_dp`` must treat as terminals for one row over a
     whole space: its support off the root when d^p satisfies the triangle
-    inequality within ``ABS_TOL`` (one broadcast n^3 test), so that the
-    other points may relay by one hop; otherwise every point but the root."""
+    inequality within ``ABS_TOL`` (``_relays``), so that the other points
+    may relay by one hop; otherwise every point but the root."""
     held = vec != 0
     if not held.all():
-        dp = dist ** p
-        np.fill_diagonal(dp, 0.0)
-        if not (dp[:, None] <= dp[:, :, None] + dp + ABS_TOL).all():
+        dist = np.asarray(dist, dtype=float)
+        if not _relays(dist.tobytes(), len(dist), p):
             held[:] = True
     held[root] = False
     return held.nonzero()[0]
+
+
+@lru_cache(maxsize=64)
+def _relays(key, n, p):
+    """Whether d^p passes the triangle inequality within ``ABS_TOL``, for
+    the (n, n) distance matrix whose float64 bytes are ``key``: one
+    broadcast n^3 test per matrix and p, since the sampled loops norm many
+    rows over the same few spaces."""
+    dp = np.frombuffer(key).reshape(n, n) ** p
+    np.fill_diagonal(dp, 0.0)
+    return bool((dp[:, None] <= dp[:, :, None] + dp + ABS_TOL).all())
 
 
 def _scale(vec):

@@ -14,30 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, BadSubset, NotSigmaClosed, PoleInDomain
-from .extension import ExtensionMap
-from .freenorm import FOREST_LIMIT_DEFAULT, _scan_pairs, measure_lipschitz
-from .metric import REL_TOL
+from .extension import _subset_map
+from .freenorm import FOREST_LIMIT_DEFAULT, _scan_pairs
+from .metric import REL_TOL, _norms
 
 
 def _ambient_norms(space):
     if space.coords is None:
         raise BadParameter("operation needs an embedded sample (coords)")
-    c = space.coords
-    if space.norm == "sup":
-        return np.abs(c).max(axis=1)
-    if space.norm == "taxicab":
-        return np.abs(c).sum(axis=1)
-    return np.sqrt((c ** 2).sum(axis=1))
+    return _norms(space.coords, space.norm)
 
 
 def _snap(space, target, tol):
-    diff = space.coords - target[None, :]
-    if space.norm == "sup":
-        d = np.abs(diff).max(axis=1)
-    elif space.norm == "taxicab":
-        d = np.abs(diff).sum(axis=1)
-    else:
-        d = np.sqrt((diff ** 2).sum(axis=1))
+    d = _norms(space.coords - target, space.norm)
     j = int(np.argmin(d))
     if d[j] > tol:
         raise NotSigmaClosed(
@@ -104,23 +93,13 @@ def outward_amenability_map(space, S, p, exact_limit=FOREST_LIMIT_DEFAULT):
     outer = [i for i in range(space.n) if norms[i] >= S - snap_tol]
     if space.base not in outer:
         raise BadParameter("base point must lie at radius >= S")
-    order = [space.base] + [i for i in outer if i != space.base]
-    sub = space.take(order, 0)
-    pos = {g: k for k, g in enumerate(order)}
-    coeffs = np.zeros((space.n, sub.n))
-    alpha = space.alpha
+    coeffs = np.zeros((space.n, len(outer)))
     for i in range(space.n):
-        if norms[i] >= S - snap_tol:
-            coeffs[i, pos[i]] = 1.0
-        else:
+        if norms[i] < S - snap_tol:
             j = _snap(space, (S / norms[i]) * space.coords[i], snap_tol)
-            coeffs[i, pos[j]] = (norms[i] / S) ** alpha
-    lip, pair, exact = measure_lipschitz(space, [(sub, coeffs)], p, exact_limit)
-    bound = 3.0 ** (1.0 / p)
-    return ExtensionMap(space=space, net=tuple(sorted(outer)),
-                        net_subspace=sub, coeffs=coeffs, p=p,
-                        measured_lip=float(lip), lip_bound=float(bound),
-                        witness_pair=pair, measured_exact=exact)
+            coeffs[i, outer.index(j)] = (norms[i] / S) ** space.alpha
+    return _subset_map(space, outer, coeffs, p, 3.0 ** (1.0 / p), exact_limit,
+                       True)
 
 
 @dataclass(frozen=True)
@@ -143,15 +122,14 @@ def verify_r_closed(space, point_map, R):
     """
     if R <= 0:
         raise BadParameter(f"R={R} must be positive")
-    worst, witness = 0.0, None
     defined = [i for i in range(space.n) if point_map[i] is not None]
-    for a, x in enumerate(defined):
-        for y in defined[a + 1:]:
-            want = R * space.dist[x, y]
-            got = space.dist[point_map[x], point_map[y]]
-            rel = abs(got - want) / want
-            if rel > worst:
-                worst, witness = rel, (x, y)
+    if len(defined) < 2:
+        return RClosedReport(R=float(R), max_rel_error=0.0, witness=None)
+    sub = space.take(defined, 0)
+    img = np.array([point_map[i] for i in defined])
+    worst, pair = _scan_pairs(sub, lambda xs, ys: np.abs(
+        space.dist[img[xs], img[ys]] - R * sub.dist[xs, ys]) / R)
+    witness = None if pair is None else (defined[pair[0]], defined[pair[1]])
     return RClosedReport(R=float(R), max_rel_error=float(worst), witness=witness)
 
 

@@ -141,15 +141,14 @@ class PointedMetricSpace:
         )
 
 
-def _pairwise(coords, norm_kind):
-    diff = coords[:, None, :] - coords[None, :, :]
-    if norm_kind == "euclidean":
-        return np.sqrt((diff ** 2).sum(axis=2))
-    if norm_kind == "sup":
-        return np.abs(diff).max(axis=2)
-    if norm_kind == "taxicab":
-        return np.abs(diff).sum(axis=2)
-    raise BadParameter(f"unknown norm kind {norm_kind!r}")
+def _norms(v, kind):
+    """The sup or taxicab norm of ``v`` over its last axis, as ``kind``
+    says, and the euclidean norm otherwise."""
+    if kind == "sup":
+        return np.abs(v).max(axis=-1)
+    if kind == "taxicab":
+        return np.abs(v).sum(axis=-1)
+    return np.sqrt((v ** 2).sum(axis=-1))
 
 
 def build_space(coords, norm_kind="euclidean", alpha=1.0, base=0, points=None):
@@ -169,7 +168,7 @@ def build_space(coords, norm_kind="euclidean", alpha=1.0, base=0, points=None):
         raise BadParameter("need at least one point")
     if not (0 <= base < n):
         raise BadParameter(f"base index {base} out of range")
-    raw = _pairwise(coords, norm_kind)
+    raw = _norms(coords[:, None, :] - coords[None, :, :], norm_kind)
     off = raw + np.eye(n)
     if off.min() <= ABS_TOL:
         i, j = np.unravel_index(int(np.argmin(off)), off.shape)

@@ -396,8 +396,7 @@ def suite_point_removal(config):
         space = build_space(coords, "euclidean")
         x0 = int(rng.integers(1, n))
         for p in config.p_list:
-            rep = point_removal_map(space, x0, p,
-                                    exact_limit=config.exact_limit)
+            rep = point_removal_map(space, x0, p)
             worst[p] = max(worst[p], rep.measured_lip / rep.bound)
             chain_ok = chain_ok and rep.chain_ok
     for p in config.p_list:

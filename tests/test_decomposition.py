@@ -143,8 +143,37 @@ def test_operator_t_support_mismatch():
     sp = line_space([0.0, 1.0, 2.0, 4.0])
     ws = build_hat_partition([(-2.0, 3.0)], r=0.5, k=1, window=(0.0, 2.0))
     fam = annulus_family(sp, 2.0, [IntervalSpec(0.25, 2.0)])
-    with pytest.raises(SupportMismatch):
+    with pytest.raises(SupportMismatch,
+                       match=r"^weight 0 is \S+ at point 3 outside its annulus$"):
         operator_T(fam, ws)
+
+
+def test_block_operators_place_their_entries(rng):
+    sp = line_space([0.0, 1.0, 2.0, 4.0, 8.0])
+    fine = annulus_family(sp, 2.0, [IntervalSpec(0.5, 2.0),
+                                    IntervalSpec(2.0, 8.0)])
+    coarse = annulus_family(sp, 2.0, [IntervalSpec(0.5, 4.0),
+                                      IntervalSpec(1.0, 8.0)])
+    S = decomposition.operator_block_inclusion(fine, coarse)
+    assert S.row_labels == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4))
+    assert S.col_labels == ((0, 1), (0, 2), (1, 3), (1, 4))
+    assert np.array_equal(S.matrix, [[float(r == c) for c in S.col_labels]
+                                     for r in S.row_labels])
+    blocks = [rng.standard_normal((len(c.members), len(f.members)))
+              for f, c in zip(fine.parts, coarse.parts)]
+    blocks[0][0, 0], blocks[1][2, 1] = -0.0, 0.0
+    E = decomposition.operator_block_diagonal(blocks, fine, coarse)
+    want = np.zeros(E.matrix.shape)
+    for i, (kr, gi) in enumerate(E.row_labels):
+        for j, (kc, gj) in enumerate(E.col_labels):
+            if kr == kc:
+                want[i, j] = blocks[kr][coarse.parts[kr].members.index(gi),
+                                        fine.parts[kc].members.index(gj)]
+    assert np.array_equal(E.matrix, want)
+    assert not np.signbit(E.matrix[E.matrix == 0]).any()  # -0.0 not placed
+    with pytest.raises(BadFamily, match=r"^fine part member \(0, 3\) missing "
+                                        r"from coarse family$"):
+        decomposition.operator_block_inclusion(coarse, fine)
 
 
 def test_pst_identity_on_line():

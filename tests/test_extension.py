@@ -234,14 +234,46 @@ def test_measure_assignment_matches_every_pair(rng, monkeypatch, p, m):
 def test_point_removal_and_extension_match_every_pair(rng, p):
     for _ in range(5):
         sp = random_metric_space(rng, int(rng.integers(3, 10)))
-        ext = point_removal_map(sp, int(rng.integers(1, sp.n)), p).map
-        assert (ext.measured_lip, ext.witness_pair, ext.measured_exact) == \
-            _measure_every_pair(sp, ext.net_subspace, ext.coeffs, p, LIMIT)
+        x0 = int(rng.integers(1, sp.n))
+        rep = point_removal_map(sp, x0, p)
+        # the point-removal map over the free space based at the new base,
+        # laid out by hand, and random rows over the same target
+        keep = [rep.new_base] + [i for i in range(sp.n)
+                                 if i not in (x0, rep.new_base)]
+        sub = sp.take(keep, 0)
+        delta = np.zeros((sp.n, sub.n))
+        delta[keep, np.arange(sub.n)] = 1.0
+        for coeffs in (delta, rng.standard_normal((sp.n, sub.n))):
+            got = measure_lipschitz(sp, [(sub, coeffs)], p, LIMIT)
+            assert got == _measure_every_pair(sp, sub, coeffs, p, LIMIT)
+        lip, pair, _ = measure_lipschitz(sp, [(sub, delta)], p, LIMIT)
+        # delta is an isometry: norms agree with distances up to rounding
+        assert lip == pytest.approx(rep.measured_lip, rel=1e-14, abs=0.0)
+        assert pair == rep.witness_pair
     sp = grid_zd(d=2, lo=0, hi=4)
     net = sorted({i for i in range(sp.n) if sp.coords[i][0] <= 1} | {sp.base})
     ext = doubling_extension_map(sp, net, p)
     assert (ext.measured_lip, ext.witness_pair, ext.measured_exact) == \
         _measure_every_pair(sp, ext.net_subspace, ext.coeffs, p, LIMIT)
+
+
+def test_point_removal_measures_distances(rng, monkeypatch):
+    def no_norms(*args, **kwargs):
+        raise AssertionError("point removal made a norm call")
+    for attr in ("norm_rows", "norm_value", "_tree_dp", "_transport"):
+        monkeypatch.setattr(freenorm, attr, no_norms)
+    monkeypatch.setattr(extension, "measure_lipschitz", no_norms)
+    for _ in range(10):
+        sp = random_metric_space(rng, int(rng.integers(3, 9)))
+        x0 = int(rng.integers(1, sp.n))
+        reps = [point_removal_map(sp, x0, p) for p in (1.0, 0.5, 0.25)]
+        img = np.arange(sp.n)
+        img[x0] = reps[0].new_base  # x0 goes to zero, the new base's delta
+        want = freenorm._scan_pairs(
+            sp, lambda xs, ys: sp.dist[img[xs], img[ys]])
+        for rep in reps:
+            assert (rep.measured_lip, rep.witness_pair) == want
+            assert rep.measured_lip > 0.0
 
 
 def _reference_phi(space, system):
@@ -283,17 +315,17 @@ def _reference_weight_variation(system, p):
 
 
 def _reference_coeffs(space, system):
-    """Reference: one coefficient add per (complement point, index)."""
-    sub, _, pos = extension._net_layout(space, system.net)
-    coeffs = np.zeros((space.n, sub.n))
-    for g in system.net:
-        coeffs[g, pos[g]] = 1.0
+    """Reference: one coefficient add per (complement point, index), laid
+    out by the subset-map builder."""
+    net = list(system.net)
+    coeffs = np.zeros((space.n, len(net)))
     for ci, x in enumerate(system.complement):
         for ii, (_, y) in enumerate(system.indices):
             w = system.psi[ii, ci]
             if w != 0.0:
-                coeffs[x, pos[y]] += w
-    return coeffs
+                coeffs[x, net.index(y)] += w
+    return extension._subset_map(space, net, coeffs, 1.0, math.nan, LIMIT,
+                                 False).coeffs
 
 
 def _cloud_subset(n, k, seed):

@@ -587,6 +587,27 @@ def test_certified_value_relays_off_a_non_metric_matrix():
     assert sorted(res.representation) == [(1, 0, 1.0), (2, 1, 1.0)]
 
 
+def test_non_metric_matrix_keeps_every_terminal():
+    """The triangle test runs once per matrix and p; a matrix changed in
+    place, or read at another p, is tested again.  With d(0, 2) = 5 and
+    d(0, 1) = d(1, 2) = 1, d^p passes at p = 0.25 (5^0.25 < 2) and fails at
+    p = 0.5, where every point but the root must stay a terminal."""
+    dist = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    vec = np.array([-1.0, 0.0, 1.0])
+    freenorm._relays.cache_clear()
+    for _ in range(3):
+        assert _terminals(dist, vec, 0.5, 0).tolist() == [2]
+    assert freenorm._relays.cache_info().misses == 1
+    dist[0, 2] = dist[2, 0] = 5.0
+    assert _terminals(dist, vec, 0.5, 0).tolist() == [1, 2]
+    assert _terminals(dist, vec, 0.25, 0).tolist() == [2]
+    assert _terminals(dist, vec, 1.0, 0).tolist() == [1, 2]
+    assert freenorm._relays.cache_info().misses == 4
+    full = np.array([-1.0, 0.5, 0.5])  # full support: no test needed
+    assert _terminals(dist, full, 0.5, 0).tolist() == [1, 2]
+    assert freenorm._relays.cache_info().misses == 4
+
+
 def test_oracle_at_ten_points(rng):
     sp = random_ball(d=2, n=10, seed=10)
     m = dense_molecule(rng, sp)

@@ -121,6 +121,16 @@ def test_r_closed_shift_fails():
     assert not rep2.passed
 
 
+def test_r_closed_names_the_worst_pair_where_defined():
+    sp = line_space([0.0, 1.0, 2.0, 4.0, 8.0])
+    assert verify_r_closed(sp, [0, 2, 3, 4, None], 2.0).passed
+    # only points 1, 2 and 3 are mapped; 2 and 3 collapse, 4 apart before
+    rep = verify_r_closed(sp, [None, 2, 3, 3, None], 2.0)
+    assert (rep.max_rel_error, rep.witness) == (1.0, (2, 3))
+    rep = verify_r_closed(sp, [None, None, 3, None, None], 2.0)
+    assert (rep.max_rel_error, rep.witness) == (0.0, None)
+
+
 def test_stereographic_levels():
     # equator, half level, near-south probes
     v = np.array([
