@@ -22,6 +22,7 @@ from .errors import (
     SupportMismatch,
 )
 from .freenorm import FOREST_LIMIT_DEFAULT, measure_lipschitz, norm_value
+from .geometry import radial_clamp_builder
 from .metric import ABS_TOL, IntervalSpec
 
 GRID_SAMPLES_PER_SEGMENT = 64
@@ -309,13 +310,16 @@ def operator_P(family):
                    ((g, (key, g), 1.0) for key, g in _sum_basis(family)))
 
 
-def log_radii(space, R):
-    """log_R of base distances; -inf at the base itself."""
-    radii = space.radii()
-    out = np.full(space.n, -math.inf)
-    nz = radii > 0
-    out[nz] = np.log(radii[nz]) / math.log(R)
-    return out
+def _log_radii(space, R):
+    """log_R d(base, x) for the nonbase points x, in basis order."""
+    return np.log(np.delete(space.radii(), space.base)) / math.log(R)
+
+
+def _point_weights(space, R, psi):
+    """The (parts x points) matrix of ``psi`` at each nonbase point's log_R
+    radius; ``psi`` maps a vector of log-radii to one row per part.  The
+    base column is 0: delta(base) = 0, so no weight is read there."""
+    return np.insert(psi(_log_radii(space, R)), space.base, 0.0, axis=1)
 
 
 def operator_T(family, weights):
@@ -327,15 +331,14 @@ def operator_T(family, weights):
     ``measure_map_into_sum`` measures the generating map.
     """
     space = family.space
-    us = log_radii(space, family.R)
-    w = weights.psi_values(np.where(np.isfinite(us), us, 0.0))
+    w = _point_weights(space, family.R, weights.psi_values)
     member_sets = [set(part.members) for part in family.parts]
 
     def entries():
         for g in _space_basis(space):
             for ni, part in enumerate(family.parts):
                 val = float(w[ni, g])
-                if val == 0.0 or not math.isfinite(us[g]):
+                if val == 0.0:
                     continue
                 if g not in member_sets[ni]:
                     if abs(val) <= ABS_TOL:
@@ -540,14 +543,14 @@ class IdentityReport:
         return self.residual <= 1e-10 and self.measured_T <= self.bound_T * (1 + 1e-9)
 
 
-def verify_pst_identity(space, cores, r, R, p, outer_intervals=None, k=None,
+def verify_pst_identity(space, cores, r, R, p, outer_intervals=None,
                         exact_limit=FOREST_LIMIT_DEFAULT):
     """The complementation identity P o S o T = Id on the delta-basis.
 
     ``cores`` are the closed plateau intervals [a_n, b_n]; the weights live
     on J_n = (a_n - r, b_n + r) and the outer annuli default to the closure
     of J_n.  Returns the matrix residual together with the measured norm of
-    T against its closed-form bound.
+    T against its closed-form bound, with k the largest overlap of the J_n.
     """
     cores = [(float(a), float(b)) for a, b in cores]
     js = [(a - r, b + r) for a, b in cores]
@@ -558,13 +561,11 @@ def verify_pst_identity(space, cores, r, R, p, outer_intervals=None, k=None,
         inner = IntervalSpec(lo, hi, False, False)
         if iv.intersect(inner) != inner:
             raise BadFamily(f"margin interval ({lo}, {hi}) escapes outer {iv}")
-    if k is None:
-        k = max(1, _max_open_overlap(js))
-    us = log_radii(space, R)
-    finite = us[np.isfinite(us)]
-    if finite.size == 0:
+    k = max(1, _max_open_overlap(js))
+    us = _log_radii(space, R)
+    if us.size == 0:
         raise BadFamily("space has no nonbase points")
-    window = (float(finite.min()), float(finite.max()))
+    window = (float(us.min()), float(us.max()))
     weights = build_hat_partition(js, r, k, window=window)
 
     j_ivs = [IntervalSpec(lo, hi, False, False).exp_base(R) for lo, hi in js]
@@ -575,10 +576,9 @@ def verify_pst_identity(space, cores, r, R, p, outer_intervals=None, k=None,
     P = operator_P(fam_i)
     residual = P.compose(S).compose(T).residual_vs_identity()
 
-    wmat = weights.psi_values(np.where(np.isfinite(us), us, window[0]))
-    nonbase = [i for i in range(space.n) if i != space.base]
-    sums = wmat[:, nonbase].sum(axis=0)
-    weight_sum_error = float(np.abs(sums - 1.0).max()) if nonbase else 0.0
+    wmat = _point_weights(space, R, weights.psi_values)
+    sums = np.delete(wmat, space.base, axis=1).sum(axis=0)
+    weight_sum_error = float(np.abs(sums - 1.0).max())
 
     bound = norm_bound_T(p, k, R, weights.lipschitz_bound(), 1.0)
     measured, pair, exact = measure_map_into_sum(fam_j, wmat, p,
@@ -604,13 +604,14 @@ class ReverseIdentityReport:
 
 
 def verify_etp_identity(space, bump_intervals, inner_intervals, r, R, p,
-                        e_builder, exact_limit=FOREST_LIMIT_DEFAULT):
+                        exact_limit=FOREST_LIMIT_DEFAULT):
     """The reverse identity E o T o P = Id on the ell_p-sum basis.
 
     ``bump_intervals`` are the pairwise disjoint open J_n = (a_n, b_n);
-    ``inner_intervals`` the I_n with I_n inside [a_n + r, b_n - r].  The
-    per-part extension operators E_n come from ``e_builder(part_j, part_i,
-    p)`` as (matrix from the J-basis to the I-basis, measured constant).
+    ``inner_intervals`` the I_n with I_n inside [a_n + r, b_n - r].  Each
+    per-part extension operator E_n is the radial clamp of the bump part
+    onto the inner part (``radial_clamp_builder``), so the space must be an
+    embedded sigma-closed sample.
     """
     js = [(float(a), float(b)) for a, b in bump_intervals]
     for (a, b), iv in zip(js, inner_intervals):
@@ -629,7 +630,7 @@ def verify_etp_identity(space, bump_intervals, inner_intervals, r, R, p,
     e_blocks = []
     measured_E = 0.0
     for pj, pi in zip(fam_j.parts, fam_i.parts):
-        block, lip = e_builder(pj, pi, p)
+        block, lip = radial_clamp_builder(pj, pi)
         e_blocks.append(block)
         measured_E = max(measured_E, lip)
 
@@ -650,8 +651,7 @@ def verify_etp_identity(space, bump_intervals, inner_intervals, r, R, p,
         if off.any():
             err = max(err, float(np.abs(vals[ni, off]).max()))
 
-    us = log_radii(space, R)
-    wmat = weights.psi_values(np.where(np.isfinite(us), us, js[0][0] - 10 * r))
+    wmat = _point_weights(space, R, weights.psi_values)
     bound = norm_bound_T(p, 1, R, 1.0 / r, 1.0)
     measured, _, exact = measure_map_into_sum(fam_j, wmat, p, exact_limit=exact_limit)
     return ReverseIdentityReport(residual=residual, measured_T=float(measured),
@@ -690,25 +690,20 @@ def commuting_approximants(space, R, m_max, p, exact_limit=FOREST_LIMIT_DEFAULT)
     """
     if R <= 1:
         raise BadParameter(f"R={R} must exceed 1")
-    us = log_radii(space, R)
-    finite = us[np.isfinite(us)]
-    if finite.size == 0:
+    nonbase = _space_basis(space)
+    if not nonbase:
         raise BadFamily("space has no nonbase points")
 
-    def hat(u, n):
-        return np.maximum(1.0 - np.abs(u - R * n) / R, 0.0)
+    def truncated_sums(us):
+        sums = np.zeros((m_max, us.size))
+        for m in range(1, m_max + 1):
+            for n in range(-m, m + 1):
+                sums[m - 1] += np.maximum(1.0 - np.abs(us - R * n) / R, 0.0)
+        return sums
 
-    nonbase = [i for i in range(space.n) if i != space.base]
-    mats = []
-    diags = []
-    for m in range(1, m_max + 1):
-        w = np.zeros(space.n)
-        for n in range(-m, m + 1):
-            w += hat(np.where(np.isfinite(us), us, np.inf), n)
-        w[space.base] = 0.0
-        diags.append(w)
-        mats.append(LinearMapMatrix(tuple(nonbase), tuple(nonbase),
-                                    np.diag(w[nonbase])))
+    diags = _point_weights(space, R, truncated_sums)
+    mats = [LinearMapMatrix(nonbase, nonbase, np.diag(np.delete(w, space.base)))
+            for w in diags]
     resid = 0.0
     for a in range(len(mats)):
         for b in range(len(mats)):

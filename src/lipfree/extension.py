@@ -63,8 +63,9 @@ class WhitneySystem:
         return hist
 
 
-def _h_checks(space, net, comp, indices, v_masks, phi, phi_total, d_net, K):
+def _h_checks(space, comp, indices, v_masks, phi, phi_total, d_net, K):
     dist = space.dist
+    dcomp = dist[np.ix_(comp, comp)]
     checks = []
     # H.1: anchors in the subset, at most 7 * d(x, N) away on their patch
     worst = (math.inf, None)
@@ -96,7 +97,6 @@ def _h_checks(space, net, comp, indices, v_masks, phi, phi_total, d_net, K):
     # pairs, to name the first worst one.
     ok3, w3, m3 = True, None, math.inf
     if len(comp):
-        dcomp = dist[np.ix_(comp, comp)]
         for ii in range(len(indices)):
             rows = phi[ii].nonzero()[0]
             diff = np.abs(phi[ii][rows, None] - phi[ii]) - dcomp[rows]
@@ -129,7 +129,6 @@ def _h_checks(space, net, comp, indices, v_masks, phi, phi_total, d_net, K):
     # Phi is (2K)-Lipschitz and at least d(x, N)/4
     okp, wp, mp = True, None, math.inf
     if len(comp):
-        dcomp = dist[np.ix_(comp, comp)]
         diff = np.abs(phi_total[:, None] - phi_total[None, :]) - 2 * K * dcomp
         np.fill_diagonal(diff, -math.inf)
         j = int(np.argmax(diff))
@@ -211,7 +210,7 @@ def whitney_cover(space, net):
         raise InternalInvariantBroken("weight total vanishes off the subset")
     psi = phi / phi_total[None, :]
 
-    checks = _h_checks(space, net, comp, indices, v_masks, phi, phi_total,
+    checks = _h_checks(space, comp, indices, v_masks, phi, phi_total,
                        d_net, K)
     system = WhitneySystem(
         space=space, net=tuple(net), complement=tuple(comp),

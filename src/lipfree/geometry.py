@@ -25,13 +25,18 @@ def _ambient_norms(space):
     return _norms(space.coords, space.norm)
 
 
-def _snap(space, target, tol):
-    d = _norms(space.coords - target, space.norm)
+def _ray_snap(space, norms, i, radius, targets=None):
+    """The sample point at ``radius`` on the ray through point i (``norms``
+    holds the ambient norms), found within ``REL_TOL * radius`` in the
+    space's norm among ``targets`` (default: every point)."""
+    cand = np.arange(space.n) if targets is None else np.asarray(targets)
+    target = (radius / norms[i]) * space.coords[i]
+    d = _norms(space.coords[cand] - target, space.norm)
     j = int(np.argmin(d))
-    if d[j] > tol:
+    if d[j] > REL_TOL * radius:
         raise NotSigmaClosed(
             f"scaled point {target} is {d[j]:.3g} from the nearest sample")
-    return j
+    return int(cand[j])
 
 
 @dataclass(frozen=True)
@@ -44,28 +49,23 @@ class RetractionReport:
     idempotent: bool
 
 
-def radial_retraction(space, S, snap_tol=None):
+def radial_retraction(space, S):
     """Radial retraction onto the ball of radius S around the origin.
 
-    Points inside stay put; outer points are pulled along their ray to the
-    boundary (and snapped to the sample).  The measured Lipschitz constant
-    is reported together with its excess over 2, which only reflects sample
-    resolution.
+    Points inside (radius at most S, up to ``REL_TOL * S``) stay put; outer
+    points are pulled along their ray to the boundary and snapped to the
+    sample.  The measured Lipschitz constant is reported together with its
+    excess over 2, which only reflects sample resolution.
     """
     if S <= 0:
         raise BadParameter(f"S={S} must be positive")
-    if snap_tol is None:
-        snap_tol = 1e-9 * S
     norms = _ambient_norms(space)
-    pmap = []
-    for i in range(space.n):
-        if norms[i] <= S + snap_tol:
-            pmap.append(i)
-            continue
-        pmap.append(_snap(space, (S / norms[i]) * space.coords[i], snap_tol))
+    inside = norms <= S * (1 + REL_TOL)
+    pmap = [i if inside[i] else _ray_snap(space, norms, i, S)
+            for i in range(space.n)]
     img = np.array(pmap)
     best, pair = _scan_pairs(space, lambda xs, ys: space.dist[img[xs], img[ys]])
-    fixes = all(pmap[i] == i for i in range(space.n) if norms[i] <= S + snap_tol)
+    fixes = all(pmap[i] == i for i in np.flatnonzero(inside))
     idem = all(pmap[pmap[i]] == pmap[i] for i in range(space.n))
     return RetractionReport(point_map=tuple(pmap), measured_lip=float(best),
                             slack=float(max(0.0, best - 2.0)),
@@ -80,23 +80,23 @@ def outward_amenability_map(space, S, p, exact_limit=FOREST_LIMIT_DEFAULT):
     by (radius / S)^alpha, with alpha the space's snowflake exponent, so the
     map restricts to delta on the outer part; measured constant compared
     against 3^{1/p}.  The sample must not contain the origin, and the base
-    point must already be outer.  Radii within 1e-9 * S count as equal.
+    point must already be outer.  Radii within ``REL_TOL * S`` count as
+    equal.
     """
     if S <= 0:
         raise BadParameter(f"S={S} must be positive")
     if not 0 < p <= 1:
         raise BadParameter(f"p={p} outside (0, 1]")
-    snap_tol = 1e-9 * S
     norms = _ambient_norms(space)
-    if norms.min() <= snap_tol:
+    if norms.min() <= REL_TOL * S:
         raise BadSubset("sample contains the origin")
-    outer = [i for i in range(space.n) if norms[i] >= S - snap_tol]
+    outer = [i for i in range(space.n) if norms[i] >= S * (1 - REL_TOL)]
     if space.base not in outer:
         raise BadParameter("base point must lie at radius >= S")
     coeffs = np.zeros((space.n, len(outer)))
     for i in range(space.n):
-        if norms[i] < S - snap_tol:
-            j = _snap(space, (S / norms[i]) * space.coords[i], snap_tol)
+        if norms[i] < S * (1 - REL_TOL):
+            j = _ray_snap(space, norms, i, S, outer)
             coeffs[i, outer.index(j)] = (norms[i] / S) ** space.alpha
     return _subset_map(space, outer, coeffs, p, 3.0 ** (1.0 / p), exact_limit,
                        True)
@@ -216,16 +216,14 @@ def mirror_band_residual(sample):
     return float(np.abs(dv - dw).max())
 
 
-def radial_clamp_builder(part_j, part_i, p):
+def radial_clamp_builder(part_j, part_i):
     """Extension operator E_n of a sigma-closed annulus family: the matrix
     of the linearized radial retraction of the bump part onto the inner
-    part, with its measured Lipschitz constant.  ``p`` is unused, since the
-    constant of a point map is read off the metric.
+    part, with its measured Lipschitz constant.
 
     Outer points are pulled along their ray to the nearest realized inner
-    radius and snapped onto an inner sample point within 1e-9 times the
-    largest inner radius (at least 1e-9), so interval endpoints never need
-    to coincide with sample radii exactly.
+    radius and snapped onto an inner sample point, so interval endpoints
+    never need to coincide with sample radii exactly.
     """
     sub_j = part_j.subspace
     norms = _ambient_norms(sub_j)
@@ -233,25 +231,15 @@ def radial_clamp_builder(part_j, part_i, p):
     inner_local = [member_pos[g] for g in part_i.members]
     if not inner_local:
         raise NotSigmaClosed("inner annulus holds no sample points")
-    inner_coords = sub_j.coords[inner_local]
     inner_radii = np.array(sorted({float(norms[li]) for li in inner_local}))
     inner_set = set(inner_local)
-    tol = 1e-9 * max(float(inner_radii.max()), 1.0)
     gmap = [0]  # base stays put
     for li in range(1, sub_j.n):
         if li in inner_set:
             gmap.append(li)
             continue
-        rad = norms[li]
-        s = float(inner_radii[int(np.argmin(np.abs(inner_radii - rad)))])
-        target = (s / rad) * sub_j.coords[li]
-        d = np.abs(inner_coords - target[None, :]).max(axis=1)
-        j = int(np.argmin(d))
-        if d[j] > tol:
-            raise NotSigmaClosed(
-                f"retracted image of local point {li} is {d[j]:.3g} from "
-                f"the nearest inner sample")
-        gmap.append(inner_local[j])
+        s = float(inner_radii[int(np.argmin(np.abs(inner_radii - norms[li])))])
+        gmap.append(_ray_snap(sub_j, norms, li, s, inner_local))
     pos_i = {g: ri for ri, g in enumerate(part_i.members)}
     block = np.zeros((len(part_i.members), len(part_j.members)))
     for cj, gj in enumerate(part_j.members):

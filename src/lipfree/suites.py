@@ -23,7 +23,7 @@ from .decomposition import (
     verify_pst_identity,
     verify_separated_inverse,
 )
-from .errors import BadSuite, Mismatch
+from .errors import BadFamily, BadSuite, Mismatch
 from .extension import (
     amenability_defect,
     doubling_extension_map,
@@ -167,12 +167,20 @@ def suite_norm_oracle(config):
     return records
 
 
+def _base_radii(space):
+    """The distinct distances of the nonbase points from the base, in
+    increasing order."""
+    radii = sorted(set(float(r) for r in space.radii() if r > 0))
+    if not radii:
+        raise BadFamily("space has no nonbase points")
+    return radii
+
+
 def _unit_cores(space, R):
     """Width-1 plateau cores covering the realized log-radii (margin 1/2)."""
-    radii = space.radii()
-    pos = radii[radii > 0]
-    umin = math.log(pos.min()) / math.log(R)
-    umax = math.log(pos.max()) / math.log(R)
+    radii = _base_radii(space)
+    umin = math.log(radii[0]) / math.log(R)
+    umax = math.log(radii[-1]) / math.log(R)
     cores, margin, _ = unit_interval_cores(umin, umax)
     return cores, margin
 
@@ -203,7 +211,7 @@ def suite_decomposition(config):
     # separated partition into one closed annulus per radius, where radii
     # within REL_TOL (relative) of the annulus' smallest count as one radius
     groups = []
-    for r in sorted(set(float(r) for r in space.radii() if r > 0)):
+    for r in _base_radii(space):
         if groups and r <= groups[-1][0] * (1 + REL_TOL):
             groups[-1][1] = r
         else:
@@ -293,7 +301,7 @@ def suite_retraction(config):
         config, {"kind": "annulus-rays",
                  "params": {"rays": 6, "radii": (0.5, 1.0, 2.0, 4.0),
                             "include_origin": True}})
-    radii = sorted(set(float(r) for r in space.radii() if r > 0))
+    radii = _base_radii(space)
     S = radii[len(radii) // 2]
     rep = radial_retraction(space, S)
     slack_tol = config.tol("retraction_slack", 0.1)
@@ -481,7 +489,8 @@ def run_suite(config):
 def report_diff(old, new):
     """Textual diff of two reports of one suite: one line per change to a
     check's measured value, bound or tol; a changed pass flag is tagged on
-    the first of them, or gets a line of its own."""
+    the first of them, or gets a line of its own; then one line per changed
+    ``bound_inputs`` key."""
     if old.get("suite") != new.get("suite"):
         raise Mismatch(f"suite mismatch: {old.get('suite')} vs {new.get('suite')}")
     old_checks = {r["check"]: r for r in old["checks"]}
@@ -511,5 +520,10 @@ def report_diff(old, new):
                 changes[0] += f"  [{flip}]"
             else:
                 changes.append(f"{name}: {flip}")
+        tags_o, tags_n = o.get("bound_inputs") or {}, n.get("bound_inputs") or {}
+        for key in sorted(set(tags_o) | set(tags_n)):
+            if tags_o.get(key) != tags_n.get(key):
+                changes.append(f"{name}: bound_inputs.{key} "
+                               f"{tags_o.get(key)!r} -> {tags_n.get(key)!r}")
         lines.extend(changes)
     return "\n".join(lines)

@@ -24,7 +24,6 @@ from lipfree import (
     norm_bound_T,
     outward_amenability_map,
     point_removal_map,
-    radial_clamp_builder,
     radial_retraction,
     run_suite,
     stereographic,
@@ -144,8 +143,7 @@ def test_criterion_05_etp_identity():
               for n in range(3)]
     worst = 0.0
     for p in (1.0, 0.5):
-        rep = verify_etp_identity(sp, bumps, inners, r=0.8, R=2.0, p=p,
-                                  e_builder=radial_clamp_builder)
+        rep = verify_etp_identity(sp, bumps, inners, r=0.8, R=2.0, p=p)
         worst = max(worst, rep.residual)
     _line(5, worst <= 1e-10,
           f"E*T*P identity with radial extensions: max residual {worst:.2e}")

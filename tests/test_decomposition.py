@@ -8,6 +8,7 @@ from lipfree import (
     BadParameter,
     CoverageGap,
     IntervalSpec,
+    NotSigmaClosed,
     SupportMismatch,
     annulus_family,
     build_hat_partition,
@@ -19,6 +20,7 @@ from lipfree import (
     operator_T,
     radial_clamp_builder,
     separated_family_bound,
+    two_band_cores,
     verify_etp_identity,
     verify_pst_identity,
     verify_separated_inverse,
@@ -272,8 +274,7 @@ def test_etp_identity_with_radial_extensions():
         inners = [IntervalSpec(4 * n - 1.1, 4 * n + 1.1, True, True)
                   for n in range(3)]
         for p in (1.0, 0.5):
-            rep = verify_etp_identity(sp, bumps, inners, r=0.8, R=2.0, p=p,
-                                      e_builder=radial_clamp_builder)
+            rep = verify_etp_identity(sp, bumps, inners, r=0.8, R=2.0, p=p)
             assert rep.residual <= 1e-10
             assert rep.bump_error <= 1e-12
             assert rep.measured_T <= rep.bound_T * (1 + 1e-9)
@@ -304,17 +305,39 @@ def test_radial_clamp_constant_matches_every_pair(rays):
                                                   True, True).exp_base(2.0)
                                      for n in range(3)])
     for part_j, part_i in zip(fam_j.parts, fam_i.parts):
-        block, lip = radial_clamp_builder(part_j, part_i, 1.0)
+        block, lip = radial_clamp_builder(part_j, part_i)
         assert block.sum(axis=0).tolist() == [1.0] * len(part_j.members)
         assert lip == _clamp_lip_every_pair(part_j, part_i, block)
+
+
+def test_radial_clamp_snaps_only_onto_the_inner_part():
+    # (0, 3) is pulled to (0, 2): y lies 2e-10 from it but just above the
+    # inner annulus [1, 2], z lies 8e-10 from it inside; both are within the
+    # snap tolerance 2e-9 of the target radius 2
+    z, y = 2.0 * (1 - 4e-10), 2.0 * (1 + 1e-10)
+    pts = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [0.0, y],
+           [0.0, 3.0], [0.0, z]]
+    for coords in (pts, pts[:-1]):
+        sp = build_space(coords, "euclidean")
+        part_j, = annulus_family(sp, 2.0, [IntervalSpec(0.5, 4.0)]).parts
+        part_i, = annulus_family(
+            sp, 2.0, [IntervalSpec(1.0, 2.0, True, True)]).parts
+        assert 4 in part_j.members and 4 not in part_i.members
+        if len(coords) == len(pts):
+            block, _ = radial_clamp_builder(part_j, part_i)
+            for g in (4, 5):
+                col = block[:, part_j.members.index(g)]
+                assert col.tolist() == [float(h == 6) for h in part_i.members]
+        else:  # without z no inner point is in reach: y is never taken
+            with pytest.raises(NotSigmaClosed):
+                radial_clamp_builder(part_j, part_i)
 
 
 def test_etp_single_interval_reduces_to_retraction_identity():
     sp = annulus_rays(rays=2, radii=(1.0, 2.0, 4.0, 8.0), include_origin=True)
     rep = verify_etp_identity(sp, [(-2.0, 5.0)],
                               [IntervalSpec(-1.1, 3.1, True, True)],
-                              r=0.8, R=2.0, p=1.0,
-                              e_builder=radial_clamp_builder)
+                              r=0.8, R=2.0, p=1.0)
     assert rep.residual <= 1e-12
 
 
@@ -355,7 +378,6 @@ def test_measured_constants_scale_invariant():
 def test_two_band_family_on_sphere():
     # the proof's split of the sphere: unbounded band below the half level
     # and everything away from the pole, in chordal log-radii from the pole
-    from lipfree import two_band_cores
     from lipfree.generators import sphere_fibonacci
 
     v = sphere_fibonacci(d=2, n=60)
@@ -365,7 +387,7 @@ def test_two_band_family_on_sphere():
     cores, r, outer = two_band_cores(0.5)
     for p in (1.0, 0.5):
         rep = verify_pst_identity(sp, cores, r, R=2.0, p=p,
-                                  outer_intervals=outer, k=2)
+                                  outer_intervals=outer)
         assert rep.residual <= 1e-10
         assert rep.weight_sum_error <= 1e-12
         assert rep.measured_T <= rep.bound_T * (1 + 1e-9)
@@ -376,12 +398,27 @@ def test_operator_t_with_measured_constant():
     ws = build_hat_partition([(-2.0, 4.0)], r=1.0, k=1, window=(0.0, 2.0))
     fam = annulus_family(sp, 2.0, [IntervalSpec(0.25, 16.0)])
     mat = operator_T(fam, ws)
-    us = decomposition.log_radii(sp, fam.R)
-    wmat = ws.psi_values(np.where(np.isfinite(us), us, 0.0))
+    wmat = decomposition._point_weights(sp, fam.R, ws.psi_values)
     measured, _, _ = measure_map_into_sum(fam, wmat, 1.0)
     assert np.array_equal(mat.matrix, np.eye(3))
     assert measured == pytest.approx(1.0, rel=1e-9)
     assert measured <= norm_bound_T(1.0, 1, 2.0, 3.0, 1.0)
+
+
+def test_point_weights_read_no_weight_at_the_base():
+    """Base column 0; the other columns are ``psi_values`` at the nonbase
+    log-radii bit for bit, wherever the base sits."""
+    cores, r, _ = two_band_cores(0.5)
+    ws = build_hat_partition([(a - r, b + r) for a, b in cores], r, k=2)
+    sp = annulus_rays(rays=3, radii=(0.5, 1.0, 2.0, 4.0), include_origin=True)
+    for space in (sp, build_space(sp.coords, base=4),
+                  build_space(sp.coords, base=sp.n - 1)):
+        w = decomposition._point_weights(space, 2.0, ws.psi_values)
+        nonbase = [i for i in range(space.n) if i != space.base]
+        us = np.log(space.radii()[nonbase]) / math.log(2.0)
+        assert w.shape == (2, space.n)
+        assert w[:, space.base].tolist() == [0.0, 0.0]
+        assert np.array_equal(w[:, nonbase], ws.psi_values(us))
 
 
 def _sum_map_every_pair(family, weight_matrix, p, exact_limit):

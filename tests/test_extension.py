@@ -350,7 +350,7 @@ def test_whitney_weights_match_reference(cloud_system):
     assert np.array_equal(system.phi_total, phi_total)
     assert np.array_equal(system.psi, phi / phi_total[None, :])
     checks = extension._h_checks(
-        space, list(system.net), list(system.complement),
+        space, list(system.complement),
         list(system.indices), system.v_masks, phi, phi_total,
         system.dist_to_net, system.overlap_bound)
     assert system.checks == checks  # margins and witnesses, bit for bit
@@ -386,7 +386,7 @@ def test_h3_scan_matches_full_reference(cloud_system, scale):
     space, system = cloud_system
     phi = system.phi * scale
     h3 = extension._h_checks(
-        space, list(system.net), list(system.complement),
+        space, list(system.complement),
         list(system.indices), system.v_masks, phi, phi.sum(axis=0),
         system.dist_to_net, system.overlap_bound)[2]
     assert h3.name == "H3_lipschitz_support"
@@ -401,7 +401,7 @@ def test_h3_witness_is_the_first_worst_pair():
     pairs, here one whose first point is off phi's support."""
     sp = line_space([0.0, 1.0, 2.0, 3.0])
     phi = np.array([[0.0, 5.0, 0.0]])
-    h3 = extension._h_checks(sp, [3], [0, 1, 2], [(0, 3)],
+    h3 = extension._h_checks(sp, [0, 1, 2], [(0, 3)],
                              np.array([[False, True, True]]), phi, phi[0],
                              np.array([3.0, 2.0, 1.0]), 3.0)[2]
     assert (h3.passed, h3.witness, h3.margin) == (False, (0, 1), -4.0)

@@ -140,6 +140,16 @@ def test_report_diff_lists_bound_tol_and_new_measured():
     ]
 
 
+def test_report_diff_lists_changed_tags():
+    old = {"suite": "s", "checks": [
+        {"check": "T_norm_p0.5", "measured": 1.0, "bound": 2.0, "tol": None,
+         "passed": True, "bound_inputs": {"p": 0.5, "measured_exact": True}}]}
+    new = json.loads(json.dumps(old))
+    new["checks"][0]["bound_inputs"]["measured_exact"] = False
+    assert report_diff(old, new).splitlines() == [
+        "T_norm_p0.5: bound_inputs.measured_exact True -> False"]
+
+
 def test_cli_generate_and_run(tmp_path):
     space_file = tmp_path / "space.json"
     rc = main(["generate", "--kind", "line", "--param", "n=5",
@@ -201,6 +211,37 @@ def test_cli_near_equal_radii_share_an_annulus(tmp_path):
     doc = json.loads(report.read_text())
     assert doc["checks"]
     assert all(r["measured"] is not None for r in doc["checks"])
+
+
+@pytest.mark.parametrize("radii", ["[4, 8]", "[0.1, 0.25]"])
+def test_cli_decomposition_with_no_radius_near_one(tmp_path, radii):
+    # every log-radius is at least 2 away from 0, where the partition of
+    # unity may vanish; no weight is read at the base, so none is needed
+    space_file = tmp_path / "rays.json"
+    report = tmp_path / "r.json"
+    main(["generate", "--kind", "annulus-rays", "--param", "rays=2",
+          "--param", f"radii={radii}", "--param", "include_origin=true",
+          "--out", str(space_file)])
+    rc = main(["run", "--suite", "decomposition", "--space", str(space_file),
+               "--p", "1,0.5,0.25", "--out", str(report)])
+    assert rc == 0
+    doc = json.loads(report.read_text())
+    names = [f"{check}_p{p}" for p in (1.0, 0.5, 0.25)
+             for check in ("pst_identity_residual", "T_norm", "weight_sums")]
+    names += [f"P_inverse_ratio_p{p}" for p in (1.0, 0.5, 0.25)]
+    assert (sorted(r["check"] for r in doc["checks"])
+            == sorted(names + ["P_norm_one_sampled"]))
+    assert all(r["passed"] for r in doc["checks"])
+
+
+@pytest.mark.parametrize("suite", ["decomposition", "retraction"])
+def test_cli_base_only_space_is_rejected(tmp_path, capsys, suite):
+    space_file = tmp_path / "one.json"
+    main(["generate", "--kind", "line", "--param", "n=1",
+          "--out", str(space_file)])
+    rc = main(["run", "--suite", suite, "--space", str(space_file)])
+    assert rc == 2
+    assert "space has no nonbase points" in capsys.readouterr().err
 
 
 def test_cli_tol_override(tmp_path):
