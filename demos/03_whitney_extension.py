@@ -28,7 +28,8 @@ print(f"\ndoubling bound of the subset : {system.doubling_value}")
 print(f"overlap bound 3*D^4          : {system.overlap_bound:.0f}")
 print(f"actual overlap histogram     : {system.overlap_histogram()}")
 for check in system.checks:
-    print(f"  {check.name:24s} passed={check.passed} margin={check.margin:.3g}")
+    print(f"  {check.name:24s} measured {check.measured:.3g} "
+          f"<= bound {check.bound:.3g}")
 
 for p in (1.0, 0.5):
     ext = doubling_extension_map(space, net, p, system=system)

@@ -29,8 +29,7 @@ print(f"polar sample: {sample.n} points")
 
 rep = radial_retraction(sample, S=1.0)
 print(f"radial retraction onto the unit ball: measured Lip "
-      f"{rep.measured_lip:.4f} <= 2 (excess {rep.slack:.1e}), "
-      f"idempotent={rep.idempotent}")
+      f"{rep.measured_lip:.4f} <= 2 (excess {rep.slack:.1e})")
 
 # outward map on the sample without the origin, base on the boundary
 ring = annulus_rays(rays=12, radii=(0.25, 0.5, 1.0, 2.0), include_origin=False)
@@ -46,7 +45,7 @@ for p in (1.0, 0.5):
 v = sphere_fibonacci(d=2, n=500)
 stereo = stereographic(SphereSample(v))
 print(f"\nstereographic projection: max radius error {stereo.max_abs_error:.2e}, "
-      f"injective={stereo.injective}")
+      f"coincident image pairs {stereo.coincident_pairs}")
 half = stereographic(SphereSample(np.array([[math.sqrt(3) / 2, 0.0, 0.5]])))
 print(f"height 1/2 maps to radius {half.radii[0]:.12f} (sqrt(3) = "
       f"{math.sqrt(3):.12f})")

@@ -1,7 +1,8 @@
 """Running verification suites programmatically and diffing their reports.
 
 Every suite bundles checks that pair a measured constant with the
-closed-form bound it must respect.  Reports are deterministic for a fixed
+closed-form bound it must respect (up to a relative 1e-9), or with an
+absolute tol.  Reports are deterministic for a fixed
 seed (byte-identical JSON), so they work as regression baselines; the diff
 flags any measured constant that grew by more than 1% even while passing.
 """
@@ -19,7 +20,8 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"whitney suite: {'all green' if ok else 'FAILURES'}")
     for rec in doc["checks"]:
         bound = rec["bound"]
-        bound_txt = "" if bound is None else f" <= {bound:.6g}"
+        bound_txt = (f" <= tol {rec['tol']:.6g}" if bound is None
+                     else f" <= {bound:.6g}")
         measured = rec["measured"]
         m_txt = "" if measured is None else f"{measured:.6g}"
         print(f"  [{'ok' if rec['passed'] else 'XX'}] {rec['check']}: "

@@ -471,10 +471,6 @@ class SeparatedInverseReport:
     samples: int
     certified: bool
 
-    @property
-    def passed(self):
-        return self.max_ratio <= self.bound * (1 + 1e-9)
-
 
 def verify_separated_inverse(family, p, samples=200, seed=0,
                              exact_limit=FOREST_LIMIT_DEFAULT):
@@ -538,10 +534,6 @@ class IdentityReport:
     weight_sum_error: float
     measured_exact: bool
 
-    @property
-    def passed(self):
-        return self.residual <= 1e-10 and self.measured_T <= self.bound_T * (1 + 1e-9)
-
 
 def verify_pst_identity(space, cores, r, R, p, outer_intervals=None,
                         exact_limit=FOREST_LIMIT_DEFAULT):
@@ -597,10 +589,6 @@ class ReverseIdentityReport:
     measured_E: float
     bump_error: float
     measured_exact: bool
-
-    @property
-    def passed(self):
-        return self.residual <= 1e-10
 
 
 def verify_etp_identity(space, bump_intervals, inner_intervals, r, R, p,
@@ -666,11 +654,6 @@ class CommutingReport:
     identity_from: int | None
     measured_norms: tuple
     bound: float
-
-    @property
-    def passed(self):
-        return (self.max_semigroup_residual <= 1e-12
-                and all(v <= self.bound * (1 + 1e-9) for v in self.measured_norms))
 
 
 def commuting_approximants(space, R, m_max, p, exact_limit=FOREST_LIMIT_DEFAULT):

@@ -18,16 +18,19 @@ import numpy as np
 from .errors import BadParameter, BadSubset, InternalInvariantBroken, TooSmall
 from .freenorm import (FOREST_LIMIT_DEFAULT, Molecule, _scan_pairs,
                        measure_lipschitz, norm_value)
-from .metric import (_BLOCK, REL_TOL, doubling_constant_upper,
-                     maximal_separated_net)
+from .metric import (_BLOCK, doubling_constant_upper, maximal_separated_net,
+                     passes)
 
 
 @dataclass(frozen=True)
 class HCheck:
+    """One Whitney property as a scale-free ratio against its bound; the
+    witness is the first point or pair where the ratio is largest."""
+
     name: str
-    passed: bool
+    measured: float
+    bound: float
     witness: tuple | None
-    margin: float
 
 
 @dataclass(frozen=True)
@@ -51,10 +54,6 @@ class WhitneySystem:
     overlap_bound: float       # K = 3 * doubling_value**4
     checks: tuple              # HCheck records
 
-    @property
-    def all_passed(self):
-        return all(c.passed for c in self.checks)
-
     def overlap_histogram(self):
         counts = self.v_masks.sum(axis=0)
         hist = {}
@@ -63,87 +62,58 @@ class WhitneySystem:
         return hist
 
 
+def _first_max_pair(ratio, rows, comp):
+    """The first position, in row-major order, of the largest entry of a
+    symmetric non-negative matrix M over ``comp``, given the rows ``rows``
+    of M as ``ratio``, where M[x, y] = 0 unless x or y is in ``rows`` and
+    some entry is positive; as a pair of points of ``comp``."""
+    a, b = np.nonzero(ratio == ratio.max())
+    x, y = rows[a], b
+    r = min(x.min(), y.min())
+    return int(comp[r]), int(comp[min(np.r_[y[x == r], x[y == r]])])
+
+
 def _h_checks(space, comp, indices, v_masks, phi, phi_total, d_net, K):
-    dist = space.dist
-    dcomp = dist[np.ix_(comp, comp)]
-    checks = []
-    # H.1: anchors in the subset, at most 7 * d(x, N) away on their patch
-    worst = (math.inf, None)
+    """The Whitney properties of the system as scale-free ratios:
+
+    H1   max d(x_i, x) / d(x, N) over x in V_i    against 7,
+    H3   max |phi_i(x) - phi_i(y)| / d(x, y)      against 1,
+    H4   max d(x, N) / (4 max_i phi_i(x))         against 1,
+    Phi  max |Phi(x) - Phi(y)| / d(x, y)          against 2K.
+
+    The K-overlap of the cover is the suite's overlap record, and the
+    cover itself holds by construction (each cell lies in its own V_i), as
+    does phi_i = 0 off V_i; Phi >= max_i phi_i, so H4 gives Phi >= d(x, N)/4.
+    Ties go to the first index, then the first point or pair.
+    """
+    comp = np.asarray(comp)
+    dcomp = space.dist[np.ix_(comp, comp)]
+    np.fill_diagonal(dcomp, math.inf)  # x = y has no ratio
+    h1, w1 = 0.0, None
     for ii, (_, y) in enumerate(indices):
-        cols = np.nonzero(v_masks[ii])[0]
-        if cols.size == 0:
-            continue
-        gap = 7.0 * d_net[cols] - dist[y, [comp[c] for c in cols]]
-        j = int(np.argmin(gap))
-        if gap[j] < worst[0]:
-            worst = (float(gap[j]), (y, comp[cols[j]]))
-    checks.append(HCheck("H1_anchor_distance", worst[0] >= -REL_TOL * 7,
-                         worst[1], worst[0]))
-    # H.2: K-overlapping cover of the complement
-    counts = v_masks.sum(axis=0) if len(indices) else np.zeros(len(comp))
-    covered = counts.min(initial=1) >= 1
-    max_overlap = int(counts.max(initial=0))
-    wc = None
-    if len(comp):
-        if not covered:
-            wc = (comp[int(np.argmin(counts))],)
-        elif max_overlap > K:
-            wc = (comp[int(np.argmax(counts))],)
-    checks.append(HCheck("H2_overlap_cover", covered and max_overlap <= K, wc,
-                         float(K - max_overlap)))
-    # H.3: each phi_i is 1-Lipschitz with positivity set inside V_i.  A pair
-    # off phi_i's support has no excess, so the margin is taken over the
-    # pairs x != y with phi_i(x) != 0; only a possible failure rescans all
-    # pairs, to name the first worst one.
-    ok3, w3, m3 = True, None, math.inf
-    if len(comp):
-        for ii in range(len(indices)):
-            rows = phi[ii].nonzero()[0]
-            diff = np.abs(phi[ii][rows, None] - phi[ii]) - dcomp[rows]
-            diff[np.arange(len(rows)), rows] = -math.inf
-            top = float(diff.max(initial=-math.inf))
-            m3 = min(m3, -top)
-            if top > REL_TOL:
-                diff = np.abs(phi[ii][:, None] - phi[ii][None, :]) - dcomp
-                a, b = divmod(int(np.argmax(diff)), len(comp))
-                if diff[a, b] > REL_TOL * max(1.0, dcomp[a, b]):
-                    ok3, w3 = False, (comp[a], comp[b])
-                    break
-            if np.any((phi[ii] > 0) & ~v_masks[ii]):
-                ok3 = False
-                w3 = (comp[int(np.argmax((phi[ii] > 0) & ~v_masks[ii]))],)
-                break
-    checks.append(HCheck("H3_lipschitz_support", ok3, w3,
-                         m3 if m3 != math.inf else 0.0))
-    # H.4: some phi_i exceeds d(x, N)/4 at every point off the subset
-    ok4, w4, m4 = True, None, math.inf
-    if len(comp):
-        best = phi.max(axis=0) if len(indices) else np.zeros(len(comp))
-        margin = best - d_net / 4.0
-        j = int(np.argmin(margin))
-        m4 = float(margin[j])
-        if margin[j] <= -REL_TOL * d_net[j]:
-            ok4, w4 = False, (comp[j],)
-    checks.append(HCheck("H4_lower_bound", ok4, w4,
-                         m4 if m4 != math.inf else 0.0))
-    # Phi is (2K)-Lipschitz and at least d(x, N)/4
-    okp, wp, mp = True, None, math.inf
-    if len(comp):
-        diff = np.abs(phi_total[:, None] - phi_total[None, :]) - 2 * K * dcomp
-        np.fill_diagonal(diff, -math.inf)
-        j = int(np.argmax(diff))
-        a, b = divmod(j, len(comp))
-        mp = float(-diff[a, b])
-        if diff[a, b] > REL_TOL * max(1.0, 2 * K * dcomp[a, b]):
-            okp, wp = False, (comp[a], comp[b])
-        low = phi_total - d_net / 4.0
-        j = int(np.argmin(low))
-        mp = min(mp, float(low[j]))
-        if low[j] < -REL_TOL * d_net[j]:
-            okp, wp = False, (comp[j],)
-    checks.append(HCheck("Phi_lipschitz_lower", okp, wp,
-                         mp if mp != math.inf else 0.0))
-    return tuple(checks)
+        cols = np.flatnonzero(v_masks[ii])
+        ratio = space.dist[y, comp[cols]] / d_net[cols]
+        j = int(np.argmax(ratio))
+        if ratio[j] > h1:
+            h1, w1 = float(ratio[j]), (int(y), int(comp[cols[j]]))
+    # only pairs with a point in phi_i's support can have a positive ratio
+    h3, w3 = 0.0, None
+    for row in phi:
+        on = np.flatnonzero(row)
+        ratio = np.abs(row[on, None] - row) / dcomp[on]
+        if ratio.max(initial=0.0) > h3:
+            h3, w3 = float(ratio.max()), _first_max_pair(ratio, on, comp)
+    low = d_net / (4.0 * phi.max(axis=0))
+    j = int(np.argmax(low))
+    ratio = np.abs(phi_total[:, None] - phi_total) / dcomp
+    hp = float(ratio.max(initial=0.0))
+    wp = _first_max_pair(ratio, np.arange(len(comp)), comp) if hp else None
+    return (
+        HCheck("H1_anchor_distance", h1, 7.0, w1),
+        HCheck("H3_lipschitz_support", h3, 1.0, w3),
+        HCheck("H4_lower_bound", float(low[j]), 1.0, (int(comp[j]),)),
+        HCheck("Phi_lipschitz", hp, 2.0 * K, wp),
+    )
 
 
 def whitney_cover(space, net):
@@ -217,11 +187,12 @@ def whitney_cover(space, net):
         indices=tuple(indices), v_masks=v_masks, phi=phi,
         phi_total=phi_total, psi=psi, dist_to_net=d_net,
         doubling_value=doubling.value, overlap_bound=float(K), checks=checks)
-    if not system.all_passed:
-        failed = [c for c in system.checks if not c.passed]
+    failed = [c for c in checks if not passes(c.measured, c.bound, None)]
+    if failed:
         raise InternalInvariantBroken(
             "whitney properties failed: "
-            + "; ".join(f"{c.name} at {c.witness}" for c in failed))
+            + "; ".join(f"{c.name} {c.measured:.6g} > {c.bound:.6g} at "
+                        f"{c.witness}" for c in failed))
     return system
 
 
@@ -282,7 +253,6 @@ def extension_constant(p, doubling_value):
 
 @dataclass(frozen=True)
 class CrucialReport:
-    passed: bool
     worst_pair: tuple | None
     max_ratio: float  # lhs / rhs, should stay <= 1
 
@@ -302,7 +272,7 @@ def weight_variation_check(system, p):
     comp = np.array(system.complement, dtype=int)
     m = len(comp)
     if m < 2:
-        return CrucialReport(True, None, 0.0)
+        return CrucialReport(None, 0.0)
     psi = system.psi
     psi_p = psi ** p  # |psi_i(x) - 0|^p
     held = [(np.flatnonzero(row), np.flatnonzero(row == 0)) for row in psi]
@@ -329,7 +299,7 @@ def weight_variation_check(system, p):
         a, b = divmod(int(np.argmax(ratio)), m)
         if ratio[a, b] > worst:
             worst, wpair = float(ratio[a, b]), (int(comp[lo + a]), int(comp[b]))
-    return CrucialReport(worst <= 1 + 1e-9, wpair, worst)
+    return CrucialReport(wpair, worst)
 
 
 def doubling_extension_map(space, net, p, system=None,
@@ -370,7 +340,7 @@ class PointRemovalReport:
     measured_lip: float
     bound: float
     witness_pair: tuple | None
-    chain_ok: bool
+    chain_ratio: float  # worst link of the chain inequality, <= 1
 
 
 def point_removal_map(space, x0, p):
@@ -380,7 +350,7 @@ def point_removal_map(space, x0, p):
     delta of the new base; with the nearest-neighbor base choice it is
     2^{1/p}-Lipschitz.  Since delta is an isometry into F_p for every p,
     its constant is the largest distance ratio d(f x, f y) / d(x, y).  The
-    summed power-distance chain inequality is checked for every remaining
+    summed power-distance chain inequality is measured at every remaining
     point.
     """
     if space.n < 2:
@@ -396,21 +366,16 @@ def point_removal_map(space, x0, p):
     img = np.arange(space.n)
     img[x0] = new_base
     lip, pair = _scan_pairs(space, lambda xs, ys: space.dist[img[xs], img[ys]])
-    # chain: d^p(x0, b) + d^p(x, b) <= d^p(x0, x) + 2 d^p(x0, b)
-    #        <= (1 + 2 (1 + eps)^p) d^p(x0, x) for every x != x0
-    eps = 1e-9
-    chain_ok = True
-    for x in keep:
-        if x == new_base:
-            continue
-        lhs = d0[new_base] ** p + space.dist[x, new_base] ** p
-        mid = space.dist[x0, x] ** p + 2 * d0[new_base] ** p
-        rhs = (1 + 2 * (1 + eps) ** p) * space.dist[x0, x] ** p
-        if lhs > mid * (1 + REL_TOL) or mid > rhs * (1 + REL_TOL):
-            chain_ok = False
+    # chain, at every x off {x0, b}: d^p(x0, b) + d^p(x, b)
+    #   <= d^p(x0, x) + 2 d^p(x0, b) <= 3 d^p(x0, x), the last as b is a
+    #   nearest point to x0; chain_ratio is the worst ratio of either link
+    xs = np.array([x for x in keep if x != new_base], dtype=int)
+    lhs = d0[new_base] ** p + space.dist[xs, new_base] ** p
+    mid = d0[xs] ** p + 2 * d0[new_base] ** p
+    chain = np.maximum(lhs / mid, mid / (3 * d0[xs] ** p)).max(initial=0.0)
     return PointRemovalReport(removed=x0, new_base=new_base,
                               measured_lip=float(lip), bound=2.0 ** (1.0 / p),
-                              witness_pair=pair, chain_ok=chain_ok)
+                              witness_pair=pair, chain_ratio=float(chain))
 
 
 @dataclass(frozen=True)

@@ -73,12 +73,6 @@ class Molecule:
             v[i] = c
         return v
 
-    def support(self):
-        return tuple(i for i, _ in self.coeffs)
-
-    def total(self):
-        return sum(c for _, c in self.coeffs)
-
     def __add__(self, other):
         acc = dict(self.coeffs)
         for i, c in other.coeffs:

@@ -45,8 +45,6 @@ class RetractionReport:
     measured_lip: float
     slack: float
     witness_pair: tuple | None
-    fixes_ball: bool
-    idempotent: bool
 
 
 def radial_retraction(space, S):
@@ -65,12 +63,9 @@ def radial_retraction(space, S):
             for i in range(space.n)]
     img = np.array(pmap)
     best, pair = _scan_pairs(space, lambda xs, ys: space.dist[img[xs], img[ys]])
-    fixes = all(pmap[i] == i for i in np.flatnonzero(inside))
-    idem = all(pmap[pmap[i]] == pmap[i] for i in range(space.n))
     return RetractionReport(point_map=tuple(pmap), measured_lip=float(best),
                             slack=float(max(0.0, best - 2.0)),
-                            witness_pair=pair, fixes_ball=fixes,
-                            idempotent=idem)
+                            witness_pair=pair)
 
 
 def outward_amenability_map(space, S, p, exact_limit=FOREST_LIMIT_DEFAULT):
@@ -107,10 +102,6 @@ class RClosedReport:
     R: float
     max_rel_error: float
     witness: tuple | None
-
-    @property
-    def passed(self):
-        return self.max_rel_error <= REL_TOL
 
 
 def verify_r_closed(space, point_map, R):
@@ -177,7 +168,7 @@ class StereoReport:
     expected_radii: np.ndarray
     max_abs_error: float
     band_error: float
-    injective: bool
+    coincident_pairs: int  # neighbours in lexicographic order, within 1e-12
 
 
 def stereographic(sample):
@@ -194,16 +185,13 @@ def stereographic(sample):
     err = float(np.abs(radii - expected).max())
     # band correspondence: height equals eta(chordal distance to the pole)
     band_err = float(np.abs(h - eta(pole_dist)).max())
-    # injectivity on the sample
-    injective = True
-    order = np.lexsort(image.T)
-    for a, b in zip(order, order[1:]):
-        if np.abs(image[a] - image[b]).max() <= 1e-12:
-            injective = False
-            break
+    # injectivity on the sample: images next to each other in lexicographic
+    # order that agree within 1e-12
+    steps = np.diff(image[np.lexsort(image.T)], axis=0)
+    coincident = int((np.abs(steps).max(axis=1) <= 1e-12).sum())
     return StereoReport(image=image, heights=h, radii=radii,
                         expected_radii=expected, max_abs_error=err,
-                        band_error=band_err, injective=injective)
+                        band_error=band_err, coincident_pairs=coincident)
 
 
 def mirror_band_residual(sample):

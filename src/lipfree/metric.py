@@ -1,8 +1,8 @@
 """Finite pointed metric spaces: construction, subspaces, nets, doubling bounds.
 
 Distances are stored as a dense symmetric float64 matrix.  Identity/zero
-checks use absolute tolerance ``ABS_TOL``; bound comparisons use relative
-tolerance ``REL_TOL``.
+checks use absolute tolerance ``ABS_TOL``; every check against a bound or a
+tol is decided by ``passes``, with relative tolerance ``REL_TOL`` on bounds.
 """
 
 from __future__ import annotations
@@ -16,6 +16,18 @@ from .errors import BadParameter, DuplicatePoint
 
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
+
+
+def passes(measured, bound, tol):
+    """The one pass rule, given exactly one of ``bound`` and ``tol``: a
+    measured value passes when it is at most bound * (1 + REL_TOL), or at
+    most tol; an unmeasured value (None) never passes."""
+    if (bound is None) == (tol is None):
+        raise BadParameter("a check needs exactly one of bound and tol")
+    if measured is None:
+        return False
+    return bool(measured <= (tol if bound is None else bound * (1 + REL_TOL)))
+
 
 NORM_KINDS = ("euclidean", "sup", "taxicab", "matrix")
 

@@ -1,9 +1,10 @@
 """Verification suites: named bundles of checks with JSON reports.
 
-Every check record carries the closed-form bound it tests against (with the
-inputs that produced it) next to the measured value, so reports are
-self-contained.  Reports are deterministic for a fixed seed; wall-clock
-timing goes to stderr, never into the report body.
+Every check record carries the measured value next to exactly one of the
+closed-form bound it tests against (with the inputs that produced it) or an
+absolute tol, and its pass flag is ``metric.passes`` of those printed
+numbers, so reports are self-contained.  Reports are deterministic for a
+fixed seed; wall-clock timing goes to stderr, never into the report body.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import BadFamily, BadSuite, Mismatch
 from .extension import (
     amenability_defect,
     doubling_extension_map,
+    extension_constant,
     linearization_residual,
     point_removal_map,
     weight_variation_check,
@@ -49,7 +51,14 @@ from .geometry import (
     radial_retraction,
     stereographic,
 )
-from .metric import REL_TOL, IntervalSpec, build_space, maximal_separated_net
+from .metric import (
+    REL_TOL,
+    IntervalSpec,
+    build_space,
+    doubling_constant_upper,
+    maximal_separated_net,
+    passes,
+)
 from .serialization import dump_report, load_space
 
 
@@ -67,14 +76,16 @@ class SuiteConfig:
         return float(self.tol_overrides.get(key, default))
 
 
-def _record(check, measured, bound, passed, witness=None, bound_inputs=None,
-            tol=None):
+def _record(check, measured, bound=None, tol=None, witness=None,
+            bound_inputs=None):
+    """One check: ``measured`` against exactly one of ``bound`` and
+    ``tol``, passed by the one rule ``passes``."""
     return {
         "check": check,
         "measured": None if measured is None else float(measured),
         "bound": None if bound is None else float(bound),
         "bound_inputs": bound_inputs or {},
-        "passed": bool(passed),
+        "passed": passes(measured, bound, tol),
         "witness": witness,
         "tol": tol,
     }
@@ -103,6 +114,7 @@ def _random_molecule(rng, space, max_support=4):
 def suite_norm_oracle(config):
     space, _ = _resolve_space(config, {"kind": "random-ball",
                                        "params": {"d": 2, "n": 6}})
+    _nonbase_points(space)
     rng = np.random.default_rng(config.seed)
     records = []
     tol = config.tol("norm_oracle_rel", 1e-9)
@@ -129,10 +141,9 @@ def suite_norm_oracle(config):
                               / max(res.value, 1e-30))
     certified = missing == 0 and lip_worst <= tol
     records.append(_record(
-        "duality_gap_p1", gap_worst, None, certified and gap_worst <= tol,
+        "duality_gap_p1", gap_worst if certified else None, tol=tol,
         witness=None if certified else {"missing_certificates": missing,
-                                        "lipschitz_excess": lip_worst},
-        tol=tol))
+                                        "lipschitz_excess": lip_worst}))
 
     xs, ys = np.triu_indices(space.n, 1)
     deltas = np.eye(space.n)[xs] - np.eye(space.n)[ys]  # delta(x) - delta(y)
@@ -140,8 +151,7 @@ def suite_norm_oracle(config):
     for p in config.p_list:
         v, _ = norm_rows(space, deltas, p, config.exact_limit)
         iso_worst = float(np.max(np.abs(v - d) / d, initial=0.0))
-        records.append(_record(f"delta_isometry_p{p}", iso_worst, None,
-                               iso_worst <= tol, tol=tol))
+        records.append(_record(f"delta_isometry_p{p}", iso_worst, tol=tol))
 
     mono_worst = 0.0
     upper_worst = 0.0
@@ -161,19 +171,26 @@ def suite_norm_oracle(config):
     for check, worst in (("oracle_vs_flow_p1", agree_worst),
                          ("norm_monotone_in_p", mono_worst),
                          ("upper_never_below_oracle", upper_worst)):
-        records.append(_record(check, worst, None, worst <= tol, tol=tol)
+        records.append(_record(check, worst, tol=tol)
                        if exact else  # the oracle did not run
-                       _record(check, None, None, False, witness=skip, tol=tol))
+                       _record(check, None, tol=tol, witness=skip))
     return records
+
+
+def _nonbase_points(space):
+    """The nonbase points in index order; a space without any is refused,
+    as no check could measure anything on it."""
+    points = [i for i in range(space.n) if i != space.base]
+    if not points:
+        raise BadFamily("space has no nonbase points")
+    return points
 
 
 def _base_radii(space):
     """The distinct distances of the nonbase points from the base, in
     increasing order."""
-    radii = sorted(set(float(r) for r in space.radii() if r > 0))
-    if not radii:
-        raise BadFamily("space has no nonbase points")
-    return radii
+    return sorted(set(float(space.dist[space.base, i])
+                      for i in _nonbase_points(space)))
 
 
 def _unit_cores(space, R):
@@ -198,15 +215,14 @@ def suite_decomposition(config):
                                   exact_limit=config.exact_limit)
         tol = config.tol("pst_residual", 1e-10)
         records.append(_record(f"pst_identity_residual_p{p}", rep.residual,
-                               None, rep.residual <= tol, tol=tol))
+                               tol=tol))
         records.append(_record(
             f"T_norm_p{p}", rep.measured_T, rep.bound_T,
-            rep.measured_T <= rep.bound_T * (1 + 1e-9),
             witness=rep.witness_pair,
             bound_inputs={"p": p, "R": R, "k": 2, "K1": 3 * 2 / margin,
                           "K2": 1.0, "measured_exact": rep.measured_exact}))
-        records.append(_record(f"weight_sums_p{p}", rep.weight_sum_error, None,
-                               rep.weight_sum_error <= 1e-12, tol=1e-12))
+        records.append(_record(f"weight_sums_p{p}", rep.weight_sum_error,
+                               tol=1e-12))
 
     # separated partition into one closed annulus per radius, where radii
     # within REL_TOL (relative) of the annulus' smallest count as one radius
@@ -222,7 +238,7 @@ def suite_decomposition(config):
         rep = verify_separated_inverse(fam, p, samples=60, seed=config.seed,
                                        exact_limit=config.exact_limit)
         records.append(_record(
-            f"P_inverse_ratio_p{p}", rep.max_ratio, rep.bound, rep.passed,
+            f"P_inverse_ratio_p{p}", rep.max_ratio, rep.bound,
             bound_inputs={"K": rep.gap, "p": p, "certified": rep.certified}))
 
     # P never increases norms on sampled sum elements
@@ -246,8 +262,7 @@ def suite_decomposition(config):
         vp, _ = norm_value(space, total, p, exact_limit=config.exact_limit)
         if acc > 0:
             worst = max(worst, vp / acc ** (1 / p))
-    records.append(_record("P_norm_one_sampled", worst, 1.0,
-                           worst <= 1 + 1e-9))
+    records.append(_record("P_norm_one_sampled", worst, 1.0))
     return records
 
 
@@ -270,29 +285,27 @@ def suite_whitney(config):
     system = whitney_cover(space, sorted(net))
     records = []
     for c in system.checks:
-        records.append(_record(f"whitney_{c.name}", c.margin, None, c.passed,
+        records.append(_record(f"whitney_{c.name}", c.measured, c.bound,
                                witness=c.witness))
     hist = system.overlap_histogram()
     max_overlap = max(hist) if hist else 0
     records.append(_record("whitney_overlap_vs_3D4", max_overlap,
                            system.overlap_bound,
-                           max_overlap <= system.overlap_bound,
                            bound_inputs={"doubling_upper": system.doubling_value}))
     for p in config.p_list:
         crucial = weight_variation_check(system, p)
         records.append(_record(f"weight_variation_p{p}", crucial.max_ratio, 1.0,
-                               crucial.passed, witness=crucial.worst_pair))
+                               witness=crucial.worst_pair))
         ext = doubling_extension_map(space, sorted(net), p, system=system,
                                      exact_limit=config.exact_limit)
         records.append(_record(
             f"extension_lip_p{p}", ext.measured_lip, ext.lip_bound,
-            ext.measured_lip <= ext.lip_bound * (1 + 1e-9),
             witness=ext.witness_pair,
             bound_inputs={"p": p, "doubling_upper": system.doubling_value,
                           "measured_exact": ext.measured_exact}))
         resid = linearization_residual(ext)
-        records.append(_record(f"linearization_residual_p{p}", resid, None,
-                               resid <= 1e-10, tol=1e-10))
+        records.append(_record(f"linearization_residual_p{p}", resid,
+                               tol=1e-10))
     return records
 
 
@@ -307,20 +320,15 @@ def suite_retraction(config):
     slack_tol = config.tol("retraction_slack", 0.1)
     records = [
         _record("retraction_lip", rep.measured_lip, 2.0,
-                rep.measured_lip <= 2.0 * (1 + 1e-9),
-                witness=rep.witness_pair, bound_inputs={"S": S}, tol=1e-9),
-        _record("retraction_slack", rep.slack, slack_tol,
-                rep.slack <= slack_tol),
-        _record("retraction_fixes_ball", None, None, rep.fixes_ball),
-        _record("retraction_idempotent", None, None, rep.idempotent),
+                witness=rep.witness_pair, bound_inputs={"S": S}),
+        _record("retraction_slack", rep.slack, tol=slack_tol),
     ]
     # scale invariance of the measured ratio
     scaled = build_space(space.coords * 3.0, space.norm, alpha=space.alpha,
                          base=space.base)
     rep2 = radial_retraction(scaled, 3.0 * S)
     drift = abs(rep2.measured_lip - rep.measured_lip)
-    records.append(_record("retraction_scale_invariance", drift, None,
-                           drift <= 1e-9, tol=1e-9))
+    records.append(_record("retraction_scale_invariance", drift, tol=1e-9))
     return records
 
 
@@ -330,11 +338,9 @@ def suite_sphere(config):
     sample = SphereSample(space.coords)
     rep = stereographic(sample)
     records = [
-        _record("stereo_radius_error", rep.max_abs_error, None,
-                rep.max_abs_error <= 1e-9, tol=1e-9),
-        _record("stereo_band_correspondence", rep.band_error, None,
-                rep.band_error <= 1e-9, tol=1e-9),
-        _record("stereo_injective", None, None, rep.injective),
+        _record("stereo_radius_error", rep.max_abs_error, tol=1e-9),
+        _record("stereo_band_correspondence", rep.band_error, tol=1e-9),
+        _record("stereo_injective", rep.coincident_pairs, tol=0.0),
     ]
     # the half-height level maps onto radius sqrt(3)
     d = space.coords.shape[1] - 1
@@ -343,25 +349,24 @@ def suite_sphere(config):
     probe[1, 0], probe[1, -1] = 1.0, 0.0
     probe[2, -1] = -1.0
     prep = stereographic(SphereSample(probe))
-    err_half = abs(prep.radii[0] - math.sqrt(3.0))
-    records.append(_record("stereo_half_level_radius", prep.radii[0],
-                           math.sqrt(3.0), err_half <= 1e-9, tol=1e-9))
-    records.append(_record("stereo_equator_radius", prep.radii[1], 1.0,
-                           abs(prep.radii[1] - 1.0) <= 1e-9, tol=1e-9))
-    records.append(_record("stereo_south_pole_radius", prep.radii[2], 0.0,
-                           abs(prep.radii[2]) <= 1e-9, tol=1e-9))
-    # monotone radius in height
-    order = np.argsort(rep.heights)
-    mono = bool(np.all(np.diff(rep.radii[order]) > -1e-12))
-    records.append(_record("stereo_radius_monotone", None, None, mono))
+    for level, radius, expected in zip(
+            ("half_level", "equator", "south_pole"), prep.radii,
+            (math.sqrt(3.0), 1.0, 0.0)):
+        records.append(_record(f"stereo_{level}_radius",
+                               abs(radius - expected), tol=1e-9,
+                               bound_inputs={"expected": expected}))
+    # the radius never falls as the height rises
+    r = rep.radii[np.argsort(rep.heights)]
+    records.append(_record("stereo_radius_monotone",
+                           np.max(r[:-1] - r[1:], initial=0.0), tol=1e-12))
     resid = mirror_band_residual(sample)
-    records.append(_record("mirror_band_residual", resid, None,
-                           resid <= 1e-12, tol=1e-12))
+    records.append(_record("mirror_band_residual", resid, tol=1e-12))
     return records
 
 
 def suite_commuting_bap(config):
     records = []
+    m_max = 5
     for R in (2.0, 8.0):
         # points at hat centers R^(R j) plus one core point: the truncated
         # weight sums take only the values 0 and 1 there, making the
@@ -374,67 +379,76 @@ def suite_commuting_bap(config):
                           "radii": tuple(R ** u for u in us)}}
         space, _ = _resolve_space(config, src)
         for p in config.p_list:
-            mats, rep = commuting_approximants(space, R, m_max=5, p=p,
+            mats, rep = commuting_approximants(space, R, m_max=m_max, p=p,
                                                exact_limit=config.exact_limit)
             records.append(_record(
                 f"semigroup_residual_R{R}_p{p}", rep.max_semigroup_residual,
-                None, rep.max_semigroup_residual <= 1e-12, tol=1e-12))
+                tol=1e-12))
             records.append(_record(
                 f"approximant_norms_R{R}_p{p}", max(rep.measured_norms),
                 rep.bound,
-                max(rep.measured_norms) <= rep.bound * (1 + 1e-9),
                 bound_inputs={"p": p, "k": 2, "R": R, "K1": 1.0 / R,
                               "K2": 1.0}))
             records.append(_record(
-                f"approximant_identity_R{R}_p{p}",
-                None if rep.identity_from is None else float(rep.identity_from),
-                None, rep.identity_from is not None))
+                f"approximant_identity_R{R}_p{p}", rep.identity_from, m_max))
     return records
 
 
 def suite_point_removal(config):
-    rng = np.random.default_rng(config.seed)
-    records = []
+    """Remove each nonbase point of the given space once, in index order;
+    without a space, one random point of each of 20 random 3-6 point
+    spaces."""
+    if config.space_source is None:
+        rng = np.random.default_rng(config.seed)
+        cases = []
+        for _ in range(20):
+            n = int(rng.integers(3, 7))
+            space = build_space(rng.standard_normal((n, 2)), "euclidean")
+            cases.append((space, int(rng.integers(1, n))))
+    else:
+        space, _ = _resolve_space(config, None)
+        cases = [(space, x0) for x0 in _nonbase_points(space)]
     worst = {p: 0.0 for p in config.p_list}
-    chain_ok = True
-    count = 20
-    for t in range(count):
-        n = int(rng.integers(3, 7))
-        coords = rng.standard_normal((n, 2))
-        space = build_space(coords, "euclidean")
-        x0 = int(rng.integers(1, n))
+    chain = 0.0
+    for space, x0 in cases:
         for p in config.p_list:
             rep = point_removal_map(space, x0, p)
             worst[p] = max(worst[p], rep.measured_lip / rep.bound)
-            chain_ok = chain_ok and rep.chain_ok
-    for p in config.p_list:
-        records.append(_record(f"point_removal_ratio_p{p}", worst[p], 1.0,
-                               worst[p] <= 1 + 1e-9,
-                               bound_inputs={"bound": 2 ** (1 / p)}))
-    records.append(_record("point_removal_chain", None, None, chain_ok))
+            chain = max(chain, rep.chain_ratio)
+    records = [_record(f"point_removal_ratio_p{p}", worst[p], 1.0,
+                       bound_inputs={"bound": 2 ** (1 / p)})
+               for p in config.p_list]
+    records.append(_record("point_removal_chain", chain, 1.0))
     return records
 
 
 def suite_amenability(config):
+    """Sampled norm ratios of molecules on a subset N, in F_p(N) against
+    F_p(M): 1 at p = 1, and below p the doubling extension's closed-form
+    constant, since its linearization L_E is a left inverse of the
+    inclusion."""
     space, src = _resolve_space(config, {"kind": "random-ball",
                                          "params": {"d": 2, "n": 7}})
+    _nonbase_points(space)
     subset_spec = (config.space_source or {}).get("subset") or src.get("subset")
     if subset_spec is None:
         net = sorted({space.base} | set(range(0, space.n, 2)))
     else:
         net = sorted({space.base} | set(int(i) for i in subset_spec["indices"]))
+    doubling = doubling_constant_upper(space.take(net, net.index(space.base)))
     records = []
     for p in config.p_list:
         rep = amenability_defect(space, net, p, samples=60, seed=config.seed,
                                  exact_limit=config.exact_limit)
         if p == 1.0:
             records.append(_record("amenability_isometry_p1", rep.max_ratio,
-                                   1.0, rep.max_ratio <= 1 + 1e-9,
-                                   bound_inputs={"certified": rep.certified}))
+                                   1.0, bound_inputs={"certified": rep.certified}))
         else:
             records.append(_record(
-                f"amenability_lower_bound_p{p}", rep.max_ratio, None, True,
+                f"amenability_lower_bound_p{p}", rep.max_ratio,
+                extension_constant(p, doubling.value),
                 bound_inputs={"certified": rep.certified,
+                              "doubling_upper": doubling.value,
                               "mean": rep.mean_ratio}))
     return records
 

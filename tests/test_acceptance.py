@@ -164,7 +164,8 @@ def test_criterion_06_inverse_bound(rng):
         for p in (1.0, 0.5):
             rep = verify_separated_inverse(fam, p, samples=1000,
                                            seed=int(K * 10 + p * 2))
-            ok = ok and rep.passed and rep.certified
+            ok = (ok and rep.max_ratio <= rep.bound * (1 + 1e-9)
+                  and rep.certified)
             details.append(f"K={K:g},p={p:g}:{rep.max_ratio:.3f}<={rep.bound:.3f}")
     _line(6, ok, "sampled |P^-1| lower bounds vs closed form: "
                  + "; ".join(details))
@@ -213,11 +214,11 @@ def test_criterion_08_whitney_extension(which, rng):
     t0 = time.time()
     sp, net = _whitney_fixture(which, rng)
     system = whitney_cover(sp, net)
-    ok = system.all_passed
+    ok = all(c.measured <= c.bound * (1 + 1e-9) for c in system.checks)
     details = [f"D^={system.doubling_value}"]
     for p in (1.0, 0.5):
         crucial = weight_variation_check(system, p)
-        ok = ok and crucial.passed
+        ok = ok and crucial.max_ratio <= 1 + 1e-9
         limit = 8 if p == 1.0 else 6
         ext = doubling_extension_map(sp, net, p, system=system,
                                      exact_limit=limit)
@@ -258,17 +259,17 @@ def test_criterion_09_retraction_and_outward():
 
 def test_criterion_10_point_removal(rng):
     worst = 0.0
-    chain_ok = True
+    chain = 0.0
     for _ in range(50):
         sp = random_metric_space(rng, int(rng.integers(3, 8)))
         x0 = int(rng.integers(1, sp.n))
         for p in (1.0, 0.5):
             rep = point_removal_map(sp, x0, p)
             worst = max(worst, rep.measured_lip / rep.bound)
-            chain_ok = chain_ok and rep.chain_ok
-    ok = worst <= 1 + 1e-9 and chain_ok
+            chain = max(chain, rep.chain_ratio)
+    ok = worst <= 1 + 1e-9 and chain <= 1 + 1e-9
     _line(10, ok, f"point removal: max measured/bound ratio {worst:.6f}, "
-                  f"chain inequalities hold: {chain_ok}")
+                  f"worst chain ratio {chain:.6f}")
 
 
 def test_criterion_11_stereographic():

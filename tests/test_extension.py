@@ -7,6 +7,7 @@ import pytest
 from lipfree import (
     BadParameter,
     BadSubset,
+    InternalInvariantBroken,
     Molecule,
     TooSmall,
     amenability_defect,
@@ -23,22 +24,26 @@ from lipfree import extension, freenorm
 from lipfree.freenorm import FOREST_LIMIT_DEFAULT as LIMIT
 from lipfree.freenorm import measure_lipschitz, norm_value
 from lipfree.generators import grid_zd, random_ball
-from lipfree.metric import REL_TOL
+from lipfree.metric import passes
 
 from conftest import random_metric_space
+
+
+def _within_bounds(system):
+    return all(c.measured <= c.bound * (1 + 1e-9) for c in system.checks)
 
 
 def test_whitney_subset_equals_space():
     sp = line_space([0.0, 1.0, 2.0])
     system = whitney_cover(sp, [0, 1, 2])
     assert system.indices == ()
-    assert system.all_passed
+    assert system.checks == ()
 
 
 def test_whitney_base_only_subset():
     sp = line_space([0.0, 1.0, 2.0, 4.0, 8.0])
     system = whitney_cover(sp, [0])
-    assert system.all_passed
+    assert _within_bounds(system)
     # every anchor is the base and the weights sum to one off the subset
     assert all(y == 0 for _, y in system.indices)
     assert np.abs(system.psi.sum(axis=0) - 1.0).max() <= 1e-12
@@ -49,7 +54,7 @@ def test_whitney_grid_halfplane():
     net = [i for i in range(sp.n) if sp.coords[i][0] <= 1]
     net.append(sp.base)
     system = whitney_cover(sp, sorted(set(net)))
-    assert system.all_passed
+    assert _within_bounds(system)
     hist = system.overlap_histogram()
     assert max(hist) <= system.overlap_bound
     # phi functions are 1-Lipschitz with support inside their patch
@@ -61,6 +66,20 @@ def test_whitney_grid_halfplane():
         assert np.all(system.phi[i][~system.v_masks[i]] == 0.0)
     # Phi lower bound from the construction
     assert np.all(system.phi_total >= system.dist_to_net / 4.0 - 1e-12)
+
+
+def test_whitney_cover_raises_on_a_check_above_its_bound(monkeypatch):
+    """A Whitney ratio above its bound (here H3, by a doubled phi) is an
+    internal fault, decided by the same rule as every report record."""
+    h_checks = extension._h_checks
+
+    def steep(space, comp, indices, v_masks, phi, *rest):
+        return h_checks(space, comp, indices, v_masks, 2.0 * phi, *rest)
+
+    monkeypatch.setattr(extension, "_h_checks", steep)
+    with pytest.raises(InternalInvariantBroken,
+                       match="H3_lipschitz_support 2 > 1"):
+        whitney_cover(grid_zd(d=2, lo=0, hi=4), [0])
 
 
 def test_whitney_requires_base_in_subset():
@@ -103,7 +122,7 @@ def test_weight_variation_inequality():
     system = whitney_cover(sp, net)
     for p in (1.0, 0.5):
         rep = weight_variation_check(system, p)
-        assert rep.passed
+        assert rep.max_ratio <= 1 + 1e-9
 
 
 def test_extension_molecule_accessor():
@@ -125,7 +144,7 @@ def test_point_removal_three_point_line():
     rep = point_removal_map(sp, 2, 1.0)
     assert rep.new_base == 1  # nearest remaining point
     assert rep.measured_lip <= 2.0 * (1 + 1e-9)
-    assert rep.chain_ok
+    assert rep.chain_ratio <= 1 + 1e-9
 
 
 def test_point_removal_random_spaces(rng):
@@ -135,7 +154,7 @@ def test_point_removal_random_spaces(rng):
         for p in (1.0, 0.5):
             rep = point_removal_map(sp, x0, p)
             assert rep.measured_lip <= rep.bound * (1 + 1e-9)
-            assert rep.chain_ok
+            assert rep.chain_ratio <= 1 + 1e-9
 
 
 def test_point_removal_guards():
@@ -294,7 +313,7 @@ def _reference_weight_variation(system, p):
     """Reference: one row x at a time, every index's term summed."""
     comp = system.complement
     if len(comp) < 2:
-        return extension.CrucialReport(True, None, 0.0)
+        return extension.CrucialReport(None, 0.0)
     psi = system.psi
     d_net = system.dist_to_net
     K = system.overlap_bound
@@ -311,7 +330,7 @@ def _reference_weight_variation(system, p):
         j = int(np.argmax(ratio))
         if ratio[j] > worst:
             worst, wpair = float(ratio[j]), (comp[a], comp[a + 1 + j])
-    return extension.CrucialReport(worst <= 1 + 1e-9, wpair, worst)
+    return extension.CrucialReport(wpair, worst)
 
 
 def _reference_coeffs(space, system):
@@ -353,58 +372,58 @@ def test_whitney_weights_match_reference(cloud_system):
         space, list(system.complement),
         list(system.indices), system.v_masks, phi, phi_total,
         system.dist_to_net, system.overlap_bound)
-    assert system.checks == checks  # margins and witnesses, bit for bit
+    assert system.checks == checks  # ratios and witnesses, bit for bit
 
 
 def _reference_h3(space, system, phi):
-    """Reference: the H3 scan over every pair for every index, deciding and
-    naming the witness at the first maximum; its margin is taken over the
-    pairs x != y with phi_i(x) != 0."""
+    """Reference: the largest |phi_i(x) - phi_i(y)| / d(x, y) over every
+    index and every pair x != y, named at the first index and then the
+    first pair in row-major order where it is reached."""
     comp = list(system.complement)
     dcomp = space.dist[np.ix_(comp, comp)]
     off_diag = ~np.eye(len(comp), dtype=bool)
-    margin = math.inf
-    for ii, row in enumerate(phi):
-        diff = np.abs(row[:, None] - row[None, :]) - dcomp
-        held = (row != 0)[:, None] & off_diag
-        margin = min(margin, -float(diff[held].max(initial=-math.inf)))
-        a, b = divmod(int(np.argmax(diff)), len(comp))
-        if diff[a, b] > REL_TOL * max(1.0, dcomp[a, b]):
-            return False, (comp[a], comp[b]), margin
-        if np.any((row > 0) & ~system.v_masks[ii]):
-            return False, (comp[int(np.argmax((row > 0) & ~system.v_masks[ii]))],), margin
-    return True, None, margin if margin != math.inf else 0.0
+    worst, pair = 0.0, None
+    for row in phi:
+        ratio = np.zeros_like(dcomp)
+        ratio[off_diag] = (np.abs(row[:, None] - row[None, :])[off_diag]
+                           / dcomp[off_diag])
+        a, b = divmod(int(np.argmax(ratio)), len(comp))
+        if ratio[a, b] > worst:
+            worst, pair = float(ratio[a, b]), (comp[a], comp[b])
+    return worst, pair
 
 
 @pytest.mark.parametrize("scale", [0.5, 1.0, 40.0])
 def test_h3_scan_matches_full_reference(cloud_system, scale):
-    """The support-restricted H3 scan keeps the full scan's verdict and
-    witness, and its margin is the slack off the diagonal.  phi_i =
-    d(., X - V_i) is attained at complement points off V_i, so the margin
-    is exactly 0 at scale 1 and positive at scale 1/2 (where the diagonal
-    pairs read 0); at scale 40 the weights are too steep to pass."""
+    """The support-restricted H3 scan finds the full scan's largest ratio
+    and its first worst pair.  phi_i = d(., X - V_i) is attained at
+    complement points off V_i, so the ratio is exactly 1 at scale 1 and
+    exactly 1/2 at scale 1/2; at scale 40 the weights are too steep to
+    pass."""
     space, system = cloud_system
     phi = system.phi * scale
     h3 = extension._h_checks(
         space, list(system.complement),
         list(system.indices), system.v_masks, phi, phi.sum(axis=0),
-        system.dist_to_net, system.overlap_bound)[2]
-    assert h3.name == "H3_lipschitz_support"
-    assert (h3.passed, h3.witness, h3.margin) == _reference_h3(space, system, phi)
-    assert h3.passed == (scale < 40)
+        system.dist_to_net, system.overlap_bound)[1]
+    assert (h3.name, h3.bound) == ("H3_lipschitz_support", 1.0)
+    assert (h3.measured, h3.witness) == _reference_h3(space, system, phi)
+    assert passes(h3.measured, h3.bound, None) == (scale < 40)
     if scale < 40:
-        assert (h3.margin > 0) == (scale < 1) and h3.margin >= 0
+        assert h3.measured == scale
 
 
 def test_h3_witness_is_the_first_worst_pair():
     """The H3 witness is the first worst pair in row-major order over all
-    pairs, here one whose first point is off phi's support."""
+    pairs, here one whose first point is off the worst phi's support."""
     sp = line_space([0.0, 1.0, 2.0, 3.0])
-    phi = np.array([[0.0, 5.0, 0.0]])
-    h3 = extension._h_checks(sp, [0, 1, 2], [(0, 3)],
-                             np.array([[False, True, True]]), phi, phi[0],
-                             np.array([3.0, 2.0, 1.0]), 3.0)[2]
-    assert (h3.passed, h3.witness, h3.margin) == (False, (0, 1), -4.0)
+    phi = np.array([[0.0, 5.0, 0.0], [0.5, 0.0, 0.5]])
+    h3 = extension._h_checks(sp, [0, 1, 2], [(0, 3), (0, 3)],
+                             np.array([[False, True, True], [True] * 3]),
+                             phi, phi.sum(axis=0), np.array([3.0, 2.0, 1.0]),
+                             3.0)[1]
+    assert (h3.measured, h3.witness) == (5.0, (0, 1))
+    assert not passes(h3.measured, h3.bound, None)
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5, 0.25])

@@ -108,3 +108,32 @@ def test_option_count_does_not_rise():
                      and obj.__module__ == module.__name__)
     assert count <= OPTIONS_RECORDED, (
         f"{count} public options, {OPTIONS_RECORDED} recorded")
+
+
+def _verdict_members(path):
+    """(class, member) pairs in ``path`` where a class defines a field,
+    method or property named ``passed`` or ``all_passed``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, ast.AnnAssign):
+                names = [getattr(stmt.target, "id", None)]
+            elif isinstance(stmt, ast.Assign):
+                names = [getattr(t, "id", None) for t in stmt.targets]
+            else:
+                names = []
+            found.extend((node.name, name) for name in names
+                         if name in ("passed", "all_passed"))
+    return found
+
+
+def test_no_class_carries_a_verdict():
+    """Pass flags are decided only by ``metric.passes`` from a measured
+    value and its bound or tol; reports carry the numbers."""
+    found = {path.name: _verdict_members(path)
+             for path in sorted((SRC / "lipfree").glob("*.py"))}
+    assert not {name: pairs for name, pairs in found.items() if pairs}

@@ -8,8 +8,9 @@ from lipfree import (Mismatch, SuiteConfig, norm_value, report_diff,
                      run_suite, suites)
 from lipfree.cli import main
 from lipfree.errors import BadSuite
+from lipfree.extension import point_removal_map
 from lipfree.generators import generate
-from lipfree.serialization import load_report
+from lipfree.serialization import load_report, load_space
 
 ALL_SUITES = ("norm-oracle", "decomposition", "whitney", "retraction",
               "sphere", "commuting-bap", "point-removal", "amenability")
@@ -21,6 +22,13 @@ def test_suite_runs_and_passes(suite, tmp_path):
     config = SuiteConfig(suite=suite, seed=7, out=str(out))
     doc, ok = run_suite(config)
     assert ok, [r for r in doc["checks"] if not r["passed"]]
+    for r in doc["checks"]:
+        # exactly one of bound and tol, and the pass flag is the one rule
+        assert (r["bound"] is None) != (r["tol"] is None), r["check"]
+        limit = r["tol"] if r["bound"] is None else r["bound"] * (1 + 1e-9)
+        assert r["passed"] == (r["measured"] is not None
+                               and r["measured"] <= limit), r["check"]
+        assert r["measured"] is not None or not r["passed"], r["check"]
     assert out.exists()
     loaded = load_report(str(out))
     assert loaded["suite"] == suite
@@ -62,7 +70,7 @@ def test_norm_oracle_skips_oracle_checks_above_exact_limit():
     assert records["delta_isometry_p0.5"]["passed"]
 
 
-@pytest.mark.parametrize("n", [1, 6, 12])
+@pytest.mark.parametrize("n", [2, 6, 12])
 def test_delta_isometry_matches_every_pair(n):
     """The batched record equals one ``norm_value`` per pair, bit for bit."""
     source = {"kind": "random-ball", "params": {"d": 2, "n": n}}
@@ -234,7 +242,9 @@ def test_cli_decomposition_with_no_radius_near_one(tmp_path, radii):
     assert all(r["passed"] for r in doc["checks"])
 
 
-@pytest.mark.parametrize("suite", ["decomposition", "retraction"])
+@pytest.mark.parametrize("suite", ["decomposition", "retraction",
+                                   "norm-oracle", "amenability",
+                                   "point-removal"])
 def test_cli_base_only_space_is_rejected(tmp_path, capsys, suite):
     space_file = tmp_path / "one.json"
     main(["generate", "--kind", "line", "--param", "n=1",
@@ -242,6 +252,25 @@ def test_cli_base_only_space_is_rejected(tmp_path, capsys, suite):
     rc = main(["run", "--suite", suite, "--space", str(space_file)])
     assert rc == 2
     assert "space has no nonbase points" in capsys.readouterr().err
+
+
+def test_point_removal_removes_each_point_of_the_space(tmp_path):
+    space_file = tmp_path / "line.json"
+    main(["generate", "--kind", "line", "--param", "n=5",
+          "--out", str(space_file)])
+    doc, ok = run_suite(SuiteConfig(suite="point-removal",
+                                    space_source={"file": str(space_file)},
+                                    p_list=(1.0, 0.5)))
+    assert ok
+    space = load_space(str(space_file))
+    records = {r["check"]: r for r in doc["checks"]}
+    chain = 0.0
+    for p in (1.0, 0.5):
+        reps = [point_removal_map(space, x0, p) for x0 in range(1, space.n)]
+        assert records[f"point_removal_ratio_p{p}"]["measured"] == max(
+            r.measured_lip / r.bound for r in reps)
+        chain = max([chain] + [r.chain_ratio for r in reps])
+    assert records["point_removal_chain"]["measured"] == chain
 
 
 def test_cli_tol_override(tmp_path):
