@@ -77,7 +77,6 @@ from .geometry import (
     radial_clamp_builder,
     radial_retraction,
     stereographic,
-    verify_r_closed,
     xi,
 )
 from .generators import generate

@@ -92,7 +92,8 @@ def main(argv=None):
             for rec in doc["checks"]:
                 status = "PASS" if rec["passed"] else "FAIL"
                 bound = rec["bound"]
-                extra = "" if bound is None else f" bound={bound:.6g}"
+                extra = (f" tol={rec['tol']:.6g}" if bound is None
+                         else f" bound={bound:.6g}")
                 meas = rec["measured"]
                 mtxt = "" if meas is None else f" measured={meas:.6g}"
                 print(f"{status} {rec['check']}{mtxt}{extra}")

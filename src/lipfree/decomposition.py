@@ -108,23 +108,19 @@ class WeightSystem:
     """Partition of unity built from 1-Lipschitz trapezoids.
 
     psi_n = phi_n / Phi sums to one on the working window; each psi_n is
-    positive exactly on its declared open support.
+    positive exactly on the open support of its bump phi_n.
     """
 
     phis: tuple          # PiecewiseLinear bumps
-    supports: tuple      # (a_n, b_n) open support intervals
     phi_total: PiecewiseLinear
     k: int
     r: float
     window: tuple
-    normalized: bool = True
 
     def psi_values(self, us):
         """Matrix of psi_n(u) values, shape (n_pieces, len(us))."""
         us = np.atleast_1d(np.asarray(us, dtype=float))
         raw = np.vstack([phi(us) for phi in self.phis])
-        if not self.normalized:
-            return raw
         total = self.phi_total(us)
         if np.any(total <= 0):
             u = float(us[int(np.argmin(total))])
@@ -194,23 +190,20 @@ def build_hat_partition(intervals, r, k, window=None):
     xs = np.array(xs)
     total = np.sum([phi(xs) for phi in phis], axis=0)
     phi_total = PiecewiseLinear(xs, total)
-    return WeightSystem(phis=phis, supports=tuple(supports), phi_total=phi_total,
-                        k=k, r=r, window=tuple(window))
+    return WeightSystem(phis=phis, phi_total=phi_total, k=k, r=r,
+                        window=tuple(window))
 
 
 def unit_bump_family(intervals, r):
-    """Disjoint unit-height bumps: value 1 on [a_n + r, b_n - r], support
-    (a_n, b_n).  Used where no normalization is wanted; the window spans the
-    finite support endpoints."""
+    """The unnormalized weights of pairwise disjoint unit-height bumps,
+    value 1 on [a_n + r, b_n - r] and support (a_n, b_n): the function
+    taking a vector of log-radii to one row per bump."""
     supports = [(float(lo), float(hi)) for lo, hi in intervals]
-    for (lo, hi), (lo2, hi2) in zip(sorted(supports), sorted(supports)[1:]):
+    for (_, hi), (lo2, _) in zip(sorted(supports), sorted(supports)[1:]):
         if hi > lo2 + ABS_TOL:
             raise BadFamily("unit bump supports must be pairwise disjoint")
-    finite = [x for s in supports for x in s if math.isfinite(x)]
-    window = (min(finite), max(finite)) if finite else (-1.0, 1.0)
-    phis = tuple(trapezoid(lo, hi, r, height=1.0) for lo, hi in supports)
-    return WeightSystem(phis=phis, supports=tuple(supports), phi_total=None,
-                        k=1, r=r, window=tuple(window), normalized=False)
+    bumps = [trapezoid(lo, hi, r, height=1.0) for lo, hi in supports]
+    return lambda us: np.vstack([bump(us) for bump in bumps])
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +315,10 @@ def _point_weights(space, R, psi):
     return np.insert(psi(_log_radii(space, R)), space.base, 0.0, axis=1)
 
 
-def operator_T(family, weights):
-    """Weighted diagonal-to-sum operator delta(x) -> (psi_n(u_x) delta_n(x))_n.
+def operator_T(family, psi):
+    """Weighted diagonal-to-sum operator delta(x) -> (psi_n(u_x) delta_n(x))_n,
+    with u_x = log_R d(base, x) and ``psi`` mapping a vector of log-radii to
+    one row per part, as ``_point_weights`` reads it.
 
     Requires each weight's support to stay inside its annulus interval on
     the realized radii (up to ``ABS_TOL``), so the extension choice
@@ -331,7 +326,7 @@ def operator_T(family, weights):
     ``measure_map_into_sum`` measures the generating map.
     """
     space = family.space
-    w = _point_weights(space, family.R, weights.psi_values)
+    w = _point_weights(space, family.R, psi)
     member_sets = [set(part.members) for part in family.parts]
 
     def entries():
@@ -563,7 +558,7 @@ def verify_pst_identity(space, cores, r, R, p, outer_intervals=None,
     j_ivs = [IntervalSpec(lo, hi, False, False).exp_base(R) for lo, hi in js]
     fam_j = annulus_family(space, R, j_ivs)
     fam_i = annulus_family(space, R, [iv.exp_base(R) for iv in outer_intervals])
-    T = operator_T(fam_j, weights)
+    T = operator_T(fam_j, weights.psi_values)
     S = operator_block_inclusion(fam_j, fam_i)
     P = operator_P(fam_i)
     residual = P.compose(S).compose(T).residual_vs_identity()
@@ -587,7 +582,6 @@ class ReverseIdentityReport:
     measured_T: float
     bound_T: float
     measured_E: float
-    bump_error: float
     measured_exact: bool
 
 
@@ -606,7 +600,7 @@ def verify_etp_identity(space, bump_intervals, inner_intervals, r, R, p,
         inner = IntervalSpec(a + r, b - r, True, True)
         if iv.intersect(inner) != iv:
             raise BadFamily(f"inner interval {iv} escapes plateau [{a + r}, {b - r}]")
-    weights = unit_bump_family(js, r)
+    psi = unit_bump_family(js, r)
     j_ivs = [IntervalSpec(a, b, False, False).exp_base(R) for a, b in js]
     fam_j = annulus_family(space, R, j_ivs)
     fam_i = annulus_family(space, R, [iv.exp_base(R) for iv in inner_intervals])
@@ -622,30 +616,18 @@ def verify_etp_identity(space, bump_intervals, inner_intervals, r, R, p,
         e_blocks.append(block)
         measured_E = max(measured_E, lip)
 
-    T = operator_T(fam_j, weights)
+    T = operator_T(fam_j, psi)
     P_i = operator_P(fam_i)
     E = operator_block_diagonal(e_blocks, fam_j, fam_i)
     residual = E.compose(T).compose(P_i).residual_vs_identity()
 
-    # pointwise bump check: 1 on the plateau, 0 outside the support
-    grid = weights.refined_grid()
-    vals = weights.psi_values(grid)
-    err = 0.0
-    for ni, (a, b) in enumerate(js):
-        on = (grid >= a + r) & (grid <= b - r)
-        off = (grid <= a) | (grid >= b)
-        if on.any():
-            err = max(err, float(np.abs(vals[ni, on] - 1.0).max()))
-        if off.any():
-            err = max(err, float(np.abs(vals[ni, off]).max()))
-
-    wmat = _point_weights(space, R, weights.psi_values)
+    wmat = _point_weights(space, R, psi)
     bound = norm_bound_T(p, 1, R, 1.0 / r, 1.0)
     measured, _, exact = measure_map_into_sum(fam_j, wmat, p, exact_limit=exact_limit)
     return ReverseIdentityReport(residual=residual, measured_T=float(measured),
                                  bound_T=float(bound),
                                  measured_E=float(measured_E),
-                                 bump_error=err, measured_exact=exact)
+                                 measured_exact=exact)
 
 
 @dataclass(frozen=True)

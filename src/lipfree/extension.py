@@ -401,15 +401,16 @@ def amenability_defect(space, net, p, samples=100, seed=0,
     net = sorted(set(int(i) for i in net))
     if space.base not in net:
         raise BadSubset("subset must contain the base point")
-    layout = _subset_map(space, net, np.zeros((space.n, len(net))), p,
-                         math.nan, exact_limit, False)
-    sub, order = layout.net_subspace, layout.net
+    if len(net) == 1:
+        raise BadSubset("subset has no nonbase point")
+    if samples < 1:
+        raise BadParameter(f"samples={samples} must be positive")
+    order = [space.base] + [i for i in net if i != space.base]
+    sub = space.take(order, 0)
     rng = np.random.default_rng(seed)
     ratios = []
     certified = True
     nonbase = list(range(1, sub.n))
-    if not nonbase:
-        return AmenabilityReport(1.0, 1.0, 0, True, p)
     for _ in range(samples):
         size = int(rng.integers(1, len(nonbase) + 1))
         chosen = rng.choice(nonbase, size=size, replace=False)
@@ -428,7 +429,5 @@ def amenability_defect(space, net, p, samples=100, seed=0,
         certified = certified and exact_n and exact_d
         if den > 0:
             ratios.append(num / den)
-    if not ratios:
-        return AmenabilityReport(1.0, 1.0, 0, certified, p)
     return AmenabilityReport(float(max(ratios)), float(np.mean(ratios)),
                              len(ratios), certified, p)

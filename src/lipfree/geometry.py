@@ -97,33 +97,6 @@ def outward_amenability_map(space, S, p, exact_limit=FOREST_LIMIT_DEFAULT):
                        True)
 
 
-@dataclass(frozen=True)
-class RClosedReport:
-    R: float
-    max_rel_error: float
-    witness: tuple | None
-
-
-def verify_r_closed(space, point_map, R):
-    """Check that a point self-map scales all distances by exactly R.
-
-    Entries of ``point_map`` may be None where the scaled image leaves the
-    finite sample; such points are skipped (the map is checked where it is
-    defined).
-    """
-    if R <= 0:
-        raise BadParameter(f"R={R} must be positive")
-    defined = [i for i in range(space.n) if point_map[i] is not None]
-    if len(defined) < 2:
-        return RClosedReport(R=float(R), max_rel_error=0.0, witness=None)
-    sub = space.take(defined, 0)
-    img = np.array([point_map[i] for i in defined])
-    worst, pair = _scan_pairs(sub, lambda xs, ys: np.abs(
-        space.dist[img[xs], img[ys]] - R * sub.dist[xs, ys]) / R)
-    witness = None if pair is None else (defined[pair[0]], defined[pair[1]])
-    return RClosedReport(R=float(R), max_rel_error=float(worst), witness=witness)
-
-
 # ---------------------------------------------------------------------------
 # spheres
 

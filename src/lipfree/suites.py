@@ -62,6 +62,15 @@ from .metric import (
 from .serialization import dump_report, load_space
 
 
+# The tols a run may override (``--tol-override KEY=VAL``), by the suite
+# that reads them, with their defaults; a run refuses any other key.
+TOL_DEFAULTS = {
+    "norm-oracle": {"norm_oracle_rel": 1e-9},
+    "decomposition": {"pst_residual": 1e-10},
+    "retraction": {"retraction_slack": 0.1},
+}
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     suite: str
@@ -72,8 +81,9 @@ class SuiteConfig:
     exact_limit: int = FOREST_LIMIT_DEFAULT
     out: str | None = None
 
-    def tol(self, key, default):
-        return float(self.tol_overrides.get(key, default))
+    def tol(self, key):
+        return float(self.tol_overrides.get(key,
+                                            TOL_DEFAULTS[self.suite][key]))
 
 
 def _record(check, measured, bound=None, tol=None, witness=None,
@@ -117,7 +127,7 @@ def suite_norm_oracle(config):
     _nonbase_points(space)
     rng = np.random.default_rng(config.seed)
     records = []
-    tol = config.tol("norm_oracle_rel", 1e-9)
+    tol = config.tol("norm_oracle_rel")
 
     exact = space.n <= config.exact_limit
     gap_worst = 0.0
@@ -213,7 +223,7 @@ def suite_decomposition(config):
     for p in config.p_list:
         rep = verify_pst_identity(space, cores, margin, R, p,
                                   exact_limit=config.exact_limit)
-        tol = config.tol("pst_residual", 1e-10)
+        tol = config.tol("pst_residual")
         records.append(_record(f"pst_identity_residual_p{p}", rep.residual,
                                tol=tol))
         records.append(_record(
@@ -317,7 +327,7 @@ def suite_retraction(config):
     radii = _base_radii(space)
     S = radii[len(radii) // 2]
     rep = radial_retraction(space, S)
-    slack_tol = config.tol("retraction_slack", 0.1)
+    slack_tol = config.tol("retraction_slack")
     records = [
         _record("retraction_lip", rep.measured_lip, 2.0,
                 witness=rep.witness_pair, bound_inputs={"S": S}),
@@ -470,6 +480,11 @@ def run_suite(config):
     if config.suite not in SUITES:
         raise BadSuite(f"unknown suite {config.suite!r}; "
                        f"choose from {sorted(SUITES)}")
+    reads = sorted(TOL_DEFAULTS.get(config.suite, {}))
+    for key in config.tol_overrides:
+        if key not in reads:
+            raise BadSuite(f"suite {config.suite} reads no tol {key!r}; "
+                           f"it reads {reads}")
     if not config.p_list:
         raise BadSuite("empty p list")
     for p in config.p_list:

@@ -137,7 +137,7 @@ def test_operator_t_single_active_weight():
     sp = line_space([0.0, 1.0, 2.0, 4.0])
     ws = build_hat_partition([(-2.0, 4.0)], r=1.0, k=1, window=(0.0, 2.0))
     fam = annulus_family(sp, 2.0, [IntervalSpec(0.25, 16.0)])
-    T = operator_T(fam, ws)
+    T = operator_T(fam, ws.psi_values)
     assert np.array_equal(T.matrix, np.eye(3))
 
 
@@ -147,7 +147,7 @@ def test_operator_t_support_mismatch():
     fam = annulus_family(sp, 2.0, [IntervalSpec(0.25, 2.0)])
     with pytest.raises(SupportMismatch,
                        match=r"^weight 0 is \S+ at point 3 outside its annulus$"):
-        operator_T(fam, ws)
+        operator_T(fam, ws.psi_values)
 
 
 def test_block_operators_place_their_entries(rng):
@@ -276,8 +276,21 @@ def test_etp_identity_with_radial_extensions():
         for p in (1.0, 0.5):
             rep = verify_etp_identity(sp, bumps, inners, r=0.8, R=2.0, p=p)
             assert rep.residual <= 1e-10
-            assert rep.bump_error <= 1e-12
             assert rep.measured_T <= rep.bound_T * (1 + 1e-9)
+
+
+def test_etp_residual_sees_the_bump_height(monkeypatch):
+    """Unit bumps lowered to height 0.9 leave E o T o P at 0.9 times the
+    identity: the residual, not a separate grid check, catches a wrong
+    bump."""
+    bumps = decomposition.unit_bump_family
+    monkeypatch.setattr(decomposition, "unit_bump_family",
+                        lambda js, r: lambda us: 0.9 * bumps(js, r)(us))
+    rep = verify_etp_identity(
+        _etp_fixture(2), [(4 * n - 2.0, 4 * n + 2.0) for n in range(3)],
+        [IntervalSpec(4 * n - 1.1, 4 * n + 1.1, True, True) for n in range(3)],
+        r=0.8, R=2.0, p=1.0)
+    assert rep.residual == pytest.approx(0.1, rel=1e-12)
 
 
 def _clamp_lip_every_pair(part_j, part_i, block):
@@ -397,7 +410,7 @@ def test_operator_t_with_measured_constant():
     sp = line_space([0.0, 1.0, 2.0, 4.0])
     ws = build_hat_partition([(-2.0, 4.0)], r=1.0, k=1, window=(0.0, 2.0))
     fam = annulus_family(sp, 2.0, [IntervalSpec(0.25, 16.0)])
-    mat = operator_T(fam, ws)
+    mat = operator_T(fam, ws.psi_values)
     wmat = decomposition._point_weights(sp, fam.R, ws.psi_values)
     measured, _, _ = measure_map_into_sum(fam, wmat, 1.0)
     assert np.array_equal(mat.matrix, np.eye(3))

@@ -183,6 +183,14 @@ def test_amenability_subset_equals_space(rng):
     assert rep.max_ratio == pytest.approx(1.0, rel=1e-12)
 
 
+def test_amenability_refuses_to_compare_nothing():
+    sp = line_space([0.0, 1.0, 2.0])
+    with pytest.raises(BadSubset, match=r"^subset has no nonbase point$"):
+        amenability_defect(sp, [0], 1.0)
+    with pytest.raises(BadParameter, match=r"^samples=0 must be positive$"):
+        amenability_defect(sp, [0, 1], 1.0, samples=0)
+
+
 def test_amenability_lower_bound_certified_small(rng):
     sp = random_metric_space(rng, 7)
     rep = amenability_defect(sp, [0, 1, 3, 5], 0.5, samples=40, seed=5)

@@ -18,7 +18,7 @@ from lipfree import (
     space_from_matrix,
 )
 from lipfree import freenorm
-from lipfree.errors import InternalInvariantBroken
+from lipfree.errors import BadParameter, InternalInvariantBroken
 from lipfree.freenorm import (_BLOCK, FOREST_LIMIT_DEFAULT, FOREST_LIMIT_MAX,
                               _child_splits, _dense_restrict, _dp_levels,
                               _mst_parents, _scale, _scan_pairs, _terminals,
@@ -357,6 +357,14 @@ def test_oracle_limit_above_ceiling_is_rejected():
         norm_value(sp, m.vector(sp.n), 0.5, exact_limit=FOREST_LIMIT_MAX + 1)
 
 
+def test_norm_value_has_one_regime_choice():
+    sp = line_space([0.0, 1.0, 2.0])
+    for prefer in ("p1", "upper"):
+        with pytest.raises(BadParameter, match=r"^prefer='\w+' is not 'auto'$"):
+            norm_value(sp, Molecule.delta(2, 0).vector(sp.n), 0.5,
+                       prefer=prefer)
+
+
 def prufer_trees(n):
     """Edge lists of all n^(n-2) labelled trees on n >= 2 points."""
     for seq in itertools.product(range(n), repeat=n - 2):
@@ -407,7 +415,7 @@ def test_oracle_matches_brute_force_tree_enumeration(rng):
         for _ in range(4):
             vec = rng.standard_normal(sp.n)
             vec[rng.random(sp.n) < 0.3] = 0.0  # Steiner points
-            m = Molecule.from_vector(vec, sp.base)
+            m = Molecule.balanced(dict(enumerate(vec)), sp.base)
             for p in (1.0, 0.5, 0.25):
                 res = free_norm_exact_small(sp, m, p)
                 want = brute_force_norm(sp, m, p)

@@ -16,7 +16,6 @@ from lipfree import (
     radial_retraction,
     snowflake,
     stereographic,
-    verify_r_closed,
     xi,
 )
 from lipfree.generators import annulus_rays, sphere_fibonacci
@@ -88,38 +87,6 @@ def test_outward_map_rejects_origin_in_sample():
     sp = annulus_rays(rays=2, radii=(1.0, 2.0), include_origin=True)
     with pytest.raises(BadSubset):
         outward_amenability_map(sp, 1.0, 1.0)
-
-
-def test_r_closed_doubling_map():
-    radii = [2.0 ** k for k in range(-2, 3)]
-    sp = annulus_rays(rays=4, radii=radii, include_origin=True)
-    pmap = []
-    for i in range(sp.n):
-        target = 2.0 * sp.coords[i]
-        hit = np.nonzero(np.isclose(sp.coords, target, atol=1e-12).all(axis=1))[0]
-        pmap.append(int(hit[0]) if hit.size else None)
-    assert any(m is None for m in pmap)  # images escape the finite sample
-    rep = verify_r_closed(sp, pmap, 2.0)
-    assert rep.max_rel_error <= 1e-9
-
-
-def test_r_closed_shift_fails():
-    sp = line_space([0.0, 1.0, 2.0, 3.0])
-    shift = [1, 2, 3, 3]  # not a scaling for any R
-    rep = verify_r_closed(sp, shift, 1.0)
-    assert rep.max_rel_error > 1e-9
-    rep2 = verify_r_closed(sp, shift, 2.0)
-    assert rep2.max_rel_error > 1e-9
-
-
-def test_r_closed_names_the_worst_pair_where_defined():
-    sp = line_space([0.0, 1.0, 2.0, 4.0, 8.0])
-    assert verify_r_closed(sp, [0, 2, 3, 4, None], 2.0).max_rel_error <= 1e-9
-    # only points 1, 2 and 3 are mapped; 2 and 3 collapse, 4 apart before
-    rep = verify_r_closed(sp, [None, 2, 3, 3, None], 2.0)
-    assert (rep.max_rel_error, rep.witness) == (1.0, (2, 3))
-    rep = verify_r_closed(sp, [None, None, 3, None, None], 2.0)
-    assert (rep.max_rel_error, rep.witness) == (0.0, None)
 
 
 def test_stereographic_levels():

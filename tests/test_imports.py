@@ -1,7 +1,8 @@
 """numpy is the only run-time dependency: importing the package or its
 command line pulls in no scipy module.  Every module but ``__init__`` uses
-each name it imports, every function reads each parameter it takes, and the
-number of public options does not grow unnoticed."""
+each name it imports, every function reads each parameter it takes, the
+number of public options does not grow unnoticed, and no public function
+or class is left that only tests call, short of a recorded reason."""
 
 import ast
 import importlib
@@ -15,6 +16,7 @@ from pathlib import Path
 import lipfree
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = SRC.parent / "perfbench"
 
 CHECK = """
 import sys
@@ -82,7 +84,7 @@ def test_every_parameter_is_read():
 
 # Public parameters with defaults over src/lipfree.  A change that adds an
 # option raises this number and says why in CHANGES.md.
-OPTIONS_RECORDED = 83
+OPTIONS_RECORDED = 82
 
 
 def _options(obj):
@@ -137,3 +139,39 @@ def test_no_class_carries_a_verdict():
     found = {path.name: _verdict_members(path)
              for path in sorted((SRC / "lipfree").glob("*.py"))}
     assert not {name: pairs for name, pairs in found.items() if pairs}
+
+
+# Public functions and classes of src/lipfree that nothing in the package
+# (outside ``__init__``) or in perfbench/ refers to, each with its reason.
+# A change may drop an entry, once the name gains a caller or goes, but
+# adds none.
+ONLY_TESTS_CALL = (
+    ("verify_etp_identity", "E o T o P identity, awaiting a suite record "
+                            "(ROADMAP item 5)"),
+    ("outward_amenability_map", "outward map with bound 3^{1/p}, awaiting a "
+                                "suite record (ROADMAP item 5)"),
+    ("two_band_cores", "the two-set sphere split of the proof, checked by "
+                       "tests only"),
+    ("line_space", "public constructor that tests and demos use"),
+    ("snowflake", "public constructor that tests use"),
+)
+
+
+def test_no_public_name_only_tests_call():
+    defined = [node.name
+               for path in sorted((SRC / "lipfree").glob("*.py"))
+               if path.name != "__init__.py"
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")]
+    referenced = set()
+    for path in [*(SRC / "lipfree").glob("*.py"), *PERFBENCH.glob("*.py")]:
+        if path != SRC / "lipfree" / "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+    assert "verify_pst_identity" in defined
+    uncalled = sorted(set(defined) - referenced)
+    assert uncalled == sorted(name for name, _ in ONLY_TESTS_CALL)

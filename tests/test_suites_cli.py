@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -254,6 +255,16 @@ def test_cli_base_only_space_is_rejected(tmp_path, capsys, suite):
     assert "space has no nonbase points" in capsys.readouterr().err
 
 
+def test_cli_amenability_base_only_subset_is_rejected(tmp_path, capsys):
+    # two points: the default subset {0} holds only the base
+    space_file = tmp_path / "two.json"
+    main(["generate", "--kind", "line", "--param", "n=2",
+          "--out", str(space_file)])
+    rc = main(["run", "--suite", "amenability", "--space", str(space_file)])
+    assert rc == 2
+    assert "subset has no nonbase point" in capsys.readouterr().err
+
+
 def test_point_removal_removes_each_point_of_the_space(tmp_path):
     space_file = tmp_path / "line.json"
     main(["generate", "--kind", "line", "--param", "n=5",
@@ -281,6 +292,26 @@ def test_cli_tol_override(tmp_path):
     assert rc == 0
     doc = json.loads(report.read_text())
     assert doc["config"]["tol_overrides"]["norm_oracle_rel"] == 1e-6
+
+
+def test_cli_tol_override_of_an_unread_key_is_rejected(capsys):
+    rc = main(["run", "--suite", "norm-oracle",
+               "--tol-override", "norm_oracle_rell=1e-30"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: suite norm-oracle reads no tol 'norm_oracle_rell'; "
+        "it reads ['norm_oracle_rel']\n")
+
+
+def test_cli_prints_the_bound_or_the_tol(tmp_path, capsys):
+    rc = main(["run", "--suite", "retraction", "--out", str(tmp_path / "r.json")])
+    assert rc == 0
+    lines = {line.split()[1]: line
+             for line in capsys.readouterr().out.splitlines()}
+    assert re.fullmatch(r"PASS retraction_lip measured=\S+ bound=2",
+                        lines["retraction_lip"])
+    assert re.fullmatch(r"PASS retraction_slack measured=\S+ tol=0\.1",
+                        lines["retraction_slack"])
 
 
 def test_cli_parse_error_line_info(tmp_path, capsys):
