@@ -463,7 +463,6 @@ class SeparatedInverseReport:
     gap: float
     bound: float
     max_ratio: float
-    samples: int
     certified: bool
 
 
@@ -516,8 +515,7 @@ def verify_separated_inverse(family, p, samples=200, seed=0,
         if den > 0:
             best = max(best, num / den)
     return SeparatedInverseReport(gap=float(gap), bound=float(bound),
-                                  max_ratio=float(best), samples=samples,
-                                  certified=certified)
+                                  max_ratio=float(best), certified=certified)
 
 
 @dataclass(frozen=True)

@@ -335,7 +335,6 @@ def linearization_residual(ext):
 
 @dataclass(frozen=True)
 class PointRemovalReport:
-    removed: int
     new_base: int
     measured_lip: float
     bound: float
@@ -373,7 +372,7 @@ def point_removal_map(space, x0, p):
     lhs = d0[new_base] ** p + space.dist[xs, new_base] ** p
     mid = d0[xs] ** p + 2 * d0[new_base] ** p
     chain = np.maximum(lhs / mid, mid / (3 * d0[xs] ** p)).max(initial=0.0)
-    return PointRemovalReport(removed=x0, new_base=new_base,
+    return PointRemovalReport(new_base=new_base,
                               measured_lip=float(lip), bound=2.0 ** (1.0 / p),
                               witness_pair=pair, chain_ratio=float(chain))
 
@@ -382,7 +381,6 @@ def point_removal_map(space, x0, p):
 class AmenabilityReport:
     max_ratio: float
     mean_ratio: float
-    samples: int
     certified: bool
     p: float
 
@@ -430,4 +428,4 @@ def amenability_defect(space, net, p, samples=100, seed=0,
         if den > 0:
             ratios.append(num / den)
     return AmenabilityReport(float(max(ratios)), float(np.mean(ratios)),
-                             len(ratios), certified, p)
+                             certified, p)

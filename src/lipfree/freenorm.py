@@ -13,20 +13,22 @@ Three solvers cover the (0, 1] exponent range:
   k points off the base in O(3^k n + 2^k n^2), with the other points as
   relays when d^p satisfies the triangle inequality (every point joins
   otherwise), and capped at ``forest_limit`` points.
-* ``free_norm_upper`` -- feasible representation found by local search over
-  tree supports; never below the true norm.
+* ``free_norm_upper`` -- the regime the measurement loops use off the
+  certified path: the same DP over the support alone, base first, up to
+  ``FOREST_LIMIT_DEFAULT`` points, and otherwise the cheaper of the star
+  and the minimum-spanning-tree routings; never below the true norm, and
+  exact when the support is the whole space.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
 
 from .errors import BadParameter, InternalInvariantBroken, SizeLimit
-from .metric import _BLOCK, ABS_TOL
+from .metric import _BLOCK, ABS_TOL, _p_triangle
 
 FOREST_LIMIT_DEFAULT = 8
 # one exact oracle call with the support the whole space, the worst case, on
@@ -249,13 +251,21 @@ def _terminals(dist, vec, p, root):
 
 @lru_cache(maxsize=64)
 def _relays(key, n, p):
-    """Whether d^p passes the triangle inequality within ``ABS_TOL``, for
-    the (n, n) distance matrix whose float64 bytes are ``key``: one
-    broadcast n^3 test per matrix and p, since the sampled loops norm many
-    rows over the same few spaces."""
-    dp = np.frombuffer(key).reshape(n, n) ** p
-    np.fill_diagonal(dp, 0.0)
-    return bool((dp[:, None] <= dp[:, :, None] + dp + ABS_TOL).all())
+    """Whether d^p passes the triangle inequality within ``ABS_TOL``
+    (``metric._p_triangle``), for the (n, n) distance matrix whose float64
+    bytes are ``key``: cached per matrix and p, since the sampled loops
+    norm many rows over the same few spaces."""
+    return _p_triangle(np.frombuffer(key).reshape(n, n), p)[0]
+
+
+def _certified_row(space, vec, p, tree=False):
+    """One nonzero row by ``_tree_dp`` over the whole space with the
+    terminals of ``_terminals``, so that the points off the support may
+    relay: the exact norm, as (value, edges)."""
+    terms = _terminals(space.dist, vec, p, space.base)
+    (value,), edges = _tree_dp(space.dist[None], vec[None], p, terms,
+                               space.base, tree)
+    return value, edges
 
 
 def _scale(vec):
@@ -269,28 +279,39 @@ def _check_limit(limit):
                         f"ceiling of {FOREST_LIMIT_MAX} points")
 
 
-def free_norm_exact_small(space, molecule, p, forest_limit=FOREST_LIMIT_DEFAULT):
-    """Exact free norm for p in (0, 1] by the subset DP ``_tree_dp`` over
-    the whole space, with ``_terminals``; the representation may route
-    mass through points outside the support."""
+def _molecule_vector(space, molecule, p):
+    """The coefficients of ``molecule`` over ``space``, once p is in (0, 1]
+    and they sum to zero, as each result-object solver requires."""
     if not 0 < p <= 1:
         raise BadParameter(f"p={p} outside (0, 1]")
-    _check_limit(forest_limit)
-    n = space.n
-    if n > forest_limit:
-        raise SizeLimit(f"{n} points exceeds forest_limit={forest_limit}")
-    vec = molecule.vector(n)
+    vec = molecule.vector(space.n)
     if abs(vec.sum()) > ABS_TOL * _scale(vec):
         raise BadParameter("molecule does not sum to zero")
-    if np.abs(vec).max(initial=0.0) <= ABS_TOL:
-        return FreeNormResult(0.0, (), "exact", p)
-    terms = _terminals(space.dist, vec, p, space.base)
-    (value,), edges = _tree_dp(space.dist[None], vec[None], p, terms,
-                               space.base, tree=True)
+    return vec
+
+
+def _tree_result(value, exact, edges, p, vec):
+    """A result from (child, parent, mass) edges: edges carrying no more
+    than 1e-15 of the molecule's mass are dropped, and each is oriented so
+    that its weight is positive."""
     eps = 1e-15 * _scale(vec)
     rep = tuple((c, a, m) if m > 0 else (a, c, -m)
                 for c, a, m in edges if abs(m) > eps)
-    return FreeNormResult(value, rep, "exact", p)
+    return FreeNormResult(value, rep, "exact" if exact else "upper-bound", p)
+
+
+def free_norm_exact_small(space, molecule, p, forest_limit=FOREST_LIMIT_DEFAULT):
+    """Exact free norm for p in (0, 1] by the subset DP ``_tree_dp`` over
+    the whole space, with ``_terminals`` (``_certified_row``); the
+    representation may route mass through points outside the support."""
+    _check_limit(forest_limit)
+    if space.n > forest_limit:
+        raise SizeLimit(f"{space.n} points exceeds forest_limit={forest_limit}")
+    vec = _molecule_vector(space, molecule, p)
+    if np.abs(vec).max(initial=0.0) <= ABS_TOL:
+        return FreeNormResult(0.0, (), "exact", p)
+    value, edges = _certified_row(space, vec, p, tree=True)
+    return _tree_result(value, True, edges, p, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +487,10 @@ def free_norm_p1(space, molecule):
     ``upper-bound`` with no certificate: the value is still the cost of a
     feasible plan.
     """
-    n = space.n
-    vec = molecule.vector(n)
-    if abs(vec.sum()) > ABS_TOL * _scale(vec):
-        raise BadParameter("molecule does not sum to zero")
+    vec = _molecule_vector(space, molecule, 1.0)
     if np.abs(vec).max(initial=0.0) <= ABS_TOL:
-        return FreeNormResult(0.0, (), "exact", 1.0, certificate=np.zeros(n))
+        return FreeNormResult(0.0, (), "exact", 1.0,
+                              certificate=np.zeros(space.n))
     value, flows, sinks, g = _transport(space.dist, vec)
     cert = np.min(space.dist[:, sinks] + g, axis=1)
     cert -= cert[space.base]
@@ -481,35 +500,24 @@ def free_norm_p1(space, molecule):
 
 
 # ---------------------------------------------------------------------------
-# upper bound by local search over tree supports
+# the support regime of the measurement loops: the subset DP on the support
+# alone, or the star and minimum-spanning-tree routings above the limit
 
 
-def _tree_flows(vec, parents, order):
-    """Subtree sums: flow carried by the edge (v, parents[v])."""
-    s = vec.copy()
-    for v in reversed(order[1:]):
-        s[parents[v]] += s[v]
-    return s
-
-
-def _bfs_order(parents, k):
+def _tree_flows(vec, parents):
+    """Subtree sums of a tree rooted at point 0: the flow carried by the
+    edge (v, parents[v])."""
+    k = len(parents)
     children = [[] for _ in range(k)]
     for v in range(1, k):
         children[parents[v]].append(v)
     order = [0]
     for x in order:
         order.extend(children[x])
-    return order
-
-
-def _cost_of(parents, vec, dpow, p):
-    k = len(parents)
-    order = _bfs_order(parents, k)
-    s = _tree_flows(vec, parents, order)
-    acc = 0.0
-    for v in range(1, k):
-        acc += abs(s[v]) ** p * dpow[v, parents[v]]
-    return acc, s
+    s = vec.copy()
+    for v in reversed(order[1:]):
+        s[parents[v]] += s[v]
+    return s
 
 
 def _mst_parents(dsub):
@@ -531,101 +539,6 @@ def _mst_parents(dsub):
     return parents.tolist()
 
 
-def _descendants(parents, v):
-    k = len(parents)
-    out = {v}
-    grown = True
-    while grown:
-        grown = False
-        for w in range(1, k):
-            if w not in out and parents[w] in out:
-                out.add(w)
-                grown = True
-    return out
-
-
-_UPPER_RESTARTS = 2  # seeded random starting trees
-_UPPER_PASSES = 60  # improving moves per starting tree
-
-
-def free_norm_upper(space, molecule, p, seed=0):
-    """Feasible-representation upper bound for the free norm at p in (0, 1].
-
-    Starts from the all-mass-to-base star, the routing along Prim's minimum
-    spanning tree (``_mst_parents``), and ``_UPPER_RESTARTS`` seeded random
-    trees; improves each by at most ``_UPPER_PASSES`` re-hangings of
-    subtrees (edge swaps; re-hanging under a third point implements
-    one-intermediate reroutes, and tree supports merge parallel mass by
-    construction).  Moves are accepted on strict improvement; deterministic
-    for a fixed seed.
-    """
-    if not 0 < p <= 1:
-        raise BadParameter(f"p={p} outside (0, 1]")
-    vec_full = molecule.vector(space.n)
-    if abs(vec_full.sum()) > ABS_TOL * _scale(vec_full):
-        raise BadParameter("molecule does not sum to zero")
-    if np.abs(vec_full).max(initial=0.0) <= ABS_TOL:
-        return FreeNormResult(0.0, (), "upper-bound", p)
-    sub, dsub, vec = _dense_restrict(space, vec_full)
-    sub = sub.tolist()
-    k = len(sub)
-    dpow = dsub ** p
-
-    starts = [[0] * k]
-    if k > 2:
-        starts.append(_mst_parents(dsub))
-    rng = np.random.default_rng(seed)
-    for _ in range(_UPPER_RESTARTS):
-        parents = [0] * k
-        for v in range(2, k):
-            parents[v] = int(rng.integers(0, v))
-        starts.append(parents)
-
-    best_cost = math.inf
-    best_parents = None
-    for parents in starts:
-        parents = list(parents)
-        cost, _ = _cost_of(parents, vec, dpow, p)
-        for _ in range(_UPPER_PASSES):
-            gain_move = None
-            gain_cost = cost
-            for v in range(1, k):
-                blocked = _descendants(parents, v)
-                old = parents[v]
-                for w in range(k):
-                    if w == old or w in blocked:
-                        continue
-                    parents[v] = w
-                    c, _ = _cost_of(parents, vec, dpow, p)
-                    if c < gain_cost - 1e-12 * max(1.0, gain_cost):
-                        gain_cost = c
-                        gain_move = (v, w)
-                parents[v] = old
-            if gain_move is None:
-                break
-            parents[gain_move[0]] = gain_move[1]
-            cost = gain_cost
-        if cost < best_cost:
-            best_cost = cost
-            best_parents = list(parents)
-
-    _, flows = _cost_of(best_parents, vec, dpow, p)
-    eps = 1e-15 * _scale(vec)
-    rep = []
-    for v in range(1, k):
-        s = float(flows[v])
-        if abs(s) <= eps:
-            continue
-        a, b = sub[v], sub[best_parents[v]]
-        rep.append((a, b, s) if s > 0 else (b, a, -s))
-    value = best_cost ** (1.0 / p)
-    return FreeNormResult(float(value), tuple(rep), "upper-bound", p)
-
-
-# ---------------------------------------------------------------------------
-# dense fast paths shared by the measurement loops
-
-
 def _dense_restrict(space, vec):
     """Support of ``vec`` with the base first, then increasing index; the
     distance block and coefficients on it."""
@@ -637,18 +550,57 @@ def _dense_restrict(space, vec):
 
 def _upper_value(dsub, vsub, p):
     """min(star routing, routing along Prim's minimum spanning tree
-    ``_mst_parents``) -- a cheap certified upper bound."""
+    ``_mst_parents``) -- a cheap certified upper bound -- as (value,
+    parents of the cheaper tree, rooted at point 0)."""
     k = len(vsub)
+    parents = [0] * k  # the star
     if k <= 1:
-        return 0.0
+        return 0.0, parents
     dpow = dsub ** p
-    star = float((np.abs(vsub[1:]) ** p * dpow[0, 1:]).sum())
-    best = star
+    best = float((np.abs(vsub[1:]) ** p * dpow[0, 1:]).sum())
     if k > 2:
-        parents = _mst_parents(dsub)
-        c, _ = _cost_of(parents, vsub, dpow, p)
-        best = min(best, c)
-    return best ** (1.0 / p)
+        mst = _mst_parents(dsub)
+        flows = _tree_flows(vsub, mst)
+        cost = 0.0
+        for v in range(1, k):
+            cost += abs(flows[v]) ** p * dpow[v, mst[v]]
+        if cost < best:
+            best, parents = cost, mst
+    return best ** (1.0 / p), parents
+
+
+def _support_row(space, vec, p, limit, tree=False):
+    """One nonzero row by the p < 1 regime of ``norm_rows``, as (value,
+    exact, edges): ``_tree_dp`` on the support alone, base first
+    (``_dense_restrict``), while it has at most ``limit`` points, and
+    ``_upper_value`` above.  Restricting to the support can only
+    overestimate, so the value is exact only when the support is the
+    whole space.  With ``tree``, ``edges`` lists the (child, parent, mass)
+    edges of the network that costs the value."""
+    sub, dsub, vsub = _dense_restrict(space, vec)
+    k = len(sub)
+    if k <= limit:
+        (value,), edges = _tree_dp(dsub[None], vsub[None], p,
+                                   np.arange(1, k), 0, tree)
+    else:
+        value, parents = _upper_value(dsub, vsub, p)
+        edges = zip(range(1, k), parents[1:],
+                    _tree_flows(vsub, parents)[1:].tolist()) if tree else ()
+    sub = sub.tolist()
+    return value, k == space.n and k <= limit, [(sub[c], sub[a], m)
+                                                for c, a, m in edges]
+
+
+def free_norm_upper(space, molecule, p):
+    """Upper bound on the free norm for any p in (0, 1], with a
+    representation that costs it, by the regime the measurement loops use
+    off the certified path (``_support_row`` at ``FOREST_LIMIT_DEFAULT``
+    points); tagged exact only when the support is the whole space."""
+    vec = _molecule_vector(space, molecule, p)
+    if np.abs(vec).max(initial=0.0) <= ABS_TOL:
+        return FreeNormResult(0.0, (), "exact", p)
+    return _tree_result(*_support_row(space, vec, p, FOREST_LIMIT_DEFAULT,
+                                      tree=True), p, vec)
 
 
 def norm_value(space, vec, p, exact_limit=FOREST_LIMIT_DEFAULT, prefer="auto",
@@ -657,13 +609,14 @@ def norm_value(space, vec, p, exact_limit=FOREST_LIMIT_DEFAULT, prefer="auto",
     measurement loops use ``norm_rows``, which gives the same bits.
 
     At p = 1 the value is transport on the support (nonzero entries and
-    the base), exact for metric distances.  For p < 1 the oracle runs on
-    the support-restricted space when it has at most ``exact_limit``
-    points, which upper-bounds the full-space norm (exact only when the
-    support is the whole space); otherwise the star/MST upper bound is
-    used.  With ``certify`` the oracle runs on the whole space whenever it
-    fits under ``exact_limit``, with the support's points as terminals and
-    the others as relays (``_terminals``), for a certified exact value.
+    the base), exact for metric distances.  For p < 1 the row goes to
+    ``_support_row``: the oracle on the support-restricted space when it
+    has at most ``exact_limit`` points, which upper-bounds the full-space
+    norm (exact only when the support is the whole space), and otherwise
+    the star/MST upper bound.  With ``certify`` the oracle runs on the
+    whole space whenever it fits under ``exact_limit``, with the support's
+    points as terminals and the others as relays (``_certified_row``), for
+    a certified exact value.
     """
     _check_limit(exact_limit)
     # ``prefer`` has one value; it stays in the signature only because the
@@ -677,15 +630,8 @@ def norm_value(space, vec, p, exact_limit=FOREST_LIMIT_DEFAULT, prefer="auto",
     if p == 1.0:
         return _transport(*_dense_restrict(space, vec)[1:])[0], True
     if certify and space.n <= exact_limit:
-        terms = _terminals(space.dist, vec, p, space.base)
-        return _tree_dp(space.dist[None], vec[None], p, terms,
-                        space.base)[0][0], True
-    sub, dsub, vsub = _dense_restrict(space, vec)
-    if len(sub) <= exact_limit:
-        exact = len(sub) == space.n  # restriction can only overestimate
-        return _tree_dp(dsub[None], vsub[None], p, np.arange(1, len(sub)),
-                        0)[0][0], exact
-    return _upper_value(dsub, vsub, p), False
+        return _certified_row(space, vec, p)[0], True
+    return _support_row(space, vec, p, exact_limit)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +690,7 @@ def norm_rows(space, rows, p, exact_limit=FOREST_LIMIT_DEFAULT):
                 v = _tree_dp(dsub, vsub, p, np.arange(1, k), 0)[0]
                 exact[at] = k == space.n  # restriction can only overestimate
             else:
-                v = [_upper_value(d, x, p) for d, x in zip(dsub, vsub)]
+                v = [_upper_value(d, x, p)[0] for d, x in zip(dsub, vsub)]
                 exact[at] = False
             values[at] = v
     return values, exact

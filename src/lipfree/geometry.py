@@ -135,10 +135,8 @@ def eta(s):
 
 @dataclass(frozen=True)
 class StereoReport:
-    image: np.ndarray
     heights: np.ndarray
     radii: np.ndarray
-    expected_radii: np.ndarray
     max_abs_error: float
     band_error: float
     coincident_pairs: int  # neighbours in lexicographic order, within 1e-12
@@ -162,8 +160,7 @@ def stereographic(sample):
     # order that agree within 1e-12
     steps = np.diff(image[np.lexsort(image.T)], axis=0)
     coincident = int((np.abs(steps).max(axis=1) <= 1e-12).sum())
-    return StereoReport(image=image, heights=h, radii=radii,
-                        expected_radii=expected, max_abs_error=err,
+    return StereoReport(heights=h, radii=radii, max_abs_error=err,
                         band_error=band_err, coincident_pairs=coincident)
 
 

@@ -236,18 +236,15 @@ class PMetricReport:
     slack: float  # min over triples of d^p(x,y) + d^p(y,z) - d^p(x,z)
 
 
-def validate_p_metric(space, p):
-    """Check d**p against the triangle inequality over all triples.
-
-    Valid iff the minimal slack is >= -ABS_TOL.  The worst triple is
-    reported as position indices (x, y, z) with y the middle point.
-    """
-    if not 0 < p <= 1:
-        raise BadParameter(f"p={p} outside (0, 1]")
-    dp = space.dist ** p
-    n = space.n
-    if n < 3:
-        return PMetricReport(True, p, None, math.inf)
+def _p_triangle(dist, p):
+    """Whether d^p satisfies the triangle inequality within ``ABS_TOL`` on
+    the distance matrix ``dist``, as (holds, slack, triple): the smallest
+    slack d^p(x, y) + d^p(y, z) - d^p(x, z) over triples of distinct
+    points, and its position indices (x, y, z) with y the middle point
+    (inf and None under three points).  It holds iff the slack is at
+    least -ABS_TOL."""
+    dp = dist ** p
+    n = len(dp)
     worst = (math.inf, None)
     for y in range(n):
         # slack for all (x, z) with middle point y
@@ -260,7 +257,16 @@ def validate_p_metric(space, p):
         if s[x, z] < worst[0]:
             worst = (float(s[x, z]), (x, y, z))
     slack, triple = worst
-    return PMetricReport(slack >= -ABS_TOL, p, triple, slack)
+    return slack >= -ABS_TOL, slack, triple
+
+
+def validate_p_metric(space, p):
+    """Check d**p against the triangle inequality over all triples
+    (``_p_triangle``)."""
+    if not 0 < p <= 1:
+        raise BadParameter(f"p={p} outside (0, 1]")
+    valid, slack, triple = _p_triangle(space.dist, p)
+    return PMetricReport(valid, p, triple, slack)
 
 
 def maximal_separated_net(space, subset, r):

@@ -172,7 +172,7 @@ def suite_norm_oracle(config):
             r = free_norm_exact_small(space, mol, p,
                                       forest_limit=config.exact_limit)
             vals.append((p, r.value))
-            up = free_norm_upper(space, mol, p, seed=config.seed)
+            up = free_norm_upper(space, mol, p)
             upper_worst = max(upper_worst,
                               (r.value - up.value) / max(r.value, 1e-30))
         for (p1, v1), (p2, v2) in zip(vals, vals[1:]):
@@ -481,10 +481,13 @@ def run_suite(config):
         raise BadSuite(f"unknown suite {config.suite!r}; "
                        f"choose from {sorted(SUITES)}")
     reads = sorted(TOL_DEFAULTS.get(config.suite, {}))
-    for key in config.tol_overrides:
+    for key, value in config.tol_overrides.items():
         if key not in reads:
             raise BadSuite(f"suite {config.suite} reads no tol {key!r}; "
                            f"it reads {reads}")
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0 <= value < math.inf):
+            raise BadSuite(f"tol {key}={value!r} is not a finite real >= 0")
     if not config.p_list:
         raise BadSuite("empty p list")
     for p in config.p_list:

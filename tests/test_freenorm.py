@@ -682,7 +682,7 @@ def test_upper_bound_never_below_oracle(rng):
         sp = random_metric_space(rng, int(rng.integers(3, 8)))
         m = random_molecule(rng, sp)
         for p in (1.0, 0.5, 0.25):
-            up = free_norm_upper(sp, m, p, seed=3)
+            up = free_norm_upper(sp, m, p)
             ex = free_norm_exact_small(sp, m, p)
             assert up.value >= ex.value * (1 - 1e-9)
             check_result_consistency(sp, m, up)
@@ -691,22 +691,45 @@ def test_upper_bound_never_below_oracle(rng):
 def test_upper_bound_exact_on_easy_cases(rng):
     sp = random_metric_space(rng, 6)
     m = Molecule.delta(3, 0)
-    up = free_norm_upper(sp, m, 0.5, seed=0)
+    up = free_norm_upper(sp, m, 0.5)
     assert up.value == pytest.approx(sp.d(0, 3), rel=1e-12)
     sp2 = line_space([0.0, 1.0, 1.1])
     m2 = Molecule.balanced({1: 1.0, 2: 1.0}, 0)
-    up2 = free_norm_upper(sp2, m2, 0.5, seed=0)
+    up2 = free_norm_upper(sp2, m2, 0.5)
     expected = (math.sqrt(0.1) + math.sqrt(2.0)) ** 2
     assert up2.value == pytest.approx(expected, rel=1e-9)
 
 
-def test_upper_deterministic_given_seed(rng):
+def test_upper_is_deterministic(rng):
     sp = random_metric_space(rng, 7)
     m = random_molecule(rng, sp)
-    a = free_norm_upper(sp, m, 0.5, seed=11)
-    b = free_norm_upper(sp, m, 0.5, seed=11)
+    a = free_norm_upper(sp, m, 0.5)
+    b = free_norm_upper(sp, m, 0.5)
     assert a.value == b.value
     assert a.representation == b.representation
+
+
+@pytest.mark.parametrize("p", [0.5, 0.25, 0.7])
+def test_upper_runs_the_norm_value_regime(rng, p):
+    """``free_norm_upper`` is ``norm_value``'s uncertified regime bit for
+    bit, with a representation that costs its value: the subset DP on
+    supports up to ``FOREST_LIMIT_DEFAULT`` points, the star/MST bound
+    above, and the exact tag only when the support is the whole space."""
+    k = FOREST_LIMIT_DEFAULT
+    for n in (k, k + 1, k + 3, 14):
+        sp = random_metric_space(rng, n, alpha=float(rng.choice([1.0, 0.5])))
+        # supports of the base and size - 1 other points
+        for size in [s for s in (k - 1, k, k + 1, k + 3) if s <= n] * 3:
+            pts = rng.choice(np.arange(1, n), size=size - 1, replace=False)
+            m = Molecule.balanced(dict(zip(pts.tolist(),
+                                           rng.standard_normal(size - 1))),
+                                  sp.base)
+            assert len(m.coeffs) == size
+            value, exact = norm_value(sp, m.vector(n), p)
+            up = free_norm_upper(sp, m, p)
+            assert up.value == value
+            assert (up.exactness == "exact") == exact == (size == n <= k)
+            check_result_consistency(sp, m, up)
 
 
 def kruskal_tree(dist):
@@ -792,7 +815,7 @@ def test_upper_value_never_below_tree_dp(rng):
         vsub = rng.standard_normal(k)
         vsub[0] = -vsub[1:].sum()
         exact = _tree_dp(dsub[None], vsub[None], 0.5, np.arange(1, k), 0)[0][0]
-        assert _upper_value(dsub, vsub, 0.5) >= exact * (1 - 1e-12)
+        assert _upper_value(dsub, vsub, 0.5)[0] >= exact * (1 - 1e-12)
 
 
 def test_norm_value_fast_path_matches_solvers(rng):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lipfree import (Mismatch, SuiteConfig, norm_value, report_diff,
-                     run_suite, suites)
+                     run_suite, space_from_matrix, suites)
 from lipfree.cli import main
 from lipfree.errors import BadSuite
 from lipfree.extension import point_removal_map
@@ -284,6 +284,25 @@ def test_point_removal_removes_each_point_of_the_space(tmp_path):
     assert records["point_removal_chain"]["measured"] == chain
 
 
+def test_point_removal_chain_can_fail(monkeypatch):
+    """The record's falsifier: on a distance matrix that breaks the
+    triangle inequality (d(0, 2) = 5 > d(0, 1) + d(1, 2)), removing point
+    1 re-bases at 0, and the chain's first link d(x0, b) + d(x, b) <=
+    d(x0, x) + 2 d(x0, b) fails at x = 2 by a ratio of 2.  The loaders
+    refuse such a matrix, so it is handed to the suite directly."""
+    space = space_from_matrix([[0, 1, 5, 5], [1, 0, 1, 5], [5, 1, 0, 1],
+                               [5, 5, 1, 0]])
+    assert point_removal_map(space, 1, 1.0).chain_ratio == 2.0
+    monkeypatch.setattr(suites, "_resolve_space",
+                        lambda config, default: (space, config.space_source))
+    doc, ok = run_suite(SuiteConfig(suite="point-removal",
+                                    space_source={"file": "matrix"},
+                                    p_list=(1.0,)))
+    record = {r["check"]: r for r in doc["checks"]}["point_removal_chain"]
+    assert (record["measured"], record["bound"]) == (2.0, 1.0)
+    assert not record["passed"] and not ok
+
+
 def test_cli_tol_override(tmp_path):
     report = tmp_path / "r.json"
     rc = main(["run", "--suite", "norm-oracle", "--seed", "4",
@@ -301,6 +320,19 @@ def test_cli_tol_override_of_an_unread_key_is_rejected(capsys):
     assert capsys.readouterr().err == (
         "error: suite norm-oracle reads no tol 'norm_oracle_rell'; "
         "it reads ['norm_oracle_rel']\n")
+
+
+@pytest.mark.parametrize("value, shown", [
+    ("abc", "'abc'"), ("-1", "-1"), ("nan", "'nan'"), ("NaN", "nan"),
+    ("Infinity", "inf"), ("true", "True")])
+def test_cli_tol_override_of_a_bad_value_is_rejected(capsys, value, shown):
+    """A tol override must be a finite real >= 0: not a word, a negative
+    number, NaN, infinity or a bool, each refused as a usage error."""
+    rc = main(["run", "--suite", "norm-oracle",
+               "--tol-override", f"norm_oracle_rel={value}"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: tol norm_oracle_rel={shown} is not a finite real >= 0\n")
 
 
 def test_cli_prints_the_bound_or_the_tol(tmp_path, capsys):
