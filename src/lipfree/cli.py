@@ -73,7 +73,7 @@ def main(argv=None):
     try:
         if args.command == "generate":
             params = _parse_params(args.param)
-            space = generate(args.kind, seed=args.seed, **params)
+            space = generate(args.kind, args.seed, **params)
             save_space(space, args.out)
             print(f"wrote {space.n}-point space to {args.out}")
             return 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -67,26 +68,12 @@ def trapezoid(lo, hi, r, height=None):
 
 
 def _max_open_overlap(supports):
-    """Maximum number of open intervals covering any single real point."""
-    events = []
-    for lo, hi in supports:
-        events.append((lo, +1))
-        events.append((hi, -1))
-    finite = sorted(set(x for x, _ in events if math.isfinite(x)))
-    probes = []
-    if finite:
-        span = max(finite[-1] - finite[0], 1.0)
-        probes.append(finite[0] - span)
-        probes.append(finite[-1] + span)
-        probes.extend(0.5 * (a + b) for a, b in zip(finite, finite[1:]))
-        probes.extend(finite)  # open intervals: endpoints count for others
-    else:
-        probes.append(0.0)
-    best = 0
-    for u in probes:
-        cnt = sum(1 for lo, hi in supports if lo < u < hi)
-        best = max(best, cnt)
-    return best
+    """Maximum number of open intervals covering any single real point, by
+    one sweep over the sorted endpoints; at a shared endpoint the closing
+    interval is counted out before the opening one is counted in."""
+    events = sorted(e for lo, hi in supports if lo < hi
+                    for e in ((lo, 1), (hi, -1)))
+    return max(accumulate(step for _, step in events), default=0)
 
 
 def _coverage_gap(plateaus, window):
@@ -226,13 +213,6 @@ class AnnulusFamily:
     space: object
     R: float
     parts: tuple
-
-    def membership_counts(self):
-        counts = {i: 0 for i in range(self.space.n) if i != self.space.base}
-        for part in self.parts:
-            for g in part.members:
-                counts[g] += 1
-        return counts
 
 
 def annulus_family(space, R, radius_intervals):
@@ -421,15 +401,6 @@ def measure_map_into_sum(family, weight_matrix, p,
     return measure_lipschitz(family.space, parts, p, exact_limit)
 
 
-def measure_diagonal_map(space, diag_weights, p, exact_limit=FOREST_LIMIT_DEFAULT):
-    """Measured Lipschitz constant of x -> w(x) delta(x) into F_p(space),
-    with delta(base) = 0: a one-part ``measure_lipschitz`` whose row x is
-    w(x) on point x.  Returns (value, pair, all_exact)."""
-    w = np.array(diag_weights, dtype=float)
-    w[space.base] = 0.0
-    return measure_lipschitz(space, [(space, np.diag(w))], p, exact_limit)
-
-
 # ---------------------------------------------------------------------------
 # preset families
 
@@ -474,8 +445,8 @@ def verify_separated_inverse(family, p, samples=200, seed=0,
     K > 1 between consecutive annuli; the sampled max of |e| / |P(e)| is
     compared against the closed-form bound.
     """
-    counts = family.membership_counts()
-    if any(c != 1 for c in counts.values()):
+    members = sorted(g for part in family.parts for g in part.members)
+    if members != list(_space_basis(family.space)):
         raise BadFamily("annuli must partition the nonbase points")
     ivs = sorted((part.radius_interval for part in family.parts),
                  key=lambda iv: iv.lo)
@@ -678,10 +649,10 @@ def commuting_approximants(space, R, m_max, p, exact_limit=FOREST_LIMIT_DEFAULT)
             identity_from = m
             break
     bound = norm_bound_T(p, 2, R, 1.0 / R, 1.0)
-    norms = []
-    for w in diags:
-        v, _, _ = measure_diagonal_map(space, w, p, exact_limit=exact_limit)
-        norms.append(float(v))
+    # x -> S_m(delta(x)) has one part, F_p(space), whose row x is w(x) on
+    # point x; the base row is 0, as delta(base) = 0
+    norms = [float(measure_lipschitz(space, [(space, np.diag(w))], p,
+                                     exact_limit)[0]) for w in diags]
     return mats, CommutingReport(max_semigroup_residual=resid,
                                  identity_from=identity_from,
                                  measured_norms=tuple(norms), bound=float(bound))

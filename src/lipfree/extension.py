@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, BadSubset, InternalInvariantBroken, TooSmall
-from .freenorm import (FOREST_LIMIT_DEFAULT, Molecule, _scan_pairs,
-                       measure_lipschitz, norm_value)
+from .freenorm import (FOREST_LIMIT_DEFAULT, _scan_pairs, measure_lipschitz,
+                       norm_value)
 from .metric import (_BLOCK, doubling_constant_upper, maximal_separated_net,
                      passes)
 
@@ -39,15 +39,15 @@ class WhitneySystem:
 
     Arrays are laid out over ``complement`` positions (points off the
     subset); ``indices`` pairs (scale n, net point) in construction order.
+    The patch V_i is where phi_i = d(., X minus V_i) is positive, and the
+    total Phi is ``phi.sum(axis=0)``.
     """
 
     space: object
     net: tuple                 # global indices of the subset, base included
     complement: tuple          # global indices off the subset
     indices: tuple             # (scale n, net point global index)
-    v_masks: np.ndarray        # (n_idx, n_comp) bool
     phi: np.ndarray            # (n_idx, n_comp)
-    phi_total: np.ndarray      # (n_comp,)
     psi: np.ndarray            # (n_idx, n_comp)
     dist_to_net: np.ndarray    # (n_comp,)
     doubling_value: int
@@ -55,7 +55,7 @@ class WhitneySystem:
     checks: tuple              # HCheck records
 
     def overlap_histogram(self):
-        counts = self.v_masks.sum(axis=0)
+        counts = (self.phi > 0).sum(axis=0)
         hist = {}
         for c in counts:
             hist[int(c)] = hist.get(int(c), 0) + 1
@@ -73,7 +73,7 @@ def _first_max_pair(ratio, rows, comp):
     return int(comp[r]), int(comp[min(np.r_[y[x == r], x[y == r]])])
 
 
-def _h_checks(space, comp, indices, v_masks, phi, phi_total, d_net, K):
+def _h_checks(space, comp, indices, phi, d_net, K):
     """The Whitney properties of the system as scale-free ratios:
 
     H1   max d(x_i, x) / d(x, N) over x in V_i    against 7,
@@ -84,6 +84,7 @@ def _h_checks(space, comp, indices, v_masks, phi, phi_total, d_net, K):
     The K-overlap of the cover is the suite's overlap record, and the
     cover itself holds by construction (each cell lies in its own V_i), as
     does phi_i = 0 off V_i; Phi >= max_i phi_i, so H4 gives Phi >= d(x, N)/4.
+    V_i is read as the support of phi_i.
     Ties go to the first index, then the first point or pair.
     """
     comp = np.asarray(comp)
@@ -91,7 +92,7 @@ def _h_checks(space, comp, indices, v_masks, phi, phi_total, d_net, K):
     np.fill_diagonal(dcomp, math.inf)  # x = y has no ratio
     h1, w1 = 0.0, None
     for ii, (_, y) in enumerate(indices):
-        cols = np.flatnonzero(v_masks[ii])
+        cols = np.flatnonzero(phi[ii])
         ratio = space.dist[y, comp[cols]] / d_net[cols]
         j = int(np.argmax(ratio))
         if ratio[j] > h1:
@@ -105,7 +106,8 @@ def _h_checks(space, comp, indices, v_masks, phi, phi_total, d_net, K):
             h3, w3 = float(ratio.max()), _first_max_pair(ratio, on, comp)
     low = d_net / (4.0 * phi.max(axis=0))
     j = int(np.argmax(low))
-    ratio = np.abs(phi_total[:, None] - phi_total) / dcomp
+    total = phi.sum(axis=0)
+    ratio = np.abs(total[:, None] - total) / dcomp
     hp = float(ratio.max(initial=0.0))
     wp = _first_max_pair(ratio, np.arange(len(comp)), comp) if hp else None
     return (
@@ -138,9 +140,8 @@ def whitney_cover(space, net):
     if not comp:
         system = WhitneySystem(
             space=space, net=tuple(net), complement=(), indices=(),
-            v_masks=np.zeros((0, 0), dtype=bool),
-            phi=np.zeros((0, 0)), phi_total=np.zeros(0),
-            psi=np.zeros((0, 0)), dist_to_net=np.zeros(0),
+            phi=np.zeros((0, 0)), psi=np.zeros((0, 0)),
+            dist_to_net=np.zeros(0),
             doubling_value=doubling.value, overlap_bound=float(K), checks=())
         return system
 
@@ -148,8 +149,9 @@ def whitney_cover(space, net):
     n_lo = int(math.floor(math.log2(d_net.min())))
     n_hi = int(math.floor(math.log2(d_net.max())))
 
+    # phi_i = d(., X \ V_i) on V_i and 0 off it, computed on V_i's rows only
     indices = []
-    v_rows = []
+    phi = []
     for scale in range(n_lo, n_hi + 1):
         radius = 2.0 ** scale
         shell = np.nonzero((d_net >= radius) & (d_net < 2 * radius))[0]
@@ -164,28 +166,24 @@ def whitney_cover(space, net):
                 continue
             dcell = space.dist[np.ix_(comp_idx, comp_idx[members])].min(axis=1)
             v = dcell < radius / 2.0
+            rows = comp_idx[v]
+            outside = np.ones(space.n, dtype=bool)
+            outside[rows] = False
+            phi_i = np.zeros(len(comp))
+            phi_i[v] = space.dist[np.ix_(rows, np.flatnonzero(outside))].min(1)
             indices.append((scale, int(y)))
-            v_rows.append(v)
+            phi.append(phi_i)
 
-    v_masks = np.array(v_rows, dtype=bool) if v_rows else np.zeros((0, len(comp)), bool)
-    # phi_i = d(., X \ V_i) on V_i and 0 off it, computed on V_i's rows only
-    phi = np.zeros((len(indices), len(comp)))
-    for ii, v in enumerate(v_masks):
-        rows = comp_idx[v]
-        outside = np.ones(space.n, dtype=bool)
-        outside[rows] = False
-        phi[ii, v] = space.dist[np.ix_(rows, np.flatnonzero(outside))].min(axis=1)
+    phi = np.array(phi)  # every complement point lies in some cell
     phi_total = phi.sum(axis=0)
     if np.any(phi_total <= 0):
         raise InternalInvariantBroken("weight total vanishes off the subset")
     psi = phi / phi_total[None, :]
 
-    checks = _h_checks(space, comp, indices, v_masks, phi, phi_total,
-                       d_net, K)
+    checks = _h_checks(space, comp, indices, phi, d_net, K)
     system = WhitneySystem(
         space=space, net=tuple(net), complement=tuple(comp),
-        indices=tuple(indices), v_masks=v_masks, phi=phi,
-        phi_total=phi_total, psi=psi, dist_to_net=d_net,
+        indices=tuple(indices), phi=phi, psi=psi, dist_to_net=d_net,
         doubling_value=doubling.value, overlap_bound=float(K), checks=checks)
     failed = [c for c in checks if not passes(c.measured, c.bound, None)]
     if failed:
@@ -214,11 +212,6 @@ class ExtensionMap:
     lip_bound: float
     witness_pair: tuple | None
     measured_exact: bool
-
-    def molecule(self, x):
-        row = self.coeffs[x]
-        return Molecule.balanced(
-            {i: float(c) for i, c in enumerate(row) if c != 0.0 and i != 0}, 0)
 
 
 def _subset_map(space, net, coeffs, p, bound, exact_limit, measure):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 from itertools import product
 
@@ -11,9 +12,6 @@ from .errors import BadParameter, TooLarge
 from .metric import build_space
 
 POINT_CAP = 4096
-
-KINDS = ("grid-zd", "grid-nd", "sphere-fibonacci", "random-ball",
-         "annulus-rays", "line")
 
 
 def _check_cap(n):
@@ -109,18 +107,24 @@ def annulus_rays(rays=8, radii=(1.0, 2.0, 4.0), d=2, include_origin=False,
     return build_space(coords, "euclidean", alpha=alpha, base=0)
 
 
-def generate(kind, seed=0, **params):
-    """Dispatch by generator name (file-format kinds of the CLI)."""
-    if kind == "grid-zd":
-        return grid_zd(**params)
-    if kind == "grid-nd":
-        return grid_nd(**params)
-    if kind == "line":
-        return line(**params)
-    if kind == "sphere-fibonacci":
-        return sphere_space(seed=seed, **params)
-    if kind == "random-ball":
-        return random_ball(seed=seed, **params)
-    if kind == "annulus-rays":
-        return annulus_rays(**params)
-    raise BadParameter(f"unknown generator kind {kind!r}")
+BUILDERS = {"grid-zd": grid_zd, "grid-nd": grid_nd,
+            "sphere-fibonacci": sphere_space, "random-ball": random_ball,
+            "annulus-rays": annulus_rays, "line": line}
+KINDS = tuple(BUILDERS)
+
+
+def generate(kind, seed=0, /, **params):
+    """Dispatch by generator name (file-format kinds of the CLI).  ``seed``
+    goes to the kinds that draw at random; a parameter the kind's builder
+    does not take is refused, ``seed`` among them, as it comes on its own."""
+    if kind not in BUILDERS:
+        raise BadParameter(f"unknown generator kind {kind!r}")
+    names = list(inspect.signature(BUILDERS[kind]).parameters)
+    takes = [name for name in names if name != "seed"]
+    unknown = sorted(set(params) - set(takes))
+    if unknown:
+        raise BadParameter(f"generator {kind} takes no parameter {unknown}; "
+                           f"it takes {takes}")
+    if "seed" in names:
+        params["seed"] = seed
+    return BUILDERS[kind](**params)

@@ -36,6 +36,7 @@ from .extension import (
 )
 from .freenorm import (
     FOREST_LIMIT_DEFAULT,
+    FOREST_LIMIT_MAX,
     Molecule,
     _certificate_defects,
     free_norm_exact_small,
@@ -104,9 +105,16 @@ def _record(check, measured, bound=None, tol=None, witness=None,
 def _resolve_space(config, default_source):
     src = config.space_source or default_source
     if "file" in src:
-        return load_space(src["file"]), src
-    params = dict(src.get("params", {}))
-    return generate(src["kind"], seed=config.seed, **params), src
+        return load_space(src["file"])
+    return generate(src["kind"], config.seed, **src.get("params", {}))
+
+
+def _subset(config, space, default):
+    """The indices of ``space_source["subset"]``, else those ``default()``
+    gives, with the base point added, in index order."""
+    spec = (config.space_source or {}).get("subset")
+    net = default() if spec is None else spec["indices"]
+    return sorted({space.base} | {int(i) for i in net})
 
 
 def _random_molecule(rng, space, max_support=4):
@@ -122,8 +130,8 @@ def _random_molecule(rng, space, max_support=4):
 
 
 def suite_norm_oracle(config):
-    space, _ = _resolve_space(config, {"kind": "random-ball",
-                                       "params": {"d": 2, "n": 6}})
+    space = _resolve_space(config, {"kind": "random-ball",
+                                    "params": {"d": 2, "n": 6}})
     _nonbase_points(space)
     rng = np.random.default_rng(config.seed)
     records = []
@@ -213,7 +221,7 @@ def _unit_cores(space, R):
 
 
 def suite_decomposition(config):
-    space, _ = _resolve_space(
+    space = _resolve_space(
         config, {"kind": "annulus-rays",
                  "params": {"rays": 2, "radii": (0.5, 1.0, 2.0, 4.0),
                             "include_origin": True}})
@@ -277,22 +285,11 @@ def suite_decomposition(config):
 
 
 def suite_whitney(config):
-    space, src = _resolve_space(config, {"kind": "grid-zd",
-                                         "params": {"d": 2, "lo": 0, "hi": 5}})
-    subset_spec = (config.space_source or {}).get("subset") or src.get("subset")
-    if subset_spec is None:
-        r = space.diameter() / 4
-        net = set(maximal_separated_net(space, list(range(space.n)), r))
-        net.add(space.base)
-    elif subset_spec.get("kind") == "halfplane":
-        axis = int(subset_spec.get("axis", 0))
-        cut = float(subset_spec.get("cut", 0.0))
-        net = {i for i in range(space.n) if space.coords[i][axis] <= cut}
-        net.add(space.base)
-    else:
-        net = set(int(i) for i in subset_spec["indices"])
-        net.add(space.base)
-    system = whitney_cover(space, sorted(net))
+    space = _resolve_space(config, {"kind": "grid-zd",
+                                    "params": {"d": 2, "lo": 0, "hi": 5}})
+    net = _subset(config, space, lambda: maximal_separated_net(
+        space, list(range(space.n)), space.diameter() / 4))
+    system = whitney_cover(space, net)
     records = []
     for c in system.checks:
         records.append(_record(f"whitney_{c.name}", c.measured, c.bound,
@@ -306,7 +303,7 @@ def suite_whitney(config):
         crucial = weight_variation_check(system, p)
         records.append(_record(f"weight_variation_p{p}", crucial.max_ratio, 1.0,
                                witness=crucial.worst_pair))
-        ext = doubling_extension_map(space, sorted(net), p, system=system,
+        ext = doubling_extension_map(space, net, p, system=system,
                                      exact_limit=config.exact_limit)
         records.append(_record(
             f"extension_lip_p{p}", ext.measured_lip, ext.lip_bound,
@@ -320,7 +317,7 @@ def suite_whitney(config):
 
 
 def suite_retraction(config):
-    space, _ = _resolve_space(
+    space = _resolve_space(
         config, {"kind": "annulus-rays",
                  "params": {"rays": 6, "radii": (0.5, 1.0, 2.0, 4.0),
                             "include_origin": True}})
@@ -343,8 +340,8 @@ def suite_retraction(config):
 
 
 def suite_sphere(config):
-    space, _ = _resolve_space(config, {"kind": "sphere-fibonacci",
-                                       "params": {"d": 2, "n": 200}})
+    space = _resolve_space(config, {"kind": "sphere-fibonacci",
+                                    "params": {"d": 2, "n": 200}})
     sample = SphereSample(space.coords)
     rep = stereographic(sample)
     records = [
@@ -387,7 +384,7 @@ def suite_commuting_bap(config):
         src = {"kind": "annulus-rays",
                "params": {"rays": 1, "include_origin": True,
                           "radii": tuple(R ** u for u in us)}}
-        space, _ = _resolve_space(config, src)
+        space = _resolve_space(config, src)
         for p in config.p_list:
             mats, rep = commuting_approximants(space, R, m_max=m_max, p=p,
                                                exact_limit=config.exact_limit)
@@ -416,7 +413,7 @@ def suite_point_removal(config):
             space = build_space(rng.standard_normal((n, 2)), "euclidean")
             cases.append((space, int(rng.integers(1, n))))
     else:
-        space, _ = _resolve_space(config, None)
+        space = _resolve_space(config, None)
         cases = [(space, x0) for x0 in _nonbase_points(space)]
     worst = {p: 0.0 for p in config.p_list}
     chain = 0.0
@@ -437,14 +434,10 @@ def suite_amenability(config):
     F_p(M): 1 at p = 1, and below p the doubling extension's closed-form
     constant, since its linearization L_E is a left inverse of the
     inclusion."""
-    space, src = _resolve_space(config, {"kind": "random-ball",
-                                         "params": {"d": 2, "n": 7}})
+    space = _resolve_space(config, {"kind": "random-ball",
+                                    "params": {"d": 2, "n": 7}})
     _nonbase_points(space)
-    subset_spec = (config.space_source or {}).get("subset") or src.get("subset")
-    if subset_spec is None:
-        net = sorted({space.base} | set(range(0, space.n, 2)))
-    else:
-        net = sorted({space.base} | set(int(i) for i in subset_spec["indices"]))
+    net = _subset(config, space, lambda: range(0, space.n, 2))
     doubling = doubling_constant_upper(space.take(net, net.index(space.base)))
     records = []
     for p in config.p_list:
@@ -493,6 +486,11 @@ def run_suite(config):
     for p in config.p_list:
         if not 0 < p <= 1:
             raise BadSuite(f"p={p} outside (0, 1]")
+    limit = config.exact_limit
+    if (isinstance(limit, bool) or not isinstance(limit, int)
+            or not 1 <= limit <= FOREST_LIMIT_MAX):
+        raise BadSuite(f"exact limit {limit!r} is not an int from 1 to "
+                       f"{FOREST_LIMIT_MAX}")
     t0 = time.monotonic()
     records = SUITES[config.suite](config)
     elapsed = time.monotonic() - t0

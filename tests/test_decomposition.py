@@ -25,9 +25,9 @@ from lipfree import (
     verify_pst_identity,
     verify_separated_inverse,
 )
-from lipfree import decomposition
-from lipfree.decomposition import measure_diagonal_map, measure_map_into_sum
-from lipfree.freenorm import norm_value
+from lipfree import decomposition, freenorm
+from lipfree.decomposition import _max_open_overlap, measure_map_into_sum
+from lipfree.freenorm import measure_lipschitz, norm_value
 from lipfree.generators import annulus_rays
 
 
@@ -88,6 +88,22 @@ def test_overlap_precondition_enforced():
     with pytest.raises(BadFamily):
         build_hat_partition([(0.0, 4.0), (1.0, 5.0), (2.0, 6.0)], r=1.0, k=2,
                             window=(2.0, 4.0))
+
+
+INF = math.inf
+
+
+@pytest.mark.parametrize("supports, overlap", [
+    ([(0, 1), (1, 2)], 1),               # touching open intervals
+    ([(0, 2)] * 3, 3),
+    ([(0, 3), (1, 2)], 2),               # nested
+    ([(-INF, 0), (-1, INF)], 2),
+    ([(-INF, INF)], 1),
+    ([(-INF, 1), (1, INF)], 1),
+    ([(0, 1), (0.5, 1.5), (1, 2)], 2),   # one closes where another opens
+])
+def test_max_open_overlap_edge_cases(supports, overlap):
+    assert _max_open_overlap(supports) == overlap
 
 
 def test_norm_bound_examples():
@@ -519,7 +535,8 @@ def test_sum_and_diagonal_maps_match_every_pair(rng, monkeypatch, p,
         assert got == _sum_map_every_pair(fam, wmat, p, exact_limit)
     for space in (sp, moved):
         w = _repeating_weights(rng, space.n)
-        monkeypatch.setattr(decomposition, "norm_value", None)
-        got = measure_diagonal_map(space, w, p, exact_limit=exact_limit)
+        rows = np.diag(np.where(np.arange(space.n) == space.base, 0.0, w))
+        monkeypatch.setattr(freenorm, "norm_value", None)
+        got = measure_lipschitz(space, [(space, rows)], p, exact_limit)
         monkeypatch.undo()
         assert got == _diagonal_map_every_pair(space, w, p, exact_limit)

@@ -24,7 +24,7 @@ from lipfree import extension, freenorm
 from lipfree.freenorm import FOREST_LIMIT_DEFAULT as LIMIT
 from lipfree.freenorm import measure_lipschitz, norm_value
 from lipfree.generators import grid_zd, random_ball
-from lipfree.metric import passes
+from lipfree.metric import maximal_separated_net, passes
 
 from conftest import random_metric_space
 
@@ -57,15 +57,16 @@ def test_whitney_grid_halfplane():
     assert _within_bounds(system)
     hist = system.overlap_histogram()
     assert max(hist) <= system.overlap_bound
-    # phi functions are 1-Lipschitz with support inside their patch
+    # phi functions are 1-Lipschitz with support exactly their patch
     comp = list(system.complement)
     dcomp = sp.dist[np.ix_(comp, comp)]
+    patches = _reference_patches(sp, system)
     for i in range(len(system.indices)):
         diff = np.abs(system.phi[i][:, None] - system.phi[i][None, :])
         assert (diff - dcomp).max() <= 1e-9
-        assert np.all(system.phi[i][~system.v_masks[i]] == 0.0)
+        assert np.array_equal(system.phi[i] > 0, patches[i])
     # Phi lower bound from the construction
-    assert np.all(system.phi_total >= system.dist_to_net / 4.0 - 1e-12)
+    assert np.all(system.phi.sum(axis=0) >= system.dist_to_net / 4.0 - 1e-12)
 
 
 def test_whitney_cover_raises_on_a_check_above_its_bound(monkeypatch):
@@ -73,8 +74,8 @@ def test_whitney_cover_raises_on_a_check_above_its_bound(monkeypatch):
     internal fault, decided by the same rule as every report record."""
     h_checks = extension._h_checks
 
-    def steep(space, comp, indices, v_masks, phi, *rest):
-        return h_checks(space, comp, indices, v_masks, 2.0 * phi, *rest)
+    def steep(space, comp, indices, phi, *rest):
+        return h_checks(space, comp, indices, 2.0 * phi, *rest)
 
     monkeypatch.setattr(extension, "_h_checks", steep)
     with pytest.raises(InternalInvariantBroken,
@@ -123,13 +124,6 @@ def test_weight_variation_inequality():
     for p in (1.0, 0.5):
         rep = weight_variation_check(system, p)
         assert rep.max_ratio <= 1 + 1e-9
-
-
-def test_extension_molecule_accessor():
-    sp = line_space([0.0, 1.0, 2.0, 4.0])
-    ext = doubling_extension_map(sp, [0, 1], 1.0)
-    mol = ext.molecule(1)  # point 1 is in the subset
-    assert mol == Molecule.delta(1, 0)
 
 
 def test_point_removal_two_point_space():
@@ -303,17 +297,38 @@ def test_point_removal_measures_distances(rng, monkeypatch):
             assert rep.measured_lip > 0.0
 
 
+def _reference_patches(space, system):
+    """Reference: the patch V_i of each index (scale n, net point y) as a
+    mask over the complement, rebuilt point by point: the points within
+    2^n / 2 of the cell of y, the shell-n points whose first nearest point
+    of the 2^n-net is y."""
+    comp = system.complement
+    nets = {}
+    masks = []
+    for scale, y in system.indices:
+        radius = 2.0 ** scale
+        if scale not in nets:
+            nets[scale] = maximal_separated_net(space, system.net, radius)
+        cell = [x for x, dx in zip(comp, system.dist_to_net)
+                if radius <= dx < 2 * radius
+                and min(nets[scale], key=lambda z: space.dist[x, z]) == y]
+        masks.append([min(space.dist[x, c] for c in cell) < radius / 2
+                      for x in comp])
+    return np.array(masks, dtype=bool)
+
+
 def _reference_phi(space, system):
     """Reference: phi_i = d(., X minus V_i) on every complement row, then
-    zeroed off V_i."""
+    zeroed off V_i, with V_i the reference patch."""
     comp = system.complement
+    patches = _reference_patches(space, system)
     phi = np.zeros((len(system.indices), len(comp)))
     for ii in range(len(system.indices)):
         outside = np.ones(space.n, dtype=bool)
-        for c in np.nonzero(system.v_masks[ii])[0]:
+        for c in np.nonzero(patches[ii])[0]:
             outside[comp[c]] = False
         phi[ii] = space.dist[np.ix_(comp, np.nonzero(outside)[0])].min(axis=1)
-        phi[ii][~system.v_masks[ii]] = 0.0
+        phi[ii][~patches[ii]] = 0.0
     return phi
 
 
@@ -374,11 +389,9 @@ def test_whitney_weights_match_reference(cloud_system):
     phi = _reference_phi(space, system)
     phi_total = phi.sum(axis=0)
     assert np.array_equal(system.phi, phi)
-    assert np.array_equal(system.phi_total, phi_total)
     assert np.array_equal(system.psi, phi / phi_total[None, :])
     checks = extension._h_checks(
-        space, list(system.complement),
-        list(system.indices), system.v_masks, phi, phi_total,
+        space, list(system.complement), list(system.indices), phi,
         system.dist_to_net, system.overlap_bound)
     assert system.checks == checks  # ratios and witnesses, bit for bit
 
@@ -411,8 +424,7 @@ def test_h3_scan_matches_full_reference(cloud_system, scale):
     space, system = cloud_system
     phi = system.phi * scale
     h3 = extension._h_checks(
-        space, list(system.complement),
-        list(system.indices), system.v_masks, phi, phi.sum(axis=0),
+        space, list(system.complement), list(system.indices), phi,
         system.dist_to_net, system.overlap_bound)[1]
     assert (h3.name, h3.bound) == ("H3_lipschitz_support", 1.0)
     assert (h3.measured, h3.witness) == _reference_h3(space, system, phi)
@@ -426,10 +438,8 @@ def test_h3_witness_is_the_first_worst_pair():
     pairs, here one whose first point is off the worst phi's support."""
     sp = line_space([0.0, 1.0, 2.0, 3.0])
     phi = np.array([[0.0, 5.0, 0.0], [0.5, 0.0, 0.5]])
-    h3 = extension._h_checks(sp, [0, 1, 2], [(0, 3), (0, 3)],
-                             np.array([[False, True, True], [True] * 3]),
-                             phi, phi.sum(axis=0), np.array([3.0, 2.0, 1.0]),
-                             3.0)[1]
+    h3 = extension._h_checks(sp, [0, 1, 2], [(0, 3), (0, 3)], phi,
+                             np.array([3.0, 2.0, 1.0]), 3.0)[1]
     assert (h3.measured, h3.witness) == (5.0, (0, 1))
     assert not passes(h3.measured, h3.bound, None)
 

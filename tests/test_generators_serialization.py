@@ -46,10 +46,10 @@ def test_generator_cap():
 
 
 def test_generate_dispatch_deterministic():
-    a = generate("random-ball", seed=42, d=3, n=20)
-    b = generate("random-ball", seed=42, d=3, n=20)
+    a = generate("random-ball", 42, d=3, n=20)
+    b = generate("random-ball", 42, d=3, n=20)
     assert np.array_equal(a.coords, b.coords)
-    c = generate("random-ball", seed=43, d=3, n=20)
+    c = generate("random-ball", 43, d=3, n=20)
     assert not np.array_equal(a.coords, c.coords)
 
 

@@ -280,7 +280,7 @@ def _reference_covers(space):
 
 
 def test_lockstep_covers_match_scalar_references(rng):
-    ball = generate("random-ball", seed=1, d=2, n=300)
+    ball = generate("random-ball", 1, d=2, n=300)
     subset = [0] + sorted((1 + rng.choice(299, 29, replace=False)).tolist())
     for sp in [*_doubling_spaces(rng), ball.take(subset, 0)]:
         rep = doubling_constant_upper(sp)

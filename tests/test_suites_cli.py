@@ -79,7 +79,7 @@ def test_delta_isometry_matches_every_pair(n):
                          p_list=(1.0, 0.5, 0.25, 0.7))
     doc, _ = run_suite(config)
     records = {r["check"]: r for r in doc["checks"]}
-    space = generate("random-ball", seed=5, **source["params"])
+    space = generate("random-ball", 5, **source["params"])
     for p in config.p_list:
         worst = 0.0
         for x in range(n):
@@ -98,6 +98,36 @@ def test_unknown_suite_and_empty_p():
         run_suite(SuiteConfig(suite="norm-oracle", p_list=()))
     with pytest.raises(BadSuite):
         run_suite(SuiteConfig(suite="norm-oracle", p_list=(1.5,)))
+
+
+@pytest.mark.parametrize("limit", [True, 8.0])
+def test_run_suite_refuses_a_bad_exact_limit(limit):
+    """A bool or a float is refused, even one of an admissible value."""
+    with pytest.raises(BadSuite, match="exact limit"):
+        run_suite(SuiteConfig(suite="sphere", exact_limit=limit))
+
+
+@pytest.mark.parametrize("suite", ["norm-oracle", "sphere"])
+@pytest.mark.parametrize("limit", ["0", "-3", "13"])
+def test_cli_bad_exact_limit_is_refused_before_any_work(capsys, monkeypatch,
+                                                        suite, limit):
+    """An exact limit outside 1..FOREST_LIMIT_MAX is a usage error of every
+    suite, raised before the suite runs, not only once a norm call reads
+    it."""
+    def no_work(config):
+        raise AssertionError("the suite ran")
+    monkeypatch.setitem(suites.SUITES, suite, no_work)
+    rc = main(["run", "--suite", suite, "--exact-limit", limit])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: exact limit {limit} is not an int from 1 to 12\n")
+
+
+@pytest.mark.parametrize("limit", ["1", "12"])
+def test_cli_exact_limit_at_either_end_is_accepted(tmp_path, limit):
+    rc = main(["run", "--suite", "sphere", "--exact-limit", limit,
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 0
 
 
 def test_report_diff_empty_on_identical(tmp_path):
@@ -294,13 +324,56 @@ def test_point_removal_chain_can_fail(monkeypatch):
                                [5, 5, 1, 0]])
     assert point_removal_map(space, 1, 1.0).chain_ratio == 2.0
     monkeypatch.setattr(suites, "_resolve_space",
-                        lambda config, default: (space, config.space_source))
+                        lambda config, default: space)
     doc, ok = run_suite(SuiteConfig(suite="point-removal",
                                     space_source={"file": "matrix"},
                                     p_list=(1.0,)))
     record = {r["check"]: r for r in doc["checks"]}["point_removal_chain"]
     assert (record["measured"], record["bound"]) == (2.0, 1.0)
     assert not record["passed"] and not ok
+
+
+def test_upper_never_below_oracle_can_fail(monkeypatch):
+    """The record's falsifier: both of its sides run the subset DP, so it
+    reads exactly 0; an upper bound 1 % below its value reads 0.01 against
+    tol 1e-9 and fails the report."""
+    config = SuiteConfig(suite="norm-oracle", p_list=(1.0, 0.5, 0.25))
+
+    def record(doc):
+        name = "upper_never_below_oracle"
+        return {r["check"]: r for r in doc["checks"]}[name]
+    assert record(run_suite(config)[0])["measured"] == 0.0
+    upper = suites.free_norm_upper
+
+    def low(space, molecule, p):
+        res = upper(space, molecule, p)
+        return dataclasses.replace(res, value=0.99 * res.value)
+    monkeypatch.setattr(suites, "free_norm_upper", low)
+    doc, ok = run_suite(config)
+    rec = record(doc)
+    assert rec["measured"] == pytest.approx(0.01, rel=1e-9)
+    assert rec["tol"] == 1e-9
+    assert not rec["passed"] and not doc["passed"] and not ok
+
+
+@pytest.mark.parametrize("kind, param, takes", [
+    ("line", "bogus=1", "['n', 'start', 'step', 'alpha']"),
+    ("grid-nd", "lo=1", "['d', 'hi', 'norm', 'alpha']"),
+    ("random-ball", "seed=3", "['d', 'n', 'radius', 'norm', 'alpha']"),
+])
+def test_cli_generate_refuses_a_parameter_the_kind_does_not_take(
+        tmp_path, capsys, kind, param, takes):
+    """A usage error, exit 2, naming the parameters the kind takes; the
+    seed comes from ``--seed`` only."""
+    out = tmp_path / "space.json"
+    rc = main(["generate", "--kind", kind, "--param", param,
+               "--out", str(out)])
+    assert rc == 2
+    name = param.split("=")[0]
+    assert capsys.readouterr().err == (
+        f"error: generator {kind} takes no parameter ['{name}']; "
+        f"it takes {takes}\n")
+    assert not out.exists()
 
 
 def test_cli_tol_override(tmp_path):
