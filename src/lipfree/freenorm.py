@@ -2,11 +2,12 @@
 
 Three solvers cover the (0, 1] exponent range:
 
-* ``free_norm_p1`` -- exact transportation cost at p = 1 by the primal-dual
-  method on the dense source x sink cost block, emitting the c-transform of
-  the final potentials as a checked 1-Lipschitz dual witness.  The solver
-  runs on stacks of problems of one shape: one problem here, every p = 1
-  row of one (sources, sinks) shape at once in ``norm_rows``.
+* ``free_norm_p1`` -- exact transportation cost at p = 1 by the network
+  simplex ``_network_simplex`` on the dense source x sink cost block,
+  emitting the c-transform of its basis tree's sink potentials as a
+  checked 1-Lipschitz dual witness.  ``norm_rows`` solves its p = 1 rows
+  with the primal-dual ``_primal_dual`` instead, every row of one
+  (sources, sinks) shape at once, which is faster per row in a stack.
 * ``free_norm_exact_small`` -- exact for any p in (0, 1] as the cheapest
   network (vertex solutions of the flow polyhedron have acyclic support),
   found by the send-and-split subset DP ``_tree_dp`` over the support's
@@ -424,6 +425,159 @@ def _primal_dual(cost, excess, deficit, eps):
     return done_flow, done_pot
 
 
+def _greedy_start(cost, excess, deficit):
+    """The least-cost greedy basis of ``_network_simplex``, as adjacency
+    lists of (node, flow): ns + nt - 1 cells that span the source x sink
+    graph.  Cells are taken in increasing cost, ties in row-major order;
+    each ships what its row and column have left and closes one of them,
+    the row when its supply runs out first (or no other column is open),
+    and only the last cell closes both.  So a cell that empties a row and a
+    column at once leaves the column open, and a later cell ships 0 there.
+    Each closed line has its cell in a line closed later, so the cells form
+    a tree.  The sorted cells are screened for closed lines with numpy,
+    ns + nt at a time."""
+    ns, nt = cost.shape
+    n = ns + nt
+    left = excess.tolist() + deficit.tolist()
+    closed = np.zeros(n, dtype=bool)
+    lines = [ns, nt]  # rows and columns still open
+    adj = [[] for _ in range(n)]
+    rows, cols = np.divmod(np.argsort(cost, axis=None, kind="stable"), nt)
+    cols += ns
+    for lo in range(0, ns * nt, n):
+        s_, t_ = rows[lo:lo + n], cols[lo:lo + n]
+        live = ~(closed[s_] | closed[t_])
+        for s, t in zip(s_[live].tolist(), t_[live].tolist()):
+            if closed[s] or closed[t]:
+                continue
+            amount = min(left[s], left[t])
+            adj[s].append((t, amount))
+            adj[t].append((s, amount))
+            if lines == [1, 1]:
+                return adj
+            side = int(lines[1] > 1 and (lines[0] == 1 or left[s] > left[t]))
+            left[s] -= amount
+            left[t] -= amount
+            closed[(s, t)[side]] = True
+            lines[side] -= 1
+    raise InternalInvariantBroken("greedy start ran out of cells")
+
+
+def _network_simplex(cost, excess, deficit):
+    """An optimal plan for one transportation problem, shipping ``excess``
+    from ns sources to ``deficit`` at nt sinks over ``cost``, by the
+    transportation simplex (Dantzig, 1951; Orlin, Math. Program. 78 (1997)
+    109-129).  Returns the plan and the sink potentials, ``(flow, pot_t)``,
+    with ``cost + pot_s - pot_t`` zero on the plan's arcs and nowhere below
+    -1e-12 times the largest cost.
+
+    With one source or one sink the plan is forced.  Otherwise the basis is
+    a spanning tree of ns + nt - 1 cells of the bipartite source x sink
+    graph, rooted at source 0 and started by ``_greedy_start``; zero cells
+    in it make pivots degenerate.  Each pivot prices every cell
+    (Dantzig's rule, the most negative reduced cost, until none is below
+    the stop), finds the cycle by walking up from both ends of the
+    entering cell to their meeting point, ships the least
+    flow on the cycle's decreasing arcs (ties go to the lowest cell index)
+    and re-hangs the subtree cut off by the leaving arc, shifting the
+    potentials on that subtree alone.
+
+    Termination: a pivot that ships a positive amount lowers the cost, so
+    no basis before it recurs.  Only degenerate pivots (shipping 0) can
+    cycle; once ns + nt of them come in a row, the entering cell is the
+    lowest-indexed one below the stop, until a pivot ships again: with the
+    lowest-index leaving rule this is Bland's rule (Math. Oper. Res. 2
+    (1977) 103-107), which never repeats a basis.  There are finitely many
+    bases, so the method stops; the pivot guard raises
+    ``InternalInvariantBroken`` if rounding ever defeats that argument.
+    """
+    ns, nt = cost.shape
+    if nt == 1:
+        return excess[:, None], np.zeros(1)
+    if ns == 1:
+        return deficit[None, :], cost[0]
+    n = ns + nt  # node s < ns is source s, node ns + t is sink t
+    adj = _greedy_start(cost, excess, deficit)
+    # the tree rooted at source 0: parent, depth and the flow on the arc to
+    # the parent per node, and the potentials pot[t] - pot[s] = cost[s, t]
+    parent, depth, flow = [-1] * n, [0] * n, [0.0] * n
+    children = [[] for _ in range(n)]
+    pot = [0.0] * n
+    order = [0]
+    for x in order:
+        for y, amount in adj[x]:
+            if y != parent[x]:
+                parent[y], depth[y], flow[y] = x, depth[x] + 1, amount
+                children[x].append(y)
+                pot[y] = (pot[x] + cost[x, y - ns] if x < ns
+                          else pot[x] - cost[y, x - ns])
+                order.append(y)
+    if len(order) < n:  # else a cycle walk below would never meet
+        raise InternalInvariantBroken("greedy start does not span")
+    pot = np.array(pot)
+
+    def cell_of(x):  # of the arc to x's parent: the source is the lower end
+        return min(x, parent[x]) * nt + max(x, parent[x]) - ns
+    stop = -1e-12 * float(cost.max())
+    degenerate = 0
+    for _ in range(1000 + 40 * n * n):
+        reduced = cost + pot[:ns, None] - pot[ns:]
+        if degenerate < n:
+            cell = int(reduced.argmin())
+        else:  # Bland's rule: the lowest-indexed improving cell
+            cell = int((reduced < stop).argmax())
+        gain = float(reduced.flat[cell])
+        if not gain < stop:
+            break
+        s, t = divmod(cell, nt)
+        t += ns
+        # the cycle: up from s and from t to their meeting point; the
+        # entering cell ships s -> t, so an arc to a parent decreases on
+        # s's side when its node is a source, on t's side when a sink
+        s_side, t_side = [], []
+        a, b = s, t
+        while a != b:
+            if depth[a] >= depth[b]:
+                s_side.append(a)
+                a = parent[a]
+            if depth[b] > depth[a]:
+                t_side.append(b)
+                b = parent[b]
+        down = ([x for x in s_side if x < ns]
+                + [x for x in t_side if x >= ns])
+        theta = min(flow[x] for x in down)
+        tied = [x for x in down if flow[x] == theta]
+        out = min(tied, key=cell_of) if len(tied) > 1 else tied[0]
+        for x in s_side:
+            flow[x] += -theta if x < ns else theta
+        for x in t_side:
+            flow[x] += theta if x < ns else -theta
+        degenerate = 0 if theta > 0 else degenerate + 1
+        # re-hang the subtree below the leaving arc from the entering cell:
+        # the path from the cell's end on that side up to ``out`` turns over
+        side = out >= ns  # the leaving arc is on t's side
+        inner, outer, path = (t, s, t_side) if side else (s, t, s_side)
+        up, carried = outer, theta
+        for x in path[:path.index(out) + 1]:
+            children[parent[x]].remove(x)
+            children[up].append(x)
+            parent[x], up = up, x
+            flow[x], carried = carried, flow[x]
+        depth[inner] = depth[outer] + 1
+        moved = [inner]
+        for x in moved:
+            below = children[x]
+            for y in below:
+                depth[y] = depth[x] + 1
+            moved += below
+        pot[moved] += gain if side else -gain
+    else:
+        raise InternalInvariantBroken("network simplex pivot guard exceeded")
+    plan = np.zeros(ns * nt)
+    plan[[cell_of(x) for x in range(1, n)]] = flow[1:]
+    return plan.reshape(ns, nt), pot[ns:]
+
+
 def _plan_values(flow, cost, eps):
     """Per row, the dot product of its flows above ``eps`` with their costs,
     in row-major order: ``_transport``'s ``mass @ cost[keep]``, run as one
@@ -440,7 +594,7 @@ def _plan_values(flow, cost, eps):
     return values
 
 
-def _transport(dist, vec):
+def _transport(dist, vec, simplex=False):
     """Min-cost transportation between the positive and negative parts of vec.
 
     Returns ``(value, flows, sinks, g)``: ``flows`` lists the sorted
@@ -448,8 +602,10 @@ def _transport(dist, vec):
     and ``g`` their dual potentials.  On a metric, the c-transform
     ``f(x) = min_j dist[x, sinks[j]] + g[j]`` is 1-Lipschitz and pairs with
     ``vec`` to the value.  Entries within 1e-14 of the total mass are
-    dropped, and the plan is found by ``_primal_dual`` on a stack of one.
-    ``norm_rows`` applies the same band and value rule to stacks.
+    dropped.  The plan is found by ``_network_simplex`` with ``simplex``
+    (``free_norm_p1``), and otherwise by ``_primal_dual`` on a stack of one
+    (``norm_value``, whose bits ``norm_rows`` gives: it applies the same
+    band and value rule to stacks).
     """
     eps = 1e-14 * _scale(vec)
     srcs = (vec > eps).nonzero()[0]
@@ -457,13 +613,16 @@ def _transport(dist, vec):
     if len(srcs) == 0 or len(sinks) == 0:
         return 0.0, (), sinks, np.zeros(len(sinks))
     cost = dist[srcs[:, None], sinks]
-    flow, pot_t = _primal_dual(cost[None], vec[srcs][None], -vec[sinks][None],
-                               np.full(1, eps))
-    keep = flow[0] > eps
-    mass = flow[0][keep]
+    if simplex:
+        flow, pot_t = _network_simplex(cost, vec[srcs], -vec[sinks])
+    else:
+        (flow,), (pot_t,) = _primal_dual(cost[None], vec[srcs][None],
+                                         -vec[sinks][None], np.full(1, eps))
+    keep = flow > eps
+    mass = flow[keep]
     a, b = np.nonzero(keep)
     flows = tuple(zip(srcs[a].tolist(), sinks[b].tolist(), mass.tolist()))
-    return float(mass @ cost[keep]), flows, sinks, -pot_t[0]
+    return float(mass @ cost[keep]), flows, sinks, -pot_t
 
 
 def _certificate_defects(space, vec, value, cert):
@@ -477,9 +636,9 @@ def _certificate_defects(space, vec, value, cert):
 def free_norm_p1(space, molecule):
     """Exact transportation-cost norm at p = 1 with dual certificate.
 
-    The plan comes from the primal-dual solver ``_transport``; the
-    certificate is the c-transform of its sink potentials, shifted to vanish
-    at the base.  Both are checked at run time: the certificate must pair
+    The plan comes from the network simplex (``_transport`` with
+    ``_network_simplex``); the certificate is the c-transform of its sink
+    potentials, shifted to vanish at the base.  Both are checked at run time: the certificate must pair
     with the molecule to the value within 1e-9 relative and be 1-Lipschitz
     against ``space.dist`` within 1e-9 of the diameter.  That holds for any
     genuine metric, snowflaked or not.  When a check fails (a distance
@@ -491,7 +650,7 @@ def free_norm_p1(space, molecule):
     if np.abs(vec).max(initial=0.0) <= ABS_TOL:
         return FreeNormResult(0.0, (), "exact", 1.0,
                               certificate=np.zeros(space.n))
-    value, flows, sinks, g = _transport(space.dist, vec)
+    value, flows, sinks, g = _transport(space.dist, vec, simplex=True)
     cert = np.min(space.dist[:, sinks] + g, axis=1)
     cert -= cert[space.base]
     if max(_certificate_defects(space, vec, value, cert)) <= _CERT_TOL:

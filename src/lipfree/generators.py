@@ -113,18 +113,41 @@ BUILDERS = {"grid-zd": grid_zd, "grid-nd": grid_nd,
 KINDS = tuple(BUILDERS)
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# per type of a builder's default: what a value must be, and its name
+_TYPES = {
+    int: (lambda v: _is_number(v) and isinstance(v, int), "an integer"),
+    float: (_is_number, "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    tuple: (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+            "a list of numbers"),
+}
+
+
 def generate(kind, seed=0, /, **params):
     """Dispatch by generator name (file-format kinds of the CLI).  ``seed``
     goes to the kinds that draw at random; a parameter the kind's builder
-    does not take is refused, ``seed`` among them, as it comes on its own."""
+    does not take is refused, ``seed`` among them, as it comes on its own,
+    and so is a value not of the type of the builder's default (an int is
+    a number, a bool is neither)."""
     if kind not in BUILDERS:
         raise BadParameter(f"unknown generator kind {kind!r}")
-    names = list(inspect.signature(BUILDERS[kind]).parameters)
-    takes = [name for name in names if name != "seed"]
+    defaults = {name: p.default for name, p in
+                inspect.signature(BUILDERS[kind]).parameters.items()}
+    takes = [name for name in defaults if name != "seed"]
     unknown = sorted(set(params) - set(takes))
     if unknown:
         raise BadParameter(f"generator {kind} takes no parameter {unknown}; "
                            f"it takes {takes}")
-    if "seed" in names:
+    for name, value in params.items():
+        fits, wanted = _TYPES[type(defaults[name])]
+        if not fits(value):
+            raise BadParameter(f"generator {kind} parameter {name}={value!r} "
+                               f"is not {wanted}")
+    if "seed" in defaults:
         params["seed"] = seed
     return BUILDERS[kind](**params)

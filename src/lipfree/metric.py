@@ -114,11 +114,16 @@ class PointedMetricSpace:
             raise BadParameter(f"base index {self.base} out of range for {n} points")
         if np.abs(np.diag(d)).max(initial=0.0) > ABS_TOL:
             raise BadParameter("nonzero diagonal in distance matrix")
-        if np.abs(d - d.T).max(initial=0.0) > ABS_TOL:
+        step = max(1, _BLOCK // n)
+        asym, near = 0.0, (math.inf, 0, 0)
+        for lo in range(0, n, step):
+            rows = d[lo:lo + step]
+            asym = max(asym, float(np.abs(rows - d[:, lo:lo + step].T).max()))
+            near = _least_off_diagonal(rows.copy(), lo, near)
+        if asym > ABS_TOL:
             raise BadParameter("distance matrix is not symmetric")
-        off = d + np.eye(n)
-        if off.min() <= ABS_TOL:
-            i, j = np.unravel_index(int(np.argmin(off)), off.shape)
+        least, i, j = near
+        if least <= ABS_TOL:
             raise DuplicatePoint(f"points {self.points[i]} and {self.points[j]} coincide")
         object.__setattr__(self, "dist", d)
         if self.coords is not None:
@@ -163,6 +168,20 @@ def _norms(v, kind):
     return np.sqrt((v ** 2).sum(axis=-1))
 
 
+def _least_off_diagonal(rows, lo, best):
+    """``best``, the least entry off the diagonal of an (n, n) matrix seen
+    so far as (value, row, column), updated with its rows from ``lo`` on;
+    ties keep the first in row-major order.  The diagonal of ``rows`` is
+    raised by 1 in place, as adding ``np.eye(n)`` would."""
+    at = np.arange(len(rows))
+    rows[at, lo + at] += 1.0
+    k = int(rows.argmin())
+    if rows.flat[k] < best[0]:
+        i, j = divmod(k, rows.shape[1])
+        return float(rows.flat[k]), lo + i, j
+    return best
+
+
 def build_space(coords, norm_kind="euclidean", alpha=1.0, base=0, points=None):
     """Build a space from an embedded point cloud.
 
@@ -180,12 +199,16 @@ def build_space(coords, norm_kind="euclidean", alpha=1.0, base=0, points=None):
         raise BadParameter("need at least one point")
     if not (0 <= base < n):
         raise BadParameter(f"base index {base} out of range")
-    raw = _norms(coords[:, None, :] - coords[None, :, :], norm_kind)
-    off = raw + np.eye(n)
-    if off.min() <= ABS_TOL:
-        i, j = np.unravel_index(int(np.argmin(off)), off.shape)
+    # rows in blocks: the (rows, n, d) difference stays within _BLOCK
+    dist, near = np.empty((n, n)), (math.inf, 0, 0)
+    step = max(1, _BLOCK // max(1, coords.size))
+    for lo in range(0, n, step):
+        raw = _norms(coords[lo:lo + step, None, :] - coords, norm_kind)
+        near = _least_off_diagonal(raw, lo, near)
+        dist[lo:lo + step] = raw ** alpha
+    least, i, j = near
+    if least <= ABS_TOL:
         raise DuplicatePoint(f"points {i} and {j} coincide under the {norm_kind} norm")
-    dist = raw ** alpha
     np.fill_diagonal(dist, 0.0)
     if points is None:
         points = tuple(tuple(row) if coords.shape[1] > 1 else float(row[0]) for row in coords)

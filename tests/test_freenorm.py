@@ -83,7 +83,8 @@ def dense_molecule(rng, sp):
 @pytest.mark.parametrize("alpha", [1.0, 0.5])
 def test_transport_many_sources_and_sinks(rng, k, alpha):
     # full-support molecules on k-point clouds: both sides have dozens of
-    # points, so the solve runs through the primal-dual phases
+    # points, so free_norm_p1 pivots many times and _transport runs through
+    # the primal-dual phases
     sp = random_ball(d=2, n=k, seed=k, alpha=alpha)
     for _ in range(2):
         m = dense_molecule(rng, sp)
@@ -314,6 +315,68 @@ def test_norm_rows_p1_batches_match_reference(rng, monkeypatch):
     for sp in spaces:
         two_sided += check_norm_rows_p1(sp, transport_rows(rng, sp, 150))
     assert two_sided >= 500
+
+
+def check_free_norm_p1(space, vec):
+    """``free_norm_p1`` (the network simplex) against the scalar reference:
+    the value within 1e-12 relative (plans may differ on ties), a
+    representation that reproduces the molecule and costs the value, and a
+    certificate that passes the run-time check."""
+    mol = Molecule(tuple((i, c) for i, c in enumerate(vec.tolist()) if c))
+    res = free_norm_p1(space, mol)
+    want = reference_transport(space.dist, vec)[0]
+    assert abs(res.value - want) <= 1e-12 * want
+    check_result_consistency(space, mol, res)
+    assert res.exactness == "exact" and res.certificate[space.base] == 0.0
+    assert max(freenorm._certificate_defects(
+        space, vec, res.value, res.certificate)) <= freenorm._CERT_TOL
+
+
+def test_free_norm_p1_matches_reference_on_tied_and_banded_rows(rng):
+    """Integer and one-decimal masses on tied spaces, over 16 decades of
+    scale and with entries inside the 1e-14 band."""
+    for sp in tied_spaces():
+        for vec in transport_rows(rng, sp, 60):
+            check_free_norm_p1(sp, vec)
+
+
+@pytest.mark.parametrize("k", [60, 150])
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_free_norm_p1_matches_reference_on_random_balls(rng, k, alpha):
+    sp = random_ball(d=2, n=k, seed=k + 1, alpha=alpha)
+    for _ in range(2):
+        check_free_norm_p1(sp, dense_molecule(rng, sp).vector(sp.n))
+
+
+def test_free_norm_p1_never_runs_the_primal_dual(rng, monkeypatch):
+    """One problem goes to the network simplex; the stacked primal-dual is
+    for ``norm_rows`` and ``norm_value``."""
+    def stacked(*args):
+        raise AssertionError("free_norm_p1 ran the primal-dual")
+    monkeypatch.setattr(freenorm, "_primal_dual", stacked)
+    for sp in tied_spaces() + [random_ball(d=2, n=30, seed=9)]:
+        for _ in range(5):
+            m = random_molecule(rng, sp)
+            check_certificate(sp, m, free_norm_p1(sp, m))
+
+
+def test_free_norm_p1_finishes_on_a_fully_degenerate_instance():
+    """Unit masses of both signs on tied grids, and a unit-mass assignment
+    with costs in {1, 2, 3}: most pivots ship nothing, each grid solve
+    ends at the reference's value, and the assignment's plan costs what
+    its potentials' dual pays."""
+    for norm in ("taxicab", "sup"):
+        sp = grid_zd(d=2, lo=-3, hi=3, norm=norm)
+        vec = np.where(np.arange(sp.n) % 2 == 0, 1.0, -1.0)
+        vec[sp.base] -= vec.sum()
+        check_free_norm_p1(sp, vec)
+    cost = np.random.default_rng(4).integers(1, 4, size=(30, 30)).astype(float)
+    flow, pot_t = freenorm._network_simplex(cost, np.ones(30), np.ones(30))
+    assert np.array_equal(flow.sum(axis=0), np.ones(30))
+    assert np.array_equal(flow.sum(axis=1), np.ones(30))
+    pot_s = (pot_t - cost).max(axis=1)  # cost + pot_s - pot_t >= 0
+    assert float((flow * cost).sum()) == pytest.approx(
+        pot_t.sum() - pot_s.sum(), rel=1e-12)  # primal = dual: optimal
 
 
 def test_zero_molecule():

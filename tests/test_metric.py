@@ -98,6 +98,48 @@ def test_duplicate_points_rejected():
         build_space([(0.0, 0.0), (0.0, 0.0)], "euclidean")
 
 
+@pytest.mark.parametrize("norm", ["euclidean", "sup", "taxicab"])
+def test_blocked_distances_match_the_whole_matrix(rng, norm):
+    """``build_space`` builds rows in blocks of about ``_BLOCK`` entries of
+    the coordinate difference; the matrix is bit for bit the one built
+    from the whole (n, n, d) difference at once."""
+    for d in (2, 5, 9, 12):
+        n = 301
+        assert n % (metric._BLOCK // (n * d)) != 0  # a ragged last block
+        coords = rng.uniform(-1, 1, size=(n, d))
+        raw = metric._norms(coords[:, None, :] - coords[None, :, :], norm)
+        for alpha in (1.0, 0.5, 0.7):
+            want = raw ** alpha
+            np.fill_diagonal(want, 0.0)
+            got = build_space(coords, norm, alpha=alpha).dist
+            assert got.tobytes() == want.tobytes(), (d, alpha)
+
+
+def test_blocked_checks_name_the_points_of_a_later_block(rng):
+    """The duplicate and symmetry checks run in row blocks: a fault past
+    the first block is found, the nearest pair over all blocks is named
+    (a closer pair in a later block beats an earlier one), and asymmetry
+    is reported before any duplicate."""
+    n = 700
+    coords = rng.uniform(-1, 1, size=(n, 3))
+    assert 600 > metric._BLOCK // (3 * n) and 600 > metric._BLOCK // n
+    coords[650] = coords[600]
+    coords[6] = coords[5] + 1e-13
+    with pytest.raises(DuplicatePoint, match=r"^points 600 and 650 coincide "
+                                             r"under the euclidean norm$"):
+        build_space(coords)
+    dist = build_space(rng.uniform(-1, 1, size=(n, 2))).dist
+    near = dist.copy()
+    near[600, 650] = near[650, 600] = 0.0
+    near[5, 6] = near[6, 5] = 1e-13
+    with pytest.raises(DuplicatePoint, match=r"^points 600 and 650 coincide$"):
+        space_from_matrix(near)
+    near[650, 640] += 1e-6
+    with pytest.raises(BadParameter, match="^distance matrix is not "
+                                           "symmetric$"):
+        space_from_matrix(near)
+
+
 def test_bad_alpha_rejected():
     with pytest.raises(BadParameter):
         build_space([(0.0,), (1.0,)], "euclidean", alpha=1.5)

@@ -2,10 +2,12 @@
 
 ``perfbench`` wraps lipfree functions at their module attributes and binds
 some of their arguments by name; a renamed function or argument makes the
-traced run die with ``AttributeError`` or ``KeyError``.  These tests only
-read ``perfbench/``.
+traced run die with ``AttributeError`` or ``KeyError``.  Its workloads also
+call some functions directly, where a renamed argument would show only as
+a raised job.  These tests only read ``perfbench/``.
 """
 
+import ast
 import importlib
 import inspect
 import sys
@@ -49,3 +51,32 @@ def test_bound_argument_names(perfbench):
     assert {"space", "measure"} <= params(extension.doubling_extension_map)
     assert {"space", "vec", "p", "prefer", "exact_limit", "certify"} <= \
         params(freenorm.norm_value)
+
+
+def test_direct_calls_bind(perfbench):
+    """Every ``freenorm.``, ``generators.`` or ``decomposition.`` call that
+    ``workloads.py`` makes itself names a function of that module, and its
+    positional and keyword arguments bind to the function's signature."""
+    from lipfree import decomposition, freenorm, generators
+    modules = {"freenorm": freenorm, "generators": generators,
+               "decomposition": decomposition}
+    _, workloads = perfbench
+    called = set()
+    for node in ast.walk(ast.parse(Path(workloads.__file__).read_text())):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in modules):
+            continue
+        name = f"{node.func.value.id}.{node.func.attr}"
+        fn = getattr(modules[node.func.value.id], node.func.attr, None)
+        assert callable(fn), name
+        assert not any(isinstance(a, ast.Starred) for a in node.args), name
+        assert all(kw.arg for kw in node.keywords), name
+        inspect.signature(fn).bind_partial(
+            *node.args, **{kw.arg: kw.value for kw in node.keywords})
+        called.add(name)
+    assert {"freenorm.free_norm_p1", "freenorm.free_norm_exact_small",
+            "decomposition.verify_pst_identity",
+            "decomposition.unit_interval_cores", "generators.random_ball",
+            "generators.annulus_rays"} <= called

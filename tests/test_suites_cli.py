@@ -376,6 +376,46 @@ def test_cli_generate_refuses_a_parameter_the_kind_does_not_take(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, param, wanted", [
+    ("line", "n=abc", "n='abc' is not an integer"),
+    ("random-ball", "n=2.5", "n=2.5 is not an integer"),
+    ("random-ball", "n=true", "n=True is not an integer"),
+    ("random-ball", "radius=false", "radius=False is not a number"),
+    ("grid-zd", "norm=1", "norm=1 is not a string"),
+    ("annulus-rays", "include_origin=1", "include_origin=1 is not true or false"),
+    ("annulus-rays", "radii=[1, \"2\"]", "radii=[1, '2'] is not a list of numbers"),
+])
+def test_cli_generate_refuses_a_parameter_of_the_wrong_type(
+        tmp_path, capsys, kind, param, wanted):
+    """A value not of the type of the builder's default is a usage error,
+    exit 2, naming the parameter and the type it takes."""
+    out = tmp_path / "space.json"
+    rc = main(["generate", "--kind", kind, "--param", param,
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: generator {kind} parameter {wanted}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, params, n", [
+    ("grid-zd", ["d=2", "lo=-1", "hi=1", "norm=taxicab", "alpha=1"], 9),
+    ("grid-nd", ["d=3", "hi=1", "alpha=0.5"], 8),
+    ("sphere-fibonacci", ["d=2", "n=12", "alpha=1.0", "base=3"], 12),
+    ("random-ball", ["d=3", "n=10", "radius=2", "norm=sup"], 10),
+    ("annulus-rays", ["rays=3", "radii=[1, 2.5]", "include_origin=true"], 7),
+    ("line", ["n=4", "start=-1", "step=0.5"], 4),
+])
+def test_cli_generate_takes_each_kind_s_parameters(tmp_path, kind, params, n):
+    """An int is a number, and a JSON list a list of numbers."""
+    out = tmp_path / "space.json"
+    argv = ["generate", "--kind", kind, "--out", str(out)]
+    for param in params:
+        argv += ["--param", param]
+    assert main(argv) == 0
+    assert load_space(out).n == n
+
+
 def test_cli_tol_override(tmp_path):
     report = tmp_path / "r.json"
     rc = main(["run", "--suite", "norm-oracle", "--seed", "4",
