@@ -387,9 +387,10 @@ def measure_map_into_sum(family, weight_matrix, p,
     ell_p-sum over the parts of ``family``, by ``measure_lipschitz``.
 
     weight_matrix has shape (n_parts, n_points) over global indices.  Part
-    norms are exact transport at p = 1 and support-restricted oracles below
-    (restriction can only overestimate, which keeps the comparison against
-    closed-form bounds sound).  Returns (value, pair, all_exact).
+    norms are exact at p = 1 and on parts of at most ``exact_limit`` points,
+    and otherwise support-restricted upper bounds, which keeps the
+    comparison against closed-form bounds sound.  Returns (value, pair,
+    all_exact).
     """
     n = family.space.n
     parts = []
@@ -472,16 +473,14 @@ def verify_separated_inverse(family, p, samples=200, seed=0,
             vec = np.zeros(sub.n)
             vec[1:] = coef
             vec[0] = -coef.sum()
-            v, exact = norm_value(sub, vec, p, exact_limit=exact_limit,
-                                  certify=True)
+            v, exact = norm_value(sub, vec, p, exact_limit=exact_limit)
             certified = certified and exact
             acc += v ** p
             for li, g in enumerate(part.members):
                 vec_total[g] += coef[li]
         vec_total[space.base] = -vec_total.sum() + vec_total[space.base]
         num = acc ** (1 / p)
-        den, exact = norm_value(space, vec_total, p, exact_limit=exact_limit,
-                                certify=True)
+        den, exact = norm_value(space, vec_total, p, exact_limit=exact_limit)
         certified = certified and exact
         if den > 0:
             best = max(best, num / den)

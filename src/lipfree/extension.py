@@ -302,8 +302,8 @@ def doubling_extension_map(space, net, p, system=None,
 
     The measured Lipschitz constant (free-norm target over the subset) is
     compared against 112 * 15^{1/p} * D^{4/p} with D the subset's doubling
-    bound.  At p < 1 part norms fall back to certified upper bounds, which
-    keeps the comparison sound.
+    bound.  At p < 1 part norms are exact up to ``exact_limit`` points and
+    upper bounds above, which keeps the comparison sound.
     """
     if not 0 < p <= 1:
         raise BadParameter(f"p={p} outside (0, 1]")
@@ -409,14 +409,12 @@ def amenability_defect(space, net, p, samples=100, seed=0,
         vec_sub = np.zeros(sub.n)
         vec_sub[chosen] = coef
         vec_sub[0] = -coef.sum()
-        num, exact_n = norm_value(sub, vec_sub, p, exact_limit=exact_limit,
-                                  certify=True)
+        num, exact_n = norm_value(sub, vec_sub, p, exact_limit=exact_limit)
         vec_amb = np.zeros(space.n)
         for li, c in zip(chosen, coef):
             vec_amb[order[li]] = c
         vec_amb[space.base] -= vec_amb.sum()
-        den, exact_d = norm_value(space, vec_amb, p, exact_limit=exact_limit,
-                                  certify=True)
+        den, exact_d = norm_value(space, vec_amb, p, exact_limit=exact_limit)
         certified = certified and exact_n and exact_d
         if den > 0:
             ratios.append(num / den)

@@ -13,9 +13,11 @@ Three solvers cover the (0, 1] exponent range:
   found by the send-and-split subset DP ``_tree_dp`` over the support's
   k points off the base in O(3^k n + 2^k n^2), with the other points as
   relays when d^p satisfies the triangle inequality (every point joins
-  otherwise), and capped at ``forest_limit`` points.
-* ``free_norm_upper`` -- the regime the measurement loops use off the
-  certified path: the same DP over the support alone, base first, up to
+  otherwise), and capped at ``forest_limit`` points.  The loops'
+  ``norm_rows`` (one row: ``norm_value``) norms every p < 1 row this way
+  on a space of at most ``exact_limit`` points.
+* ``free_norm_upper`` -- the support regime the loops use above that
+  limit: the same DP over the support alone, base first, up to
   ``FOREST_LIMIT_DEFAULT`` points, and otherwise the cheaper of the star
   and the minimum-spanning-tree routings; never below the true norm, and
   exact when the support is the whole space.
@@ -236,37 +238,35 @@ def _tree_dp(dist, vecs, p, terms, root, tree=False):
     return norms, edges
 
 
-def _terminals(dist, vec, p, root):
-    """The points ``_tree_dp`` must treat as terminals for one row over a
-    whole space: its support off the root when d^p satisfies the triangle
-    inequality within ``ABS_TOL`` (``_relays``), so that the other points
-    may relay by one hop; otherwise every point but the root."""
-    held = vec != 0
-    if not held.all():
-        dist = np.asarray(dist, dtype=float)
-        if not _relays(dist.tobytes(), len(dist), p):
-            held[:] = True
-    held[root] = False
-    return held.nonzero()[0]
-
-
 @lru_cache(maxsize=64)
 def _relays(key, n, p):
     """Whether d^p passes the triangle inequality within ``ABS_TOL``
-    (``metric._p_triangle``), for the (n, n) distance matrix whose float64
-    bytes are ``key``: cached per matrix and p, since the sampled loops
-    norm many rows over the same few spaces."""
+    (``metric._p_triangle``) for the (n, n) float64 distance matrix of bytes
+    ``key``; cached, as the loops norm many rows over the same few spaces."""
     return _p_triangle(np.frombuffer(key).reshape(n, n), p)[0]
 
 
-def _certified_row(space, vec, p, tree=False):
-    """One nonzero row by ``_tree_dp`` over the whole space with the
-    terminals of ``_terminals``, so that the points off the support may
-    relay: the exact norm, as (value, edges)."""
-    terms = _terminals(space.dist, vec, p, space.base)
-    (value,), edges = _tree_dp(space.dist[None], vec[None], p, terms,
-                               space.base, tree)
-    return value, edges
+def _dp_width(k, n):
+    """Per row, ``_tree_dp``'s largest table for k terminals of n points:
+    G, or its widest level's split rectangles (three live at once)."""
+    return max([n << k] + [a.size for _, a, _, _ in _dp_levels(k, n)])
+
+
+def _whole_rows(space, rows, p, tree=False):
+    """Exact norms of p < 1 rows sharing one support, by ``_tree_dp`` over
+    the whole space in blocks of about ``_BLOCK`` table entries, as (values,
+    row 0's network edges with ``tree``).  Terminals: the support off the
+    base when d^p passes the triangle inequality (``_relays``), so the
+    other points may relay by one hop; otherwise every point but the base."""
+    held = rows[0] != 0
+    if not held.all() and not _relays(space.dist.tobytes(), space.n, p):
+        held[:] = True
+    held[space.base] = False
+    terms = held.nonzero()[0]
+    step = max(1, _BLOCK // _dp_width(len(terms), space.n))
+    blocks = [_tree_dp(space.dist[None], rows[lo:lo + step], p, terms,
+                       space.base, tree) for lo in range(0, len(rows), step)]
+    return [v for values, _ in blocks for v in values], blocks[0][1]
 
 
 def _scale(vec):
@@ -303,15 +303,15 @@ def _tree_result(value, exact, edges, p, vec):
 
 def free_norm_exact_small(space, molecule, p, forest_limit=FOREST_LIMIT_DEFAULT):
     """Exact free norm for p in (0, 1] by the subset DP ``_tree_dp`` over
-    the whole space, with ``_terminals`` (``_certified_row``); the
-    representation may route mass through points outside the support."""
+    the whole space (``_whole_rows``); the representation may route mass
+    through points outside the support."""
     _check_limit(forest_limit)
     if space.n > forest_limit:
         raise SizeLimit(f"{space.n} points exceeds forest_limit={forest_limit}")
     vec = _molecule_vector(space, molecule, p)
     if np.abs(vec).max(initial=0.0) <= ABS_TOL:
         return FreeNormResult(0.0, (), "exact", p)
-    value, edges = _certified_row(space, vec, p, tree=True)
+    (value,), edges = _whole_rows(space, vec[None], p, tree=True)
     return _tree_result(value, True, edges, p, vec)
 
 
@@ -659,8 +659,8 @@ def free_norm_p1(space, molecule):
 
 
 # ---------------------------------------------------------------------------
-# the support regime of the measurement loops: the subset DP on the support
-# alone, or the star and minimum-spanning-tree routings above the limit
+# the support regime of the measurement loops above the exact limit: the
+# subset DP on the support alone, or the star and minimum-spanning-tree routings
 
 
 def _tree_flows(vec, parents):
@@ -729,9 +729,9 @@ def _upper_value(dsub, vsub, p):
 
 
 def _support_row(space, vec, p, limit, tree=False):
-    """One nonzero row by the p < 1 regime of ``norm_rows``, as (value,
-    exact, edges): ``_tree_dp`` on the support alone, base first
-    (``_dense_restrict``), while it has at most ``limit`` points, and
+    """One nonzero row by ``norm_rows``' p < 1 regime above the exact
+    limit, as (value, exact, edges): ``_tree_dp`` on the support alone, base
+    first (``_dense_restrict``), while it has at most ``limit`` points, and
     ``_upper_value`` above.  Restricting to the support can only
     overestimate, so the value is exact only when the support is the
     whole space.  With ``tree``, ``edges`` lists the (child, parent, mass)
@@ -752,8 +752,8 @@ def _support_row(space, vec, p, limit, tree=False):
 
 def free_norm_upper(space, molecule, p):
     """Upper bound on the free norm for any p in (0, 1], with a
-    representation that costs it, by the regime the measurement loops use
-    off the certified path (``_support_row`` at ``FOREST_LIMIT_DEFAULT``
+    representation that costs it, by the support regime the loops use
+    above the exact limit (``_support_row`` at ``FOREST_LIMIT_DEFAULT``
     points); tagged exact only when the support is the whole space."""
     vec = _molecule_vector(space, molecule, p)
     if np.abs(vec).max(initial=0.0) <= ABS_TOL:
@@ -763,33 +763,31 @@ def free_norm_upper(space, molecule, p):
 
 
 def norm_value(space, vec, p, exact_limit=FOREST_LIMIT_DEFAULT, prefer="auto",
-               certify=False):
+               certify=True):
     """Free p-norm of one dense vector, as (value, exact flag); the
     measurement loops use ``norm_rows``, which gives the same bits.
 
-    At p = 1 the value is transport on the support (nonzero entries and
-    the base), exact for metric distances.  For p < 1 the row goes to
-    ``_support_row``: the oracle on the support-restricted space when it
-    has at most ``exact_limit`` points, which upper-bounds the full-space
-    norm (exact only when the support is the whole space), and otherwise
-    the star/MST upper bound.  With ``certify`` the oracle runs on the
-    whole space whenever it fits under ``exact_limit``, with the support's
-    points as terminals and the others as relays (``_certified_row``), for
-    a certified exact value.
+    At p = 1: transport on the support (nonzero entries and the base),
+    exact for metric distances.  At p < 1 on a space of at most
+    ``exact_limit`` points: the oracle over the whole space, with the
+    points off the support as relays (``_whole_rows``), exact.  Above it:
+    ``_support_row``, the oracle on the support while that has at most
+    ``exact_limit`` points and otherwise the star/MST bound.
     """
     _check_limit(exact_limit)
-    # ``prefer`` has one value; it stays in the signature only because the
-    # benchmark's tracer binds it by name, until that tracing moves to
-    # ``norm_rows`` and ``norm_value`` goes (ROADMAP items 2 and 3)
+    # ``prefer`` and ``certify`` take one value each and stay only because
+    # the benchmark's tracer binds them by name (ROADMAP items 2 and 3)
     if prefer != "auto":
         raise BadParameter(f"prefer={prefer!r} is not 'auto'")
+    if certify is not True:
+        raise BadParameter(f"certify={certify!r} is not True")
     vec = np.asarray(vec, dtype=float)
     if np.abs(vec).max(initial=0.0) <= ABS_TOL:
         return 0.0, True
     if p == 1.0:
         return _transport(*_dense_restrict(space, vec)[1:])[0], True
-    if certify and space.n <= exact_limit:
-        return _certified_row(space, vec, p)[0], True
+    if space.n <= exact_limit:
+        return _whole_rows(space, vec[None], p)[0][0], True
     return _support_row(space, vec, p, exact_limit)[:2]
 
 
@@ -801,30 +799,34 @@ def norm_rows(space, rows, p, exact_limit=FOREST_LIMIT_DEFAULT):
     """``norm_value(space, rows[i], p, exact_limit)`` for every row i, as
     arrays (values, exact), bitwise equal to the per-row calls.
 
-    Rows are grouped by support size k (ordered as ``_dense_restrict``
-    does) and taken in blocks, by the same regimes.  At p = 1 the rows of a
-    block are grouped again by their numbers of sources and sinks; each
-    group is one ``_primal_dual`` stack (``_transport`` solves a stack of
-    one), valued by ``_plan_values``.  The p < 1 subset DP runs batched,
-    and p < 1 supports above ``exact_limit`` go to ``_upper_value``.
+    At p < 1 on a space of at most ``exact_limit`` points, each group of
+    rows with one support goes to ``_whole_rows``.  Otherwise rows are
+    grouped by support size k (ordered as ``_dense_restrict`` does) and
+    taken in blocks.  At p = 1 the rows of a block are grouped again by
+    their numbers of sources and sinks; each group is one ``_primal_dual``
+    stack (``_transport`` solves a stack of one), valued by
+    ``_plan_values``.  At p < 1 the subset DP runs batched, and supports
+    above ``exact_limit`` go to ``_upper_value``.
     """
     _check_limit(exact_limit)
     rows = np.asarray(rows, dtype=float)
     values = np.zeros(len(rows))
-    exact = np.ones(len(rows), dtype=bool)
     order = np.r_[space.base, np.delete(np.arange(space.n), space.base)]
     held = (rows != 0)[:, order]
     held[:, 0] = True
-    size = np.where(np.abs(rows).max(axis=1, initial=0.0) > ABS_TOL,
-                    held.sum(axis=1), 0)
+    nonzero = np.abs(rows).max(axis=1, initial=0.0) > ABS_TOL
+    if p < 1 and space.n <= exact_limit:  # by the support off the base
+        support = held[:, 1:] @ (1 << np.arange(space.n - 1))
+        for key in np.unique(support[nonzero]).tolist():
+            at = np.flatnonzero(nonzero & (support == key))
+            values[at] = _whole_rows(space, rows[at], p)[0]
+        return values, np.ones(len(rows), dtype=bool)
+    size = np.where(nonzero, held.sum(axis=1), 0)
+    exact = (size == 0) | (p == 1.0)  # p < 1 here gives upper bounds
     for k in np.unique(size[size > 0]).tolist():
         dp = p < 1 and k <= exact_limit
         todo = np.flatnonzero(size == k)
-        # per p < 1 row, _tree_dp's largest temporaries are its widest
-        # level's split rectangles, three of them at once
-        width = max([k << k - 1] + [a.size for _, a, _, _ in
-                                     _dp_levels(k - 1, k)]) if dp else k * k
-        step = max(1, _BLOCK // width)
+        step = max(1, _BLOCK // (_dp_width(k - 1, k) if dp else k * k))
         for at in np.array_split(todo, -(-len(todo) // step)):
             sub = order[np.argsort(~held[at], axis=1, kind="stable")[:, :k]]
             vsub = np.take_along_axis(rows[at], sub, axis=1)
@@ -847,10 +849,8 @@ def norm_rows(space, rows, p, exact_limit=FOREST_LIMIT_DEFAULT):
                     v[g] = _plan_values(flow, cost, eps[g])
             elif dp:
                 v = _tree_dp(dsub, vsub, p, np.arange(1, k), 0)[0]
-                exact[at] = k == space.n  # restriction can only overestimate
             else:
                 v = [_upper_value(d, x, p)[0] for d, x in zip(dsub, vsub)]
-                exact[at] = False
             values[at] = v
     return values, exact
 

@@ -118,11 +118,13 @@ def _subset(config, space, default):
 
 
 def _random_molecule(rng, space, max_support=4):
-    n = space.n
-    k = int(rng.integers(1, min(max_support, n) + 1))
-    pts = rng.choice(n, size=k, replace=False)
-    coeffs = {int(i): float(c) for i, c in zip(pts, rng.standard_normal(k))}
-    return Molecule.balanced(coeffs, space.base)
+    mol = Molecule(())
+    while not mol.coeffs:  # drawn again when the one point drawn is the base
+        k = int(rng.integers(1, min(max_support, space.n) + 1))
+        pts = rng.choice(space.n, size=k, replace=False)
+        mol = Molecule.balanced(dict(zip(pts, rng.standard_normal(k))),
+                                space.base)
+    return mol
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +522,7 @@ def report_diff(old, new):
     """Textual diff of two reports of one suite: one line per change to a
     check's measured value, bound or tol; a changed pass flag is tagged on
     the first of them, or gets a line of its own; then one line per changed
-    ``bound_inputs`` key."""
+    ``bound_inputs`` key.  Only a record with a bound is flagged for growth."""
     if old.get("suite") != new.get("suite"):
         raise Mismatch(f"suite mismatch: {old.get('suite')} vs {new.get('suite')}")
     old_checks = {r["check"]: r for r in old["checks"]}
@@ -540,7 +542,8 @@ def report_diff(old, new):
             text = f"{name}: {label}{vo!r} -> {vn!r}"
             if vo is not None and vn is not None:
                 text += f" (delta {vn - vo:+.3e})"
-                if (key == "measured" and n["passed"] and vo != 0
+                if (key == "measured" and n.get("bound") is not None
+                        and n["passed"] and vo != 0
                         and (vn - vo) / abs(vo) > 0.01):
                     text += "  [regression: measured constant grew > 1%]"
             changes.append(text)

@@ -21,7 +21,7 @@ from lipfree import freenorm
 from lipfree.errors import BadParameter, InternalInvariantBroken
 from lipfree.freenorm import (_BLOCK, FOREST_LIMIT_DEFAULT, FOREST_LIMIT_MAX,
                               _child_splits, _dense_restrict, _dp_levels,
-                              _mst_parents, _scale, _scan_pairs, _terminals,
+                              _dp_width, _mst_parents, _scale, _scan_pairs,
                               _transport, _tree_dp, _upper_value)
 from lipfree.generators import grid_zd, random_ball
 from lipfree.metric import ABS_TOL
@@ -422,10 +422,13 @@ def test_oracle_limit_above_ceiling_is_rejected():
 
 def test_norm_value_has_one_regime_choice():
     sp = line_space([0.0, 1.0, 2.0])
+    vec = Molecule.delta(2, 0).vector(sp.n)
     for prefer in ("p1", "upper"):
         with pytest.raises(BadParameter, match=r"^prefer='\w+' is not 'auto'$"):
-            norm_value(sp, Molecule.delta(2, 0).vector(sp.n), 0.5,
-                       prefer=prefer)
+            norm_value(sp, vec, 0.5, prefer=prefer)
+    for certify in (False, 1):
+        with pytest.raises(BadParameter, match=r"^certify=\w+ is not True$"):
+            norm_value(sp, vec, 0.5, certify=certify)
 
 
 def prufer_trees(n):
@@ -625,19 +628,23 @@ def star_of_leaves():
 
 def test_oracle_relays_through_a_zero_mass_hub():
     """Over the whole space the leaves' masses merge at the hub, which
-    carries none; the support-restricted value cannot, and is above it.
-    (At p = 0.25 merging at a leaf is cheaper still, and there is no gain.)"""
+    carries none; the support-restricted value of ``free_norm_upper``
+    cannot, and is above it.  ``norm_rows`` and ``norm_value`` norm the
+    5-point space over the whole of it, tagged exact.  (At p = 0.25
+    merging at a leaf is cheaper still, and there is no gain.)"""
     sp, p = star_of_leaves(), 0.5
     m = Molecule.balanced({2: 1.0, 3: 1.0, 4: 1.0}, 0)
     vec = m.vector(sp.n)
-    assert _terminals(sp.dist, vec, p, 0).tolist() == [2, 3, 4]
     res = free_norm_exact_small(sp, m, p)
     want = (3.0 + math.sqrt(3.0) * math.sqrt(10.0)) ** 2
     assert res.value == pytest.approx(want, rel=1e-14)
     assert res.value == pytest.approx(brute_force_norm(sp, m, p), rel=1e-14)
-    assert norm_value(sp, vec, p, certify=True) == (res.value, True)
-    restricted, exact = norm_value(sp, vec, p)
-    assert not exact and restricted > res.value * (1 + 1e-3)
+    values, exact = norm_rows(sp, vec[None], p)
+    assert (values.tolist(), exact.tolist()) == ([res.value], [True])
+    assert norm_value(sp, vec, p) == (res.value, True)
+    restricted = free_norm_upper(sp, m, p)
+    assert restricted.exactness == "upper-bound"
+    assert restricted.value > res.value * (1 + 1e-3)
     assert sorted(res.representation) == [(1, 0, 3.0), (2, 1, 1.0),
                                           (3, 1, 1.0), (4, 1, 1.0)]
     check_result_consistency(sp, m, res, rel=1e-14)
@@ -645,13 +652,17 @@ def test_oracle_relays_through_a_zero_mass_hub():
 
 def test_certified_value_relays_off_a_non_metric_matrix():
     """d(0, 2) = 5 breaks the triangle inequality through point 1, so the
-    zero-mass point 1 stays a terminal and the two-hop route is found."""
+    zero-mass point 1 stays a terminal and the two-hop route is found,
+    through ``norm_rows`` as through ``norm_value``; with point 2 the only
+    terminal the value would be 5."""
     sp = space_from_matrix([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
     m = Molecule.balanced({2: 1.0}, 0)
     vec = m.vector(sp.n)
-    assert _terminals(sp.dist, vec, 0.5, 0).tolist() == [1, 2]
-    value, exact = norm_value(sp, vec, 0.5, certify=True)
-    assert exact and value == pytest.approx(4.0, rel=1e-14)
+    values, exact = norm_rows(sp, vec[None], 0.5)
+    assert exact.tolist() == [True]
+    assert values[0] == pytest.approx(4.0, rel=1e-14)
+    value, exact = norm_value(sp, vec, 0.5)
+    assert (value, exact) == (values[0], True)
     assert value == pytest.approx(brute_force_norm(sp, m, 0.5), rel=1e-14)
     res = free_norm_exact_small(sp, m, 0.5)
     assert res.value == value
@@ -659,24 +670,29 @@ def test_certified_value_relays_off_a_non_metric_matrix():
 
 
 def test_non_metric_matrix_keeps_every_terminal():
-    """The triangle test runs once per matrix and p; a matrix changed in
-    place, or read at another p, is tested again.  With d(0, 2) = 5 and
-    d(0, 1) = d(1, 2) = 1, d^p passes at p = 0.25 (5^0.25 < 2) and fails at
-    p = 0.5, where every point but the root must stay a terminal."""
+    """The triangle test runs once per matrix and p; a changed matrix, or
+    one read at another p, is tested again.  With d(0, 2) = 5 and d(0, 1) =
+    d(1, 2) = 1, d^p passes at p = 0.25 (5^0.25 < 2) and fails at p = 0.5,
+    where every point but the base stays a terminal: ``norm_rows`` then
+    finds the two-hop route through the zero-mass point 1, of cost 4, and
+    otherwise the one hop, of cost d(0, 2)."""
     dist = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-    vec = np.array([-1.0, 0.0, 1.0])
+    rows = np.array([[-1.0, 0.0, 1.0]])
     freenorm._relays.cache_clear()
+    sp = space_from_matrix(dist)
     for _ in range(3):
-        assert _terminals(dist, vec, 0.5, 0).tolist() == [2]
+        assert norm_rows(sp, rows, 0.5)[0][0] == pytest.approx(2.0, rel=1e-14)
     assert freenorm._relays.cache_info().misses == 1
     dist[0, 2] = dist[2, 0] = 5.0
-    assert _terminals(dist, vec, 0.5, 0).tolist() == [1, 2]
-    assert _terminals(dist, vec, 0.25, 0).tolist() == [2]
-    assert _terminals(dist, vec, 1.0, 0).tolist() == [1, 2]
-    assert freenorm._relays.cache_info().misses == 4
-    full = np.array([-1.0, 0.5, 0.5])  # full support: no test needed
-    assert _terminals(dist, full, 0.5, 0).tolist() == [1, 2]
-    assert freenorm._relays.cache_info().misses == 4
+    sp = space_from_matrix(dist)
+    for p, want in ((0.5, 4.0), (0.25, 5.0)):
+        values, exact = norm_rows(sp, rows, p)
+        assert exact.tolist() == [True]
+        assert values[0] == pytest.approx(want, rel=1e-14)
+    assert freenorm._relays.cache_info().misses == 3
+    full = np.array([[-1.0, 0.5, 0.5]])  # full support: no test needed
+    assert norm_rows(sp, full, 0.5)[1].tolist() == [True]
+    assert freenorm._relays.cache_info().misses == 3
 
 
 def test_oracle_at_ten_points(rng):
@@ -774,10 +790,12 @@ def test_upper_is_deterministic(rng):
 
 @pytest.mark.parametrize("p", [0.5, 0.25, 0.7])
 def test_upper_runs_the_norm_value_regime(rng, p):
-    """``free_norm_upper`` is ``norm_value``'s uncertified regime bit for
-    bit, with a representation that costs its value: the subset DP on
-    supports up to ``FOREST_LIMIT_DEFAULT`` points, the star/MST bound
-    above, and the exact tag only when the support is the whole space."""
+    """``free_norm_upper`` is the restricted reference, with a
+    representation that costs its value: the subset DP on supports up to
+    ``FOREST_LIMIT_DEFAULT`` points, the star/MST bound above, and the
+    exact tag only when the support is the whole space.  Above the limit
+    it is ``norm_value``'s regime bit for bit; within it, ``norm_value``
+    norms over the whole space, exactly, and never above it."""
     k = FOREST_LIMIT_DEFAULT
     for n in (k, k + 1, k + 3, 14):
         sp = random_metric_space(rng, n, alpha=float(rng.choice([1.0, 0.5])))
@@ -790,8 +808,12 @@ def test_upper_runs_the_norm_value_regime(rng, p):
             assert len(m.coeffs) == size
             value, exact = norm_value(sp, m.vector(n), p)
             up = free_norm_upper(sp, m, p)
-            assert up.value == value
-            assert (up.exactness == "exact") == exact == (size == n <= k)
+            if n > k:
+                assert (up.value, up.exactness) == (value, "upper-bound")
+                assert not exact
+            else:
+                assert up.value >= value * (1 - 1e-12) and exact
+                assert (up.exactness == "exact") == (size == n)
             check_result_consistency(sp, m, up)
 
 
@@ -889,9 +911,9 @@ def test_norm_value_fast_path_matches_solvers(rng):
         v1, exact1 = norm_value(sp, vec, 1.0)
         assert exact1
         assert v1 == pytest.approx(free_norm_p1(sp, m).value, rel=1e-12)
-        v5, _ = norm_value(sp, vec, 0.5)
+        # within the exact limit both norm over the whole space
         oracle = free_norm_exact_small(sp, m, 0.5).value
-        assert v5 >= oracle * (1 - 1e-9)  # restriction may only overestimate
+        assert norm_value(sp, vec, 0.5) == (oracle, True)
 
 
 def _norm_rows_cases(rng, space, count):
@@ -922,34 +944,43 @@ def _norm_rows_cases(rng, space, count):
 @pytest.mark.parametrize("p", [1.0, 0.5, 0.25])
 def test_norm_rows_matches_norm_value(rng, p):
     """Value and exact flag are bitwise those of ``norm_value``, row by row,
-    across regimes: zero, forced and general transport at p = 1, the subset
-    DP up to the exact limit and the upper bound above it at p < 1."""
+    across regimes: zero, forced and general transport at p = 1; at p < 1,
+    the whole-space DP on spaces up to the exact limit, where every row is
+    exact, and above it the support DP and the upper bound."""
+    k = FOREST_LIMIT_DEFAULT
     cases = [(random_metric_space(rng, 12), 600),
-             (random_metric_space(rng, 6), 200),  # full supports: exact DP
+             (random_metric_space(rng, 6), 200),
+             (random_metric_space(rng, k), 200),
+             (random_metric_space(rng, k + 1), 200),
              (random_ball(d=2, n=20, seed=3, alpha=0.5), 200)]
     for space, count in cases:
         rows = _norm_rows_cases(rng, space, count)
         values, exact = norm_rows(space, rows, p)
         for row, v, e in zip(rows, values.tolist(), exact.tolist()):
             assert (v, e) == norm_value(space, row, p)
+        assert exact.all() == (p == 1.0 or space.n <= k)
         if p == 1.0:  # norm_value shares the solver: check both against
             check_norm_rows_p1(space, rows)  # the one-problem reference
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5])
 def test_norm_rows_batch_spans_blocks(rng, p):
-    """More rows of one support size than fit in one block."""
-    space = random_metric_space(rng, 10)
+    """More rows of one support size than fit in one block; at p < 1 on 8
+    points, more rows of one support than ``_whole_rows`` takes in one."""
     k = FOREST_LIMIT_DEFAULT
-    count = _BLOCK // (k * k) + 50 if p == 1.0 else _BLOCK // (k << k) + 50
-    rows = np.zeros((count, space.n))
-    for row in rows:
-        pts = rng.choice(np.arange(1, space.n), size=k - 1, replace=False)
-        row[pts] = rng.standard_normal(k - 1)
-        row[space.base] = -row.sum()
-    values, exact = norm_rows(space, rows, p)
-    for row, v, e in zip(rows, values.tolist(), exact.tolist()):
-        assert (v, e) == norm_value(space, row, p)
+    # on k points the support off the base is every point but the base:
+    # the same tables as the support DP of k points
+    count = _BLOCK // (k * k if p == 1.0 else _dp_width(k - 1, k)) + 50
+    for n in (10, k) if p < 1 else (10,):
+        space = random_metric_space(rng, n)
+        rows = np.zeros((count, space.n))
+        for row in rows:
+            pts = rng.choice(np.arange(1, n), size=k - 1, replace=False)
+            row[pts] = rng.standard_normal(k - 1)
+            row[space.base] = -row.sum()
+        values, exact = norm_rows(space, rows, p)
+        for row, v, e in zip(rows, values.tolist(), exact.tolist()):
+            assert (v, e) == norm_value(space, row, p)
 
 
 def _measure_every_pair(space, parts, p, exact_limit):

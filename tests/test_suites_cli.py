@@ -161,6 +161,21 @@ def test_report_diff_flags_regression():
     assert "regression" in text
 
 
+def test_report_diff_does_not_flag_noise_on_a_tol_record():
+    """A tol record's value may double as float noise far below its tol:
+    the change is listed, and only a flipped pass flag would be tagged."""
+    old = {"suite": "s", "checks": [
+        {"check": "duality_gap_p1", "measured": 2.1921260503392604e-16,
+         "bound": None, "tol": 1e-9, "passed": True}]}
+    new = json.loads(json.dumps(old))
+    new["checks"][0]["measured"] = 4.2966376373247026e-16
+    assert report_diff(old, new).splitlines() == [
+        "duality_gap_p1: 2.1921260503392604e-16 -> 4.2966376373247026e-16"
+        " (delta +2.105e-16)"]
+    new["checks"][0]["passed"] = False
+    assert report_diff(old, new).endswith("  [passed True -> False]")
+
+
 def test_report_diff_lists_bound_tol_and_new_measured():
     old = {"suite": "s", "checks": [
         {"check": "retraction_lip", "measured": 1.0, "bound": 2.1,
@@ -354,6 +369,23 @@ def test_upper_never_below_oracle_can_fail(monkeypatch):
     assert rec["measured"] == pytest.approx(0.01, rel=1e-9)
     assert rec["tol"] == 1e-9
     assert not rec["passed"] and not doc["passed"] and not ok
+
+
+def test_norm_oracle_norms_no_zero_molecule(monkeypatch):
+    """At seed 0 three of the suite's 50 draws land on the base alone; each
+    is drawn again, so every molecule the suite norms is nonzero."""
+    seen = []
+    for name in ("free_norm_p1", "free_norm_exact_small", "free_norm_upper"):
+        def spy(space, molecule, *args, solver=getattr(suites, name), **kw):
+            seen.append(molecule)
+            return solver(space, molecule, *args, **kw)
+        monkeypatch.setattr(suites, name, spy)
+    run_suite(SuiteConfig(suite="norm-oracle", seed=0,
+                          p_list=(1.0, 0.5, 0.25)))
+    # 40 draws through the flow and the oracle at p = 1, then 10 through
+    # the oracle and the upper bound at each p
+    assert len(seen) == 40 * 2 + 10 * 3 * 2
+    assert all(m.coeffs for m in seen)
 
 
 @pytest.mark.parametrize("kind, param, takes", [
