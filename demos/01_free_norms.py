@@ -6,7 +6,7 @@ as a weighted sum of elementary differences delta(x) - delta(y), where an
 edge of weight w and length d costs |w|^p * d^p.
 
 At p = 1 this is the classical transportation cost, solved exactly by
-the primal-dual method, which also emits a 1-Lipschitz dual witness.
+the network simplex, which also emits a 1-Lipschitz dual witness.
 Below p = 1 the cost is concave, mass consolidates, and the exact optimum
 is the cheapest spanning-tree support, found by a subset DP.
 """

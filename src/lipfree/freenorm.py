@@ -1,26 +1,27 @@
 """Free-space norms of molecules over finite pointed spaces.
 
-Three solvers cover the (0, 1] exponent range:
+The free p-norm at every p in (0, 1] is the cost of the cheapest network
+carrying the molecule, sum |mass(edge)|^p d(edge)^p (Gilbert, 1967); at
+p = 1 that is the transportation cost.  Three solvers cover the range:
 
 * ``free_norm_p1`` -- exact transportation cost at p = 1 by the network
   simplex ``_network_simplex`` on the dense source x sink cost block,
   emitting the c-transform of its basis tree's sink potentials as a
-  checked 1-Lipschitz dual witness.  ``norm_rows`` solves its p = 1 rows
-  with the primal-dual ``_primal_dual`` instead, every row of one
-  (sources, sinks) shape at once, which is faster per row in a stack.
+  checked 1-Lipschitz dual witness.
 * ``free_norm_exact_small`` -- exact for any p in (0, 1] as the cheapest
   network (vertex solutions of the flow polyhedron have acyclic support),
   found by the send-and-split subset DP ``_tree_dp`` over the support's
   k points off the base in O(3^k n + 2^k n^2), with the other points as
   relays when d^p satisfies the triangle inequality (every point joins
   otherwise), and capped at ``forest_limit`` points.  The loops'
-  ``norm_rows`` (one row: ``norm_value``) norms every p < 1 row this way
-  on a space of at most ``exact_limit`` points.
+  ``norm_rows`` (one row: ``norm_value``) norms every row this way, at
+  every p, on a space of at most ``exact_limit`` points.
 * ``free_norm_upper`` -- the support regime the loops use above that
   limit: the same DP over the support alone, base first, up to
-  ``FOREST_LIMIT_DEFAULT`` points, and otherwise the cheaper of the star
-  and the minimum-spanning-tree routings; never below the true norm, and
-  exact when the support is the whole space.
+  ``FOREST_LIMIT_DEFAULT`` points, and otherwise the network simplex at
+  p = 1 and the cheaper of the star and the minimum-spanning-tree
+  routings at p < 1; never below the true norm, and tagged exact when
+  the support is the whole space within that limit.
 """
 
 from __future__ import annotations
@@ -253,7 +254,7 @@ def _dp_width(k, n):
 
 
 def _whole_rows(space, rows, p, tree=False):
-    """Exact norms of p < 1 rows sharing one support, by ``_tree_dp`` over
+    """Exact norms of rows sharing one support, by ``_tree_dp`` over
     the whole space in blocks of about ``_BLOCK`` table entries, as (values,
     row 0's network edges with ``tree``).  Terminals: the support off the
     base when d^p passes the triangle inequality (``_relays``), so the
@@ -316,113 +317,10 @@ def free_norm_exact_small(space, molecule, p, forest_limit=FOREST_LIMIT_DEFAULT)
 
 
 # ---------------------------------------------------------------------------
-# p = 1: primal-dual transport on the dense source x sink cost block, with
+# p = 1: the network simplex on the dense source x sink cost block, with
 # the c-transform of the sink potentials as the Kantorovich dual witness
 
 _CERT_TOL = 1e-9
-
-
-def _primal_dual(cost, excess, deficit, eps):
-    """Optimal plans for a stack of transportation problems of one shape:
-    row i ships ``excess[i]`` from ns sources to ``deficit[i]`` at nt sinks
-    over ``cost[i]``, ignoring masses within ``eps[i]``.  Returns each
-    row's plan and sink potentials, ``(flow, pot_t)``.
-
-    With one source or one sink the plan is forced.  Otherwise the
-    primal-dual method (Ford & Fulkerson, 1957) runs on all rows at once.
-    Potentials keep every residual reduced cost ``cost + pot_s - pot_t``
-    non-negative, so flow arcs are tight.  Each phase finds the
-    shortest-path forest from the sources with excess by whole-matrix
-    label-correcting half-sweeps, repeated while any row improves (a settled
-    row is a fixed point of both).  It lifts the potentials by the
-    distances, capped at the row's largest finite one, then pushes flow row
-    by row along every forest path to unmet demand, nearest sink first.  A
-    row leaves the stack once either side has at most eps left.
-    """
-    b, ns, nt = cost.shape
-    if nt == 1:
-        return excess[:, :, None], np.zeros((b, 1))
-    if ns == 1:
-        return deficit[:, None, :], cost[:, 0]
-    flow, pot_t = np.zeros((b, ns, nt)), np.zeros((b, nt))
-    done_flow, done_pot = flow, pot_t  # finished rows are written here
-    bal = np.concatenate((excess, deficit), axis=1)  # what is left to ship
-    pot_s, cut = np.zeros((b, ns)), np.array([0, ns])
-    act, srcs, cols = np.arange(b), np.arange(ns), np.arange(nt)
-    at, tol, tol3 = act[:, None], eps[:, None], eps[:, None, None]
-    tols = eps.tolist()
-    for _ in range(1000 + 40 * (ns + nt) ** 2):
-        above = bal > tol
-        # per row: is a source live, is a sink short
-        sides = np.logical_or.reduceat(above, cut, axis=1)
-        if not sides.all():
-            going = sides.all(axis=1)
-            if flow is not done_flow:
-                done_flow[act[~going]] = flow[~going]
-                done_pot[act[~going]] = pot_t[~going]
-            if not going.any():
-                break
-            act, cost, tol, tol3, flow, pot_s, pot_t, bal, above = (
-                x[going] for x in (act, cost, tol, tol3, flow, pot_s, pot_t,
-                                   bal, above))
-            at, tols = np.arange(len(act))[:, None], tol[:, 0].tolist()
-        live, short = above[:, :ns], above[:, ns:]
-        fwd = np.maximum(cost + pot_s[:, :, None] - pot_t[:, None], 0.0)
-        back = np.where(flow > tol3, 0.0, np.inf)  # flow arcs are tight
-        ds = np.where(live, 0.0, np.inf)
-        pred_s = np.full(ds.shape, -1)
-        # the first half-sweep labels every sink: each row has a live source
-        reach = ds[:, :, None] + fwd
-        pred_t = reach.argmin(axis=1)
-        dt = reach[at, pred_t, cols]
-        while True:  # labels only fall, along simple paths
-            reach = back + dt[:, None]
-            via = reach.argmin(axis=2)
-            low = reach[at, srcs, via]  # the minimum, read at the argmin
-            better = low < ds
-            if not better.any():
-                break
-            ds = np.where(better, low, ds)
-            pred_s = np.where(better, via, pred_s)
-            reach = ds[:, :, None] + fwd
-            via = reach.argmin(axis=1)
-            low = reach[at, via, cols]
-            better = low < dt
-            if not better.any():
-                break
-            dt = np.where(better, low, dt)
-            pred_t = np.where(better, via, pred_t)
-        # every reached source sits at a sink's distance, so dt's row
-        # maximum is the largest finite distance
-        pot_s += np.minimum(ds, dt.max(axis=1, keepdims=True))
-        pot_t += dt
-        for r, (ps, pt, d, e) in enumerate(zip(
-                pred_s.tolist(), pred_t.tolist(), dt.tolist(), tols)):
-            fl, ex, de = flow[r], bal[r, :ns], bal[r, ns:]
-            for t in sorted(short[r].nonzero()[0].tolist(), key=d.__getitem__):
-                root = pt[t]
-                fwd_arcs, back_arcs = [(root, t)], []
-                for _ in range(ns):  # a forest path visits each source once
-                    if ps[root] < 0:
-                        break
-                    j = ps[root]
-                    back_arcs.append((root, j))
-                    root = pt[j]
-                    fwd_arcs.append((root, j))
-                else:
-                    raise InternalInvariantBroken("cycle in shortest-path forest")
-                amt = min([ex[root], de[t]] + [fl[a] for a in back_arcs])
-                if amt <= e:
-                    continue
-                for a in fwd_arcs:
-                    fl[a] += amt
-                for a in back_arcs:
-                    fl[a] -= amt
-                ex[root] -= amt
-                de[t] -= amt
-    else:
-        raise InternalInvariantBroken("transport phase guard exceeded")
-    return done_flow, done_pot
 
 
 def _greedy_start(cost, excess, deficit):
@@ -578,23 +476,7 @@ def _network_simplex(cost, excess, deficit):
     return plan.reshape(ns, nt), pot[ns:]
 
 
-def _plan_values(flow, cost, eps):
-    """Per row, the dot product of its flows above ``eps`` with their costs,
-    in row-major order: ``_transport``'s ``mass @ cost[keep]``, run as one
-    stacked matmul per number of kept arcs (einsum or a sum would round
-    differently)."""
-    keep = flow > eps[:, None, None]
-    count = keep.sum(axis=(1, 2))
-    values = np.zeros(len(flow))
-    for m in np.unique(count).tolist():
-        rows = np.flatnonzero(count == m)
-        kept = keep[rows]
-        values[rows] = (flow[rows][kept].reshape(len(rows), 1, m)
-                        @ cost[rows][kept].reshape(len(rows), m, 1))[:, 0, 0]
-    return values
-
-
-def _transport(dist, vec, simplex=False):
+def _transport(dist, vec):
     """Min-cost transportation between the positive and negative parts of vec.
 
     Returns ``(value, flows, sinks, g)``: ``flows`` lists the sorted
@@ -602,10 +484,9 @@ def _transport(dist, vec, simplex=False):
     and ``g`` their dual potentials.  On a metric, the c-transform
     ``f(x) = min_j dist[x, sinks[j]] + g[j]`` is 1-Lipschitz and pairs with
     ``vec`` to the value.  Entries within 1e-14 of the total mass are
-    dropped.  The plan is found by ``_network_simplex`` with ``simplex``
-    (``free_norm_p1``), and otherwise by ``_primal_dual`` on a stack of one
-    (``norm_value``, whose bits ``norm_rows`` gives: it applies the same
-    band and value rule to stacks).
+    dropped.  The plan is found by ``_network_simplex``, for
+    ``free_norm_p1`` and for the loops' p = 1 supports above the exact
+    limit (``_support_row``).
     """
     eps = 1e-14 * _scale(vec)
     srcs = (vec > eps).nonzero()[0]
@@ -613,11 +494,7 @@ def _transport(dist, vec, simplex=False):
     if len(srcs) == 0 or len(sinks) == 0:
         return 0.0, (), sinks, np.zeros(len(sinks))
     cost = dist[srcs[:, None], sinks]
-    if simplex:
-        flow, pot_t = _network_simplex(cost, vec[srcs], -vec[sinks])
-    else:
-        (flow,), (pot_t,) = _primal_dual(cost[None], vec[srcs][None],
-                                         -vec[sinks][None], np.full(1, eps))
+    flow, pot_t = _network_simplex(cost, vec[srcs], -vec[sinks])
     keep = flow > eps
     mass = flow[keep]
     a, b = np.nonzero(keep)
@@ -636,21 +513,21 @@ def _certificate_defects(space, vec, value, cert):
 def free_norm_p1(space, molecule):
     """Exact transportation-cost norm at p = 1 with dual certificate.
 
-    The plan comes from the network simplex (``_transport`` with
-    ``_network_simplex``); the certificate is the c-transform of its sink
-    potentials, shifted to vanish at the base.  Both are checked at run time: the certificate must pair
-    with the molecule to the value within 1e-9 relative and be 1-Lipschitz
-    against ``space.dist`` within 1e-9 of the diameter.  That holds for any
-    genuine metric, snowflaked or not.  When a check fails (a distance
-    matrix that breaks the triangle inequality), the result is tagged
-    ``upper-bound`` with no certificate: the value is still the cost of a
-    feasible plan.
+    The plan comes from the network simplex (``_transport``); the
+    certificate is the c-transform of its sink potentials, shifted to
+    vanish at the base.  Both are checked at run time: the certificate must
+    pair with the molecule to the value within 1e-9 relative and be
+    1-Lipschitz against ``space.dist`` within 1e-9 of the diameter.  That
+    holds for any genuine metric, snowflaked or not.  When a check fails (a
+    distance matrix that breaks the triangle inequality), the result is
+    tagged ``upper-bound`` with no certificate: the value is still the cost
+    of a feasible plan.
     """
     vec = _molecule_vector(space, molecule, 1.0)
     if np.abs(vec).max(initial=0.0) <= ABS_TOL:
         return FreeNormResult(0.0, (), "exact", 1.0,
                               certificate=np.zeros(space.n))
-    value, flows, sinks, g = _transport(space.dist, vec, simplex=True)
+    value, flows, sinks, g = _transport(space.dist, vec)
     cert = np.min(space.dist[:, sinks] + g, axis=1)
     cert -= cert[space.base]
     if max(_certificate_defects(space, vec, value, cert)) <= _CERT_TOL:
@@ -729,18 +606,28 @@ def _upper_value(dsub, vsub, p):
 
 
 def _support_row(space, vec, p, limit, tree=False):
-    """One nonzero row by ``norm_rows``' p < 1 regime above the exact
-    limit, as (value, exact, edges): ``_tree_dp`` on the support alone, base
-    first (``_dense_restrict``), while it has at most ``limit`` points, and
-    ``_upper_value`` above.  Restricting to the support can only
-    overestimate, so the value is exact only when the support is the
-    whole space.  With ``tree``, ``edges`` lists the (child, parent, mass)
-    edges of the network that costs the value."""
+    """One nonzero row by the loops' regime above the exact limit, as
+    (value, exact, edges): ``_tree_dp`` on the support alone, base first
+    (``_dense_restrict``), while it has at most ``limit`` points.  A larger
+    support goes at p = 1 to the network simplex (``_transport``), and at
+    p < 1 to ``_upper_value``.  ``_tree_dp`` reads the base entry as the
+    balance of the others; so does the simplex, once the row is out of
+    balance by more than its 1e-14 band.  Restricting to the support can
+    only overestimate, so ``exact`` holds only when the support is the
+    whole space and fits the limit; at p = 1 on a metric the support's
+    cost is the norm all the same (F_1 of a subset is a subspace), and the
+    loops tag it exact.  With ``tree``, ``edges`` lists the (child,
+    parent, mass) edges of the network that costs the value; at p = 1
+    above the limit, the (source, sink, mass) arcs of the plan."""
     sub, dsub, vsub = _dense_restrict(space, vec)
     k = len(sub)
     if k <= limit:
         (value,), edges = _tree_dp(dsub[None], vsub[None], p,
                                    np.arange(1, k), 0, tree)
+    elif p == 1.0:
+        if abs(vsub.sum()) > 1e-14 * _scale(vsub):  # beyond _transport's band
+            vsub[0] = -vsub[1:].sum()
+        value, edges = _transport(dsub, vsub)[:2]
     else:
         value, parents = _upper_value(dsub, vsub, p)
         edges = zip(range(1, k), parents[1:],
@@ -754,7 +641,10 @@ def free_norm_upper(space, molecule, p):
     """Upper bound on the free norm for any p in (0, 1], with a
     representation that costs it, by the support regime the loops use
     above the exact limit (``_support_row`` at ``FOREST_LIMIT_DEFAULT``
-    points); tagged exact only when the support is the whole space."""
+    points): the subset DP on the support, and above that many points the
+    network simplex's plan at p = 1 or the star/MST routing at p < 1.
+    Tagged exact only when the support is the whole space and fits the
+    limit."""
     vec = _molecule_vector(space, molecule, p)
     if np.abs(vec).max(initial=0.0) <= ABS_TOL:
         return FreeNormResult(0.0, (), "exact", p)
@@ -767,12 +657,14 @@ def norm_value(space, vec, p, exact_limit=FOREST_LIMIT_DEFAULT, prefer="auto",
     """Free p-norm of one dense vector, as (value, exact flag); the
     measurement loops use ``norm_rows``, which gives the same bits.
 
-    At p = 1: transport on the support (nonzero entries and the base),
-    exact for metric distances.  At p < 1 on a space of at most
-    ``exact_limit`` points: the oracle over the whole space, with the
-    points off the support as relays (``_whole_rows``), exact.  Above it:
-    ``_support_row``, the oracle on the support while that has at most
-    ``exact_limit`` points and otherwise the star/MST bound.
+    One rule at every p in (0, 1]: on a space of at most ``exact_limit``
+    points, the oracle over the whole space, with the points off the
+    support as relays (``_whole_rows``), exact.  Above it,
+    ``_support_row``: the oracle on the support while that has at most
+    ``exact_limit`` points, and otherwise the network simplex at p = 1 and
+    the star/MST bound at p < 1.  The entry at the base is read as the
+    balance of the others.  At p = 1 every value is tagged exact, as it is
+    for metric distances.
     """
     _check_limit(exact_limit)
     # ``prefer`` and ``certify`` take one value each and stay only because
@@ -784,11 +676,10 @@ def norm_value(space, vec, p, exact_limit=FOREST_LIMIT_DEFAULT, prefer="auto",
     vec = np.asarray(vec, dtype=float)
     if np.abs(vec).max(initial=0.0) <= ABS_TOL:
         return 0.0, True
-    if p == 1.0:
-        return _transport(*_dense_restrict(space, vec)[1:])[0], True
     if space.n <= exact_limit:
         return _whole_rows(space, vec[None], p)[0][0], True
-    return _support_row(space, vec, p, exact_limit)[:2]
+    value, exact, _ = _support_row(space, vec, p, exact_limit)
+    return value, exact or p == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -799,14 +690,11 @@ def norm_rows(space, rows, p, exact_limit=FOREST_LIMIT_DEFAULT):
     """``norm_value(space, rows[i], p, exact_limit)`` for every row i, as
     arrays (values, exact), bitwise equal to the per-row calls.
 
-    At p < 1 on a space of at most ``exact_limit`` points, each group of
-    rows with one support goes to ``_whole_rows``.  Otherwise rows are
-    grouped by support size k (ordered as ``_dense_restrict`` does) and
-    taken in blocks.  At p = 1 the rows of a block are grouped again by
-    their numbers of sources and sinks; each group is one ``_primal_dual``
-    stack (``_transport`` solves a stack of one), valued by
-    ``_plan_values``.  At p < 1 the subset DP runs batched, and supports
-    above ``exact_limit`` go to ``_upper_value``.
+    On a space of at most ``exact_limit`` points, each group of rows with
+    one support goes to ``_whole_rows``.  Otherwise rows are grouped by
+    support size k (ordered as ``_dense_restrict`` does): supports of at
+    most ``exact_limit`` points run the subset DP batched, in blocks, and
+    larger ones go to ``_support_row`` one at a time.
     """
     _check_limit(exact_limit)
     rows = np.asarray(rows, dtype=float)
@@ -815,7 +703,7 @@ def norm_rows(space, rows, p, exact_limit=FOREST_LIMIT_DEFAULT):
     held = (rows != 0)[:, order]
     held[:, 0] = True
     nonzero = np.abs(rows).max(axis=1, initial=0.0) > ABS_TOL
-    if p < 1 and space.n <= exact_limit:  # by the support off the base
+    if space.n <= exact_limit:  # by the support off the base
         support = held[:, 1:] @ (1 << np.arange(space.n - 1))
         for key in np.unique(support[nonzero]).tolist():
             at = np.flatnonzero(nonzero & (support == key))
@@ -824,34 +712,17 @@ def norm_rows(space, rows, p, exact_limit=FOREST_LIMIT_DEFAULT):
     size = np.where(nonzero, held.sum(axis=1), 0)
     exact = (size == 0) | (p == 1.0)  # p < 1 here gives upper bounds
     for k in np.unique(size[size > 0]).tolist():
-        dp = p < 1 and k <= exact_limit
         todo = np.flatnonzero(size == k)
-        step = max(1, _BLOCK // (_dp_width(k - 1, k) if dp else k * k))
+        if k > exact_limit:
+            values[todo] = [_support_row(space, rows[i], p, exact_limit)[0]
+                            for i in todo.tolist()]
+            continue
+        step = max(1, _BLOCK // _dp_width(k - 1, k))
         for at in np.array_split(todo, -(-len(todo) // step)):
             sub = order[np.argsort(~held[at], axis=1, kind="stable")[:, :k]]
             vsub = np.take_along_axis(rows[at], sub, axis=1)
             dsub = space.dist[sub[:, :, None], sub[:, None, :]]
-            if p == 1.0:
-                scale = np.abs(vsub).sum(axis=1)  # _transport's band, per row
-                eps = 1e-14 * np.where(scale > 0, scale, 1.0)
-                srcs, sinks = vsub > eps[:, None], vsub < -eps[:, None]
-                ns, nt = srcs.sum(axis=1), sinks.sum(axis=1)
-                shape = np.where((ns > 0) & (nt > 0), ns * k + nt, 0)
-                v = np.zeros(len(at))
-                for key in np.unique(shape[shape > 0]).tolist():
-                    g = np.flatnonzero(shape == key)
-                    s = srcs[g].nonzero()[1].reshape(len(g), -1)
-                    t = sinks[g].nonzero()[1].reshape(len(g), -1)
-                    cost = dsub[g[:, None, None], s[:, :, None], t[:, None]]
-                    flow, _ = _primal_dual(
-                        cost, np.take_along_axis(vsub[g], s, axis=1),
-                        -np.take_along_axis(vsub[g], t, axis=1), eps[g])
-                    v[g] = _plan_values(flow, cost, eps[g])
-            elif dp:
-                v = _tree_dp(dsub, vsub, p, np.arange(1, k), 0)[0]
-            else:
-                v = [_upper_value(d, x, p)[0] for d, x in zip(dsub, vsub)]
-            values[at] = v
+            values[at] = _tree_dp(dsub, vsub, p, np.arange(1, k), 0)[0]
     return values, exact
 
 

@@ -83,8 +83,7 @@ def dense_molecule(rng, sp):
 @pytest.mark.parametrize("alpha", [1.0, 0.5])
 def test_transport_many_sources_and_sinks(rng, k, alpha):
     # full-support molecules on k-point clouds: both sides have dozens of
-    # points, so free_norm_p1 pivots many times and _transport runs through
-    # the primal-dual phases
+    # points, so the network simplex pivots many times
     sp = random_ball(d=2, n=k, seed=k, alpha=alpha)
     for _ in range(2):
         m = dense_molecule(rng, sp)
@@ -148,10 +147,33 @@ def test_triangle_violation_is_tagged_upper_bound():
     assert free_norm_exact_small(sp, m, 1.0).value == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-6])
+def test_p1_loops_relay_off_a_non_metric_matrix(s):
+    """d(0, 2) = 2.001 s breaks the triangle inequality through point 1 by
+    0.001 s.  ``norm_rows``, ``norm_value`` and ``free_norm_exact_small``
+    keep point 1 a terminal, relay through it and agree on 2 s, tagged
+    exact; ``free_norm_p1`` pays the direct 2.001 s and, its certificate
+    failing, tags it upper-bound."""
+    sp = space_from_matrix(s * np.array([[0.0, 1.0, 2.001], [1.0, 0.0, 1.0],
+                                         [2.001, 1.0, 0.0]]))
+    m = Molecule.delta(2, 0)
+    vec = m.vector(sp.n)
+    res = free_norm_exact_small(sp, m, 1.0)
+    assert res.exactness == "exact"
+    assert res.value == pytest.approx(2.0 * s, rel=1e-14)
+    values, exact = norm_rows(sp, vec[None], 1.0)
+    assert (values.tolist(), exact.tolist()) == ([res.value], [True])
+    assert norm_value(sp, vec, 1.0) == (res.value, True)
+    direct = free_norm_p1(sp, m)
+    assert (direct.exactness, direct.certificate) == ("upper-bound", None)
+    assert direct.value == pytest.approx(2.001 * s, rel=1e-14)
+
+
 def reference_transport(dist, vec):
-    """Reference: the scalar primal-dual that solved one problem per call
-    before the solver took stacks, kept as it was; ``_transport`` and
-    ``norm_rows`` must give its bits."""
+    """Reference: a scalar primal-dual transport solver (Ford & Fulkerson),
+    independent of the network simplex and of the subset DP; ``_transport``
+    and the p = 1 norms of ``norm_rows`` must give its value within 1e-12
+    relative."""
     eps = 1e-14 * _scale(vec)
     srcs = (vec > eps).nonzero()[0]
     sinks = (vec < -eps).nonzero()[0]
@@ -263,10 +285,24 @@ def transport_rows(rng, space, count):
 
 
 def check_transport(dist, vec):
-    """Value, plan, sinks and potentials equal the reference's, bit for bit."""
-    got, want = _transport(dist, vec), reference_transport(dist, vec)
-    assert got[:2] == want[:2]
-    assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+    """The value within 1e-12 relative of the reference's (plans may differ
+    on ties), the same sinks, and a plan that ships ``vec`` outside the
+    1e-14 band and costs the value."""
+    value, flows, sinks, _ = _transport(dist, vec)
+    want, _, want_sinks, _ = reference_transport(dist, vec)
+    assert abs(value - want) <= 1e-12 * want
+    assert np.array_equal(sinks, want_sinks)
+    shipped = np.zeros(len(vec))
+    cost = 0.0
+    for s, t, m in flows:
+        assert m > 0
+        shipped[s] += m
+        shipped[t] -= m
+        cost += m * dist[s, t]
+    band = 1e-14 * _scale(vec)
+    kept = np.abs(vec) > band
+    assert np.abs(shipped - np.where(kept, vec, 0.0)).max() <= 1e-12 * _scale(vec)
+    assert abs(cost - value) <= 1e-12 * value
 
 
 def test_transport_matches_reference(rng):
@@ -280,32 +316,39 @@ def test_transport_matches_reference(rng):
 
 
 def check_norm_rows_p1(space, rows):
-    """``norm_rows`` at p = 1 gives each row the reference's value on its
-    support block; returns the number of rows with two or more sources
-    and sinks."""
+    """``norm_rows`` at p = 1 gives each row, tagged exact, the reference's
+    value on its support block within 1e-12 relative, with the entry at the
+    base read as the balance of the others; returns the number of rows
+    with two or more sources and sinks."""
     values, exact = norm_rows(space, rows, 1.0)
     assert exact.all()
     two_sided = 0
     for row, v in zip(rows, values.tolist()):
         _, dsub, vsub = _dense_restrict(space, row)
-        assert v == (reference_transport(dsub, vsub)[0]
-                     if np.abs(row).max() > ABS_TOL else 0.0)
+        vsub[0] = -vsub[1:].sum()
+        want = reference_transport(dsub, vsub)[0]
+        if np.abs(row).max() <= ABS_TOL:
+            assert v == 0.0
+        else:
+            assert abs(v - want) <= 1e-12 * want
         eps = 1e-14 * _scale(vsub)
         two_sided += min((vsub > eps).sum(), (vsub < -eps).sum()) >= 2
     return two_sided
 
 
 def test_norm_rows_p1_batches_match_reference(rng, monkeypatch):
-    """Mixed (sources, sinks) shapes in one call, rows of one shape that
-    finish in different phases, mixed scales and band entries, on random,
-    snowflaked and tied spaces: every value is the reference's, and no row
-    is solved on its own."""
-    def per_row(*args):
-        raise AssertionError("norm_rows solved a row by itself")
-    monkeypatch.setattr(freenorm, "_transport", per_row)
-    # on the line 0, 1, 2, 3 the second row's sinks each take their nearest
-    # source in the first phase; in the first row both sinks pick source 1,
-    # and sink 3 waits for a second phase
+    """Mixed (sources, sinks) shapes in one call, mixed scales and band
+    entries, on random, snowflaked and tied spaces: every value is the
+    reference's, and no row whose support fits the exact limit is solved
+    on its own."""
+    support_row = freenorm._support_row
+
+    def per_row(space, vec, p, limit, tree=False):
+        assert np.count_nonzero(np.delete(vec, space.base)) + 1 > limit, \
+            "norm_rows solved a row within the exact limit by itself"
+        return support_row(space, vec, p, limit, tree)
+    monkeypatch.setattr(freenorm, "_support_row", per_row)
+    # two sources and two sinks on the line 0, 1, 2, 3, with ties
     line = line_space([0.0, 1.0, 2.0, 3.0])
     staged = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
     assert check_norm_rows_p1(line, staged[[0, 1, 1, 0, 1]]) == 5
@@ -346,18 +389,6 @@ def test_free_norm_p1_matches_reference_on_random_balls(rng, k, alpha):
     sp = random_ball(d=2, n=k, seed=k + 1, alpha=alpha)
     for _ in range(2):
         check_free_norm_p1(sp, dense_molecule(rng, sp).vector(sp.n))
-
-
-def test_free_norm_p1_never_runs_the_primal_dual(rng, monkeypatch):
-    """One problem goes to the network simplex; the stacked primal-dual is
-    for ``norm_rows`` and ``norm_value``."""
-    def stacked(*args):
-        raise AssertionError("free_norm_p1 ran the primal-dual")
-    monkeypatch.setattr(freenorm, "_primal_dual", stacked)
-    for sp in tied_spaces() + [random_ball(d=2, n=30, seed=9)]:
-        for _ in range(5):
-            m = random_molecule(rng, sp)
-            check_certificate(sp, m, free_norm_p1(sp, m))
 
 
 def test_free_norm_p1_finishes_on_a_fully_degenerate_instance():
@@ -944,9 +975,10 @@ def _norm_rows_cases(rng, space, count):
 @pytest.mark.parametrize("p", [1.0, 0.5, 0.25])
 def test_norm_rows_matches_norm_value(rng, p):
     """Value and exact flag are bitwise those of ``norm_value``, row by row,
-    across regimes: zero, forced and general transport at p = 1; at p < 1,
-    the whole-space DP on spaces up to the exact limit, where every row is
-    exact, and above it the support DP and the upper bound."""
+    across regimes, at every p: the whole-space DP on spaces up to the exact
+    limit, where every row is exact; above it the support DP, and on
+    supports above the limit the network simplex at p = 1 and the upper
+    bound at p < 1."""
     k = FOREST_LIMIT_DEFAULT
     cases = [(random_metric_space(rng, 12), 600),
              (random_metric_space(rng, 6), 200),
@@ -965,13 +997,13 @@ def test_norm_rows_matches_norm_value(rng, p):
 
 @pytest.mark.parametrize("p", [1.0, 0.5])
 def test_norm_rows_batch_spans_blocks(rng, p):
-    """More rows of one support size than fit in one block; at p < 1 on 8
-    points, more rows of one support than ``_whole_rows`` takes in one."""
+    """More rows of one support size than fit in one block; on 8 points,
+    more rows of one support than ``_whole_rows`` takes in one."""
     k = FOREST_LIMIT_DEFAULT
     # on k points the support off the base is every point but the base:
     # the same tables as the support DP of k points
-    count = _BLOCK // (k * k if p == 1.0 else _dp_width(k - 1, k)) + 50
-    for n in (10, k) if p < 1 else (10,):
+    count = _BLOCK // _dp_width(k - 1, k) + 50
+    for n in (10, k):
         space = random_metric_space(rng, n)
         rows = np.zeros((count, space.n))
         for row in rows:
@@ -981,6 +1013,42 @@ def test_norm_rows_batch_spans_blocks(rng, p):
         values, exact = norm_rows(space, rows, p)
         for row, v, e in zip(rows, values.tolist(), exact.tolist()):
             assert (v, e) == norm_value(space, row, p)
+
+
+def test_p1_supports_above_the_limit_take_the_simplex(rng, monkeypatch):
+    """On 12 points, p = 1 rows whose supports hold 9 to 12 points go to
+    the network simplex one at a time: ``norm_rows`` gives ``norm_value``'s
+    bits, tagged exact, within 1e-12 relative of the reference, and
+    ``free_norm_upper`` returns the plan's arcs as a representation that
+    reproduces the molecule and costs the value."""
+    calls = []
+    transport = freenorm._transport
+
+    def counted(dist, vec):
+        calls.append(len(vec))
+        return transport(dist, vec)
+    monkeypatch.setattr(freenorm, "_transport", counted)
+    k = FOREST_LIMIT_DEFAULT
+    for alpha in (1.0, 0.5):
+        sp = random_metric_space(rng, 12, alpha=alpha)
+        rows = np.zeros((30, sp.n))
+        for row in rows:
+            size = int(rng.integers(k + 1, sp.n + 1))
+            pts = rng.choice(np.arange(1, sp.n), size=size - 1, replace=False)
+            row[pts] = rng.standard_normal(size - 1)
+            row[sp.base] = -row.sum()
+        calls.clear()
+        values, exact = norm_rows(sp, rows, 1.0)
+        assert exact.all() and len(calls) == len(rows)
+        assert min(calls) > k
+        for row, v in zip(rows, values.tolist()):
+            assert norm_value(sp, row, 1.0) == (v, True)
+            want = reference_transport(sp.dist, row)[0]
+            assert abs(v - want) <= 1e-12 * want
+            m = Molecule(tuple((i, c) for i, c in enumerate(row.tolist()) if c))
+            up = free_norm_upper(sp, m, 1.0)
+            assert up.value == v and up.representation
+            check_result_consistency(sp, m, up, rel=1e-12)
 
 
 def _measure_every_pair(space, parts, p, exact_limit):
