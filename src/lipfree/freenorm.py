@@ -247,6 +247,7 @@ def _relays(key, n, p):
     return _p_triangle(np.frombuffer(key).reshape(n, n), p)[0]
 
 
+@cache
 def _dp_width(k, n):
     """Per row, ``_tree_dp``'s largest table for k terminals of n points:
     G, or its widest level's split rectangles (three live at once)."""
@@ -726,26 +727,138 @@ def norm_rows(space, rows, p, exact_limit=FOREST_LIMIT_DEFAULT):
     return values, exact
 
 
+def _row_blocks(n):
+    """Blocks of whole rows [lo, hi) of the pairs x < y of n points, about
+    ``_BLOCK`` pairs each, as (lo, hi, mask of y > x over the block)."""
+    step = max(1, _BLOCK // n)
+    for lo in range(0, n - 1, step):
+        hi = min(lo + step, n)
+        yield lo, hi, np.arange(lo, hi)[:, None] < np.arange(n)
+
+
+def _first_max(best, best_pair, ratios, xs, ys):
+    """The scan's rule over the next pairs (xs, ys) in lexicographic order:
+    a pair whose ratio beats the best so far by a relative 1e-15 becomes
+    the best.  Only a pair above every ratio before it in the batch can
+    beat the best, so the rule steps through those alone."""
+    before = np.fmax.accumulate(np.r_[0.0, ratios])[:-1]
+    for i in np.flatnonzero(ratios > before).tolist():
+        if ratios[i] > best * (1 + 1e-15):
+            best, best_pair = float(ratios[i]), (int(xs[i]), int(ys[i]))
+    return best, best_pair
+
+
 def _scan_pairs(space, norms):
     """The first pair x < y, in lexicographic order, whose ratio
     ``norms(xs, ys) / d(xs, ys)`` beats the best so far by a relative 1e-15,
     as (best ratio, pair or None).  ``norms`` gets the pairs of the upper
-    triangle as index arrays, in blocks of whole rows of about ``_BLOCK``
-    pairs.  Only a pair above every ratio before it in its block can beat
-    the best, so the scan steps through those alone."""
-    n = space.n
+    triangle as index arrays, in the blocks of ``_row_blocks``."""
     best, best_pair = 0.0, None
-    step = max(1, _BLOCK // n)
-    for lo in range(0, n - 1, step):
-        xs, ys = np.nonzero(np.arange(lo, min(lo + step, n))[:, None]
-                            < np.arange(n))
+    for lo, _, upper in _row_blocks(space.n):
+        xs, ys = np.nonzero(upper)
         xs += lo
-        ratios = norms(xs, ys) / space.dist[xs, ys]
-        before = np.fmax.accumulate(np.r_[0.0, ratios[:-1]])
-        for i in np.flatnonzero(ratios > before).tolist():
-            if ratios[i] > best * (1 + 1e-15):
-                best, best_pair = float(ratios[i]), (int(xs[i]), int(ys[i]))
+        best, best_pair = _first_max(best, best_pair, norms(xs, ys)
+                                     / space.dist[xs, ys], xs, ys)
     return best, best_pair
+
+
+def _star_bounds(target, dpow, diff, p, exact_limit):
+    """Bounds on the norms ``norm_rows`` gives the balanced differences
+    over ``target`` held in the columns of ``diff``, as arrays (U, L^p).
+
+    U is the p-th power of the cheapest star, min over hubs h of sum_i
+    |v_i|^p d(i, h)^p, with ``dpow`` = max(d, d^T)^p and a zero diagonal, and
+    with the base's mass read as the balance of the others summed in index
+    order, as ``_tree_dp`` reads it.  The hubs are the points of v's
+    support and the base.  Each such star is a network that v's regime also
+    costs, so U^(1/p) (1 + 1e-9) is at least the value on any matrix.  The
+    two exceptions are supports of more than ``exact_limit`` points on a
+    target above that limit: at p < 1 ``_upper_value`` costs the star at the
+    base alone, and at p = 1 the network simplex does not relay, so U is
+    inf.  L = max_h |sum_i v_i d(i, h)| is the Kantorovich-Rubinstein bound
+    with the test function d(., h), a lower bound on a metric target."""
+    base = target.base
+    low = target.dist.T @ diff
+    low = np.abs(low, out=low).max(axis=0)
+    weight = diff.copy()
+    weight[base] = 0.0
+    off = weight == 0  # the points off the support, but for the base
+    off[base] = False
+    # the base row's sum runs row by row, in index order: numpy sums
+    # pairwise only along the fast axis
+    weight[base] = weight.sum(axis=0)
+    np.abs(weight, out=weight)
+    if p != 1.0:
+        np.power(weight, p, out=weight)
+    star = dpow @ weight  # dpow is symmetric: the base's term is d(h, base)
+    if target.n > exact_limit:
+        wide = target.n - off.sum(axis=0) > exact_limit
+        if p == 1.0:
+            star[:, wide] = np.inf
+        else:
+            off[:, wide] = (np.arange(target.n) != base)[:, None]
+    star[off] = np.inf
+    return star.min(axis=0), low if p == 1.0 else low ** p
+
+
+def _differences(target, distinct, ka, kb):
+    """The rows distinct[ka] - distinct[kb], balanced at the base of
+    ``target``: the differences ``measure_lipschitz`` norms."""
+    diff = distinct[ka] - distinct[kb]
+    diff[:, target.base] -= diff.sum(axis=1)
+    return diff
+
+
+def _norm_differences(target, distinct, ka, kb, p, exact_limit):
+    """``norm_rows`` of ``_differences(target, distinct, ka, kb)`` in
+    blocks of about ``_BLOCK`` entries; rows within ``ABS_TOL`` of zero are
+    0 without a call."""
+    values = np.zeros(len(ka))
+    step = max(1, _BLOCK // target.n)
+    for lo in range(0, len(ka), step):
+        diff = _differences(target, distinct, ka[lo:lo + step], kb[lo:lo + step])
+        live = np.flatnonzero(np.abs(diff).max(axis=1) > ABS_TOL)
+        if len(live):
+            values[lo + live] = norm_rows(target, diff[live], p, exact_limit)[0]
+    return values
+
+
+def _bound_part(target, rows, p, exact_limit):
+    """One part of ``measure_lipschitz``: the rows' labels (equal rows
+    share one), the distinct rows, the (upper, lower) bounds of
+    ``_star_bounds`` of every label pair's difference as a (2, labels,
+    points) table read at [:, label of x, y], and whether every difference
+    of rows x < y is normed exactly by its regime: at p = 1, within the
+    exact limit, or when it is 0 within ``ABS_TOL``."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    keys = rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
+    _, first, label = np.unique(keys, return_index=True, return_inverse=True)
+    last = len(rows) - 1 - np.unique(label[::-1], return_index=True)[1]
+    some = first[:, None] < last  # labels of some x < y
+    # a difference and its negative have the same bits up to sign, and so
+    # the same bounds and norm regime
+    a, b = np.nonzero(np.triu(some | some.T, 1))
+    distinct = rows[first]
+    cols = np.ascontiguousarray(distinct.T)
+    dpow = np.maximum(target.dist, target.dist.T) ** p
+    np.fill_diagonal(dpow, 0.0)
+    bounds = np.zeros((2, len(first), len(first)))
+    exact, zero = p == 1.0 or target.n <= exact_limit, True
+    step = max(1, _BLOCK // rows.shape[1])
+    for lo in range(0, len(a), step):
+        ka, kb = a[lo:lo + step], b[lo:lo + step]
+        # one difference per column: off the base its entries have the
+        # bits of ``_differences``, and the base entry is only bounded
+        diff = cols[:, ka]
+        diff -= cols[:, kb]
+        diff[target.base] -= diff.sum(axis=0)
+        bounds[:, ka, kb] = bounds[:, kb, ka] = _star_bounds(
+            target, dpow, diff, p, exact_limit)
+        if zero and not exact:
+            off_base = np.abs(np.delete(diff, target.base, axis=0)) > ABS_TOL
+            zero = not off_base.any() and not (np.abs(_differences(
+                target, distinct, ka, kb)) > ABS_TOL).any()
+    return label, distinct, bounds[:, :, label], exact or zero
 
 
 def measure_lipschitz(space, parts, p, exact_limit=FOREST_LIMIT_DEFAULT):
@@ -755,34 +868,101 @@ def measure_lipschitz(space, parts, p, exact_limit=FOREST_LIMIT_DEFAULT):
     ``parts`` lists (target space, rows): row x holds F(x)'s coefficients
     over that target, and differences are balanced at its base.  One part
     gives its free norm; several give (sum of part norms^p)^(1/p), summed
-    in part order.  Each part norms one difference per ordered pair of
-    distinct rows, in batches through ``norm_rows``.  Returns (value, first
-    maximizing pair or None, whether every norm was exact).
+    in part order.  Returns (value, first maximizing pair or None, whether
+    every nonzero difference is normed exactly by its regime).  These are,
+    bit for bit, what norming every pair's difference with ``norm_rows``
+    and scanning the pairs in lexicographic order (``_scan_pairs``) gives,
+    but only the pairs that can reach the maximum are normed.
+
+    Bound, then solve.  In each part, pairs with the same two rows share
+    one label pair.  Every label pair's difference is bounded first, in
+    blocks (``_star_bounds``): from above by the cheapest star routing
+    (Gilbert's network cost), from below by Kantorovich-Rubinstein duality
+    with the test functions d(., h).  Across parts the p-th powers add.
+    The seed is the pair with the largest lower bound per distance; the
+    lower bound only picks it, so on a matrix that breaks the triangle
+    inequality it costs pruning, never correctness.  The seed is normed
+    together with the 16 pairs of largest upper bound per distance and
+    their ties, and r is the best ratio among them.  Then every pair whose
+    upper bound per distance reaches r / (1 + 1e-6) is normed, r becomes
+    the best ratio of all normed pairs, and the pairs whose bound reaches
+    r / (1 + 1e-6) are scanned in lexicographic order by the scan's
+    first-maximum rule (``_first_max``).
+
+    Why the result cannot move.  A kept pair's ratio has the same bits as
+    in the full scan, since ``norm_rows`` values do not depend on the
+    batch, and r is one of these ratios.  A dropped pair's ratio is below
+    t = r / (1 + 1e-6).  In the full scan, a pair whose ratio is at least t
+    and beats every earlier ratio by a relative 1e-15 also updates the
+    kept-pair scan, and from then on both agree: no dropped pair can beat
+    a best of t or more.  Such a pair exists, or else the running maximum,
+    once past t, would grow by at most (1 + 1e-15) per pair and stay below
+    t (1 + 1e-15)^P < r for P < 10^8 pairs, though r is a ratio.
     """
+    _check_limit(exact_limit)
     all_exact, tables = True, []
     for target, rows in parts:
-        rows = np.ascontiguousarray(rows, dtype=float)
-        keys = rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
-        _, first, label = np.unique(keys, return_index=True, return_inverse=True)
-        last = len(rows) - 1 - np.unique(label[::-1], return_index=True)[1]
-        a, b = np.nonzero(first[:, None] < last)  # labels of some x < y
-        table = np.zeros((len(first), len(first)))
-        step = max(1, _BLOCK // rows.shape[1])
-        for lo in range(0, len(a), step):
-            ka, kb = a[lo:lo + step], b[lo:lo + step]
-            diff = rows[first[ka]] - rows[first[kb]]
-            diff[:, target.base] -= diff.sum(axis=1)
-            v, exact = norm_rows(target, diff, p, exact_limit)
-            all_exact = all_exact and bool(exact.all())
-            table[ka, kb] = v if len(parts) == 1 else [x ** p for x in v.tolist()]
-        tables.append((label, table))
+        label, distinct, bounds, exact = _bound_part(target, rows, p,
+                                                     exact_limit)
+        all_exact = all_exact and exact
+        table = np.full((len(distinct),) * 2, np.nan)  # NaN until normed
+        tables.append((target, distinct, label, bounds, table))
+    if space.n < 2 or not tables:
+        return 0.0, None, all_exact
 
-    def norms(xs, ys):
-        if len(tables) == 1:
-            label, table = tables[0]
-            return table[label[xs], label[ys]]
-        acc = np.zeros(len(ys))
-        for label, table in tables:
-            acc += table[label[xs], label[ys]]
-        return np.array([a ** (1 / p) for a in acc.tolist()])
-    return (*_scan_pairs(space, norms), all_exact)
+    def bound(lo, hi, upper):  # (upper, lower) of a row block of pairs
+        acc = tables[0][3].take(tables[0][2][lo:hi], axis=1)
+        for _, _, label, bounds, _ in tables[1:]:
+            acc += bounds.take(label[lo:hi], axis=1)
+        if p != 1.0:
+            np.power(acc, 1 / p, out=acc)
+        np.divide(acc, space.dist[lo:hi], out=acc, where=upper)
+        acc[:, ~upper] = -np.inf
+        acc[0] *= 1 + 1e-9  # the star's rounding against the regime's
+        return acc
+
+    def reach(floor):  # (xs, ys, upper bounds) of the pairs whose bound
+        # reaches floor, the seed and the floor; floor None reads the seed's
+        # lower bound / (1 + 2e-6), below the seed's ratio / (1 + 1e-6) on
+        # a metric target with room for rounding
+        seed, found = None, []
+        for lo, hi, upper in _row_blocks(space.n):
+            up, low = bound(lo, hi, upper)
+            x, y = divmod(int(low.argmax()), space.n)
+            if seed is None or low[x, y] > top:
+                seed, top = (lo + x, y), low[x, y]
+            cut = top / (1 + 2e-6) if floor is None else floor
+            xs, ys = np.nonzero(upper & ~(up < cut))
+            found.append((xs + lo, ys, up[xs, ys]))
+        xs, ys, up = (np.concatenate(f) for f in zip(*found))
+        at = ~(up < cut)
+        return xs[at], ys[at], up[at], seed, cut
+
+    def ratios(xs, ys):  # norms the label pairs not normed yet
+        acc = np.zeros(len(xs))
+        for target, distinct, label, _, table in tables:
+            ka, kb = label[xs], label[ys]
+            todo = np.isnan(table[ka, kb])
+            if todo.any():
+                todo = np.divmod(np.unique(ka[todo] * len(table) + kb[todo]),
+                                 len(table))
+                v = _norm_differences(target, distinct, *todo, p, exact_limit)
+                table[todo] = (v if len(tables) == 1 else
+                               [x ** p for x in v.tolist()])
+            acc += table[ka, kb]
+        if len(tables) > 1:
+            acc = np.array([x ** (1 / p) for x in acc.tolist()])
+        return acc / space.dist[xs, ys]
+
+    xs, ys, up, seed, floor = reach(None)
+    # the seed, with the 16 largest upper bounds and their ties
+    head = ~(up < np.sort(up)[-16:][:1] / (1 + 1e-6))
+    best = ratios(np.r_[xs[head], seed[0]], np.r_[ys[head], seed[1]]).max()
+    if not best / (1 + 1e-6) >= floor:  # off the metric: pairs beyond these
+        xs, ys, up, _, _ = reach(best / (1 + 1e-6))  # may reach the best
+    at = ~(up < best / (1 + 1e-6))
+    xs, ys, up = xs[at], ys[at], up[at]
+    got = ratios(xs, ys)
+    at = ~(up < got.max(initial=best) / (1 + 1e-6))
+    best, best_pair = _first_max(0.0, None, got[at], xs[at], ys[at])
+    return best, best_pair, all_exact

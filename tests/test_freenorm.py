@@ -1051,30 +1051,45 @@ def test_p1_supports_above_the_limit_take_the_simplex(rng, monkeypatch):
             check_result_consistency(sp, m, up, rel=1e-12)
 
 
+def _every_pair_ratio(space, parts, p, exact_limit):
+    """Per pair x < y, in lexicographic order, its ratio from one
+    ``norm_value`` per part with a nonzero difference; and whether every
+    norm was exact."""
+    ratios, all_exact = [], True
+    for x, y in itertools.combinations(range(space.n), 2):
+        norms = []
+        for target, rows in parts:
+            vec = rows[x] - rows[y]
+            vec[target.base] -= vec.sum()
+            if np.abs(vec).max() > 0:
+                v, exact = norm_value(target, vec, p, exact_limit=exact_limit)
+                all_exact = all_exact and exact
+                norms.append(v)
+        if len(parts) == 1:
+            ratios.append(norms[0] / space.dist[x, y] if norms else 0.0)
+        else:
+            acc = 0.0
+            for v in norms:
+                acc += v ** p
+            ratios.append(acc ** (1 / p) / space.dist[x, y])
+    return ratios, all_exact
+
+
+def _first_max_pair(n, ratios):
+    """The first pair x < y whose ratio beats the best so far by a relative
+    1e-15, with the pairs of n points in lexicographic order."""
+    best, best_pair = 0.0, None
+    for pair, ratio in zip(itertools.combinations(range(n), 2), ratios):
+        if ratio > best * (1 + 1e-15):
+            best, best_pair = ratio, pair
+    return best, best_pair
+
+
 def _measure_every_pair(space, parts, p, exact_limit):
-    """Reference for ``measure_lipschitz``: per pair x < y, one
-    ``norm_value`` per part with a nonzero difference; first maximum kept."""
-    best, best_pair, all_exact = 0.0, None, True
-    for x in range(space.n):
-        for y in range(x + 1, space.n):
-            norms = []
-            for target, rows in parts:
-                vec = rows[x] - rows[y]
-                vec[target.base] -= vec.sum()
-                if np.abs(vec).max() > 0:
-                    v, exact = norm_value(target, vec, p, exact_limit=exact_limit)
-                    all_exact = all_exact and exact
-                    norms.append(v)
-            if len(parts) == 1:
-                ratio = norms[0] / space.dist[x, y] if norms else 0.0
-            else:
-                acc = 0.0
-                for v in norms:
-                    acc += v ** p
-                ratio = acc ** (1 / p) / space.dist[x, y]
-            if ratio > best * (1 + 1e-15):
-                best, best_pair = ratio, (x, y)
-    return best, best_pair, all_exact
+    """Reference for ``measure_lipschitz``: every pair's ratio, first
+    maximum kept."""
+    ratios, all_exact = _every_pair_ratio(space, parts, p, exact_limit)
+    return (*_first_max_pair(space.n, ratios), all_exact)
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5, 0.25])
@@ -1131,3 +1146,197 @@ def test_scan_pairs_matches_a_pair_loop(rng, monkeypatch):
             assert [len(set(a)) for a, _ in seen[:-1]] == [rows] * (len(seen) - 1)
             assert [x for a, _ in seen for x in a] == xs.tolist()
             assert [y for _, b in seen for y in b] == ys.tolist()
+
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, 0.25, 0.1])
+def test_star_bounds_hold_for_every_row(rng, p):
+    """``_star_bounds`` against ``norm_rows``, row by row, on targets of
+    9-10 points within the exact limit and above it (limit 4): the upper
+    bound, times 1 + 1e-9, is never below the value, on a matrix that
+    breaks the triangle inequality too, and the lower bound is never above
+    it on a metric.  Half the rows send everything to one hub off the base
+    and balance at the base to about 1e-17, where the base's mass must be
+    read as the balance of the others summed in index order, as
+    ``_tree_dp`` reads it: |the base entry|^p can be far smaller."""
+    for case in range(24):
+        m = int(rng.integers(9, 11))
+        target = random_ball(d=2, n=m, seed=int(rng.integers(1 << 30)))
+        target = target.take(list(range(m)), int(rng.integers(m)))
+        metric = case % 3 != 0
+        if not metric:
+            d = target.dist.copy()
+            d[0, 1] = d[1, 0] = 4.0 * d[0, 1]
+            target = space_from_matrix(d, base=target.base)
+        rows = rng.random((30, m)) * 0.1
+        rows[rng.random(rows.shape) < rng.random((30, 1))] = 0.0
+        hub = (target.base + 1 + int(rng.integers(m - 1))) % m
+        rows[:15, hub] = 0.0
+        rows[:15, hub] = -rows[:15].sum(axis=1)
+        rows[:, target.base] = 0.0
+        rows[:, target.base] -= rows.sum(axis=1)
+        dpow = np.maximum(target.dist, target.dist.T) ** p
+        np.fill_diagonal(dpow, 0.0)
+        for limit in (m, 4):
+            upper, lower = freenorm._star_bounds(
+                target, dpow, np.ascontiguousarray(rows.T), p, limit)
+            values = norm_rows(target, rows, p, limit)[0]
+            assert (values <= upper ** (1 / p) * (1 + 1e-9)).all()
+            if metric:
+                assert (lower ** (1 / p) <= values * (1 + 1e-12)).all()
+
+
+def _delta_parts(rng, n, count):
+    """One to ``count`` parts whose rows are point evaluations at random
+    points of 3-12 point targets, the base among them."""
+    parts = []
+    for _ in range(int(rng.integers(1, count + 1))):
+        m = int(rng.integers(3, 13))
+        target = random_ball(d=2, n=m, seed=int(rng.integers(1 << 30)))
+        target = target.take(list(range(m)), int(rng.integers(m)))
+        rows = np.zeros((n, m))
+        rows[np.arange(n), rng.integers(0, m, n)] = 1.0
+        parts.append((target, rows))
+    return parts
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, 0.25])
+def test_pruned_scan_picks_the_first_of_many_ties(rng, p):
+    """Spaces of 8-30 points mapped by point evaluations, with one to three
+    parts.  On the 16-point sup-norm grid, the clamp onto a 3 x 3 corner
+    is 1-Lipschitz and reaches 1 on many pairs, up to the last ulp, while
+    the pairs it shortens can be dropped; on random targets, whole groups
+    of pairs share one difference.  The pruned scan keeps the exhaustive
+    scan's value, pair and flag, bit for bit."""
+    grid = grid_zd(d=2, lo=0, hi=3)  # sup norm, base at (0, 0)
+    clamped = np.minimum(grid.coords, 2.0)
+    to = [grid.coords.tolist().index(c) for c in clamped.tolist()]
+    rows = np.eye(grid.n)[to]
+    for case in range(9):
+        if case < 3:
+            space, parts = grid, [(grid, rows)] * (case + 1)
+        else:
+            space = random_metric_space(rng, int(rng.integers(8, 31)))
+            parts = _delta_parts(rng, space.n, 3)
+        ratios, exact = _every_pair_ratio(space, parts, p,
+                                          FOREST_LIMIT_DEFAULT)
+        want = (*_first_max_pair(space.n, ratios), exact)
+        assert measure_lipschitz(space, parts, p) == want
+        if case < 3:  # many pairs reach the maximum, and some fall short
+            ratios = np.array(ratios)
+            assert (ratios >= want[0] * (1 - 1e-15)).sum() > 20
+            assert (ratios < want[0] * 0.9).sum() > 20
+
+
+def test_pruned_scan_follows_ratios_that_creep(rng):
+    """Ratios that rise by less than a relative 1e-15 from pair to pair.
+    On a line of 10-20 evenly spaced points, the image of point x is c_x
+    delta(a) on a two-point target at distance 1: c_x = t_x (1 + 3e-16 x)
+    on the first points, so their ratios are 1 + 3e-16 (x + y), and then c
+    grows with slope 0.3, so pairs that reach the second part fall short
+    and can be dropped.  One or two parts, at p = 1 and 0.5."""
+    for case in range(8):
+        n = int(rng.integers(10, 21))
+        first = int(rng.integers(4, n - 2))
+        scale = 10.0 ** int(rng.integers(-2, 3))
+        t = np.arange(n) * scale
+        c = t * (1 + 3e-16 * np.arange(n))
+        c[first:] = c[first - 1] + 0.3 * (t[first:] - t[first - 1])
+        space = line_space(t.tolist(), base=int(rng.integers(n)))
+        target = line_space([0.0, 1.0])
+        rows = np.c_[np.zeros(n), c]
+        parts = [(target, rows)] * (case % 2 + 1)
+        for p in (1.0, 0.5):
+            ratios, exact = _every_pair_ratio(space, parts, p,
+                                              FOREST_LIMIT_DEFAULT)
+            want = (*_first_max_pair(space.n, ratios), exact)
+            assert measure_lipschitz(space, parts, p) == want
+            ratios = np.array(ratios)
+            near = ratios[ratios >= want[0] * (1 - 1e-15)]
+            assert len(np.unique(near)) > 1  # distinct, yet within 1e-15
+            assert (ratios < want[0] * 0.9).sum() > n
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, 0.25])
+def test_pruned_scan_on_wide_supports_above_the_limit(rng, p):
+    """Targets of 12 points with exact limit 4, and rows with supports of
+    2-12 points: above the limit a support goes at p = 1 to the network
+    simplex, which no star bounds (U = inf), and at p < 1 to the cheaper
+    of the star at the base and the spanning tree, so only the base is a
+    hub.  Sparse rows keep some supports within the limit."""
+    for _ in range(6):
+        space = random_metric_space(rng, int(rng.integers(8, 16)))
+        target = random_ball(d=2, n=12, seed=int(rng.integers(1 << 30)),
+                             alpha=float(rng.choice([1.0, 0.5])))
+        target = target.take(list(range(12)), int(rng.integers(12)))
+        rows = rng.standard_normal((space.n, 12))
+        rows[rng.random(rows.shape) < rng.random((space.n, 1))] = 0.0
+        parts = [(target, rows)]
+        if rng.random() < 0.5:
+            parts.append(_delta_parts(rng, space.n, 1)[0])
+        assert measure_lipschitz(space, parts, p, 4) == \
+            _measure_every_pair(space, parts, p, 4)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, 0.25])
+def test_pruned_scan_on_a_target_off_the_metric(rng, p):
+    """``space_from_matrix`` targets that break the triangle inequality,
+    within the exact limit and above it (limit 3), with point-evaluation
+    rows and some dense ones.  On the first, d(0, 2) is far above d(0, 1) +
+    d(1, 2): the Kantorovich-Rubinstein value that picks the seed is then
+    no lower bound, and the seed's ratio can fall below it; above the
+    limit, the network simplex on a wide support ships 0 -> 2 directly,
+    where a star through 1 is cheaper, so no star bounds it.  On the second
+    (a spider), the leaves lie 10 apart and 1 from a hub that no row
+    holds: above the limit the support's own tree costs 10 per unit where
+    a star through the hub would cost 2, so only hubs in the support
+    bound the norm."""
+    for case in range(8):
+        m = int(rng.integers(4, 9))
+        if case % 2:
+            d = random_ball(d=2, n=m, seed=int(rng.integers(1 << 30))).dist.copy()
+            d[0, 2] = d[2, 0] = 6.0 * (d[0, 1] + d[1, 2])
+            held, spread = [0, 2], list(range(m))
+        else:
+            d = np.full((m, m), 10.0) + rng.random((m, m))
+            d = d + d.T
+            d[-1, :] = d[:, -1] = 1.0
+            np.fill_diagonal(d, 0.0)
+            held = spread = list(range(m - 1))
+        target = space_from_matrix(d, base=0)
+        space = random_metric_space(rng, int(rng.integers(8, 20)))
+        rows = np.zeros((space.n, m))
+        rows[np.arange(space.n), rng.choice(held, space.n)] = 1.0
+        dense = rng.random(space.n) < 0.3
+        rows[np.ix_(dense, spread)] = rng.standard_normal((dense.sum(),
+                                                           len(spread)))
+        for limit in (FOREST_LIMIT_DEFAULT, 3):
+            assert measure_lipschitz(space, [(target, rows)], p, limit) == \
+                _measure_every_pair(space, [(target, rows)], p, limit)
+
+
+def test_pruned_scan_norms_few_label_pairs(monkeypatch):
+    """The whitney extension map of a 120-point ball: fewer than 5 % of the
+    label pairs (the distinct row pairs of points x < y, each of which the
+    exhaustive scan norms once) reach ``norm_rows``, at every p."""
+    from lipfree.extension import doubling_extension_map, whitney_cover
+    from lipfree.metric import maximal_separated_net
+    space = random_ball(d=2, n=120, seed=0)
+    net = maximal_separated_net(space, list(range(space.n)),
+                                space.diameter() / 4)
+    system = whitney_cover(space, net)
+    normed = []
+    norm = freenorm.norm_rows
+
+    def counted(target, rows, p, exact_limit):
+        normed.append(len(rows))
+        return norm(target, rows, p, exact_limit)
+    monkeypatch.setattr(freenorm, "norm_rows", counted)
+    for p in (1.0, 0.5, 0.25):
+        normed.clear()
+        ext = doubling_extension_map(space, net, p, system=system)
+        label = np.unique(ext.coeffs, axis=0, return_inverse=True)[1].ravel()
+        xs, ys = np.triu_indices(space.n, 1)
+        pairs = len(set(zip(label[xs].tolist(), label[ys].tolist())))
+        assert 0 < sum(normed) < 0.05 * pairs
+        assert ext.measured_lip > 0 and ext.witness_pair is not None
