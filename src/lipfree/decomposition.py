@@ -24,7 +24,7 @@ from .errors import (
 )
 from .freenorm import FOREST_LIMIT_DEFAULT, measure_lipschitz, norm_value
 from .geometry import radial_clamp_builder
-from .metric import ABS_TOL, IntervalSpec
+from .metric import ABS_TOL, IntervalSpec, _check_p
 
 GRID_SAMPLES_PER_SEGMENT = 64
 
@@ -354,8 +354,7 @@ def norm_bound_T(p, k, R, K1, K2):
     (2k)^{1/p} * (K1^p / log^p R + max(K1^p R^p / log^p R,
                                        K2^p R^p / (R-1)^p))^{1/p}
     """
-    if not 0 < p <= 1:
-        raise BadParameter(f"p={p} outside (0, 1]")
+    _check_p(p)
     if R <= 1:
         raise BadParameter(f"R={R} must exceed 1")
     if k < 1:
@@ -370,8 +369,7 @@ def norm_bound_T(p, k, R, K1, K2):
 
 def separated_family_bound(K, p):
     """Inverse bound (K^p + 1)^{1/p} (K^p - 1)^{-1/p} for gap K > 1."""
-    if not 0 < p <= 1:
-        raise BadParameter(f"p={p} outside (0, 1]")
+    _check_p(p)
     if not K > 1 or K ** p <= 1:
         raise BadParameter(f"gap K={K!r} must exceed 1, with K^p > 1 at p={p}")
     return (K ** p + 1) ** (1 / p) * (K ** p - 1) ** (-1 / p)

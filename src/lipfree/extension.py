@@ -18,8 +18,8 @@ import numpy as np
 from .errors import BadParameter, BadSubset, InternalInvariantBroken, TooSmall
 from .freenorm import (FOREST_LIMIT_DEFAULT, _scan_pairs, measure_lipschitz,
                        norm_value)
-from .metric import (_BLOCK, doubling_constant_upper, maximal_separated_net,
-                     passes)
+from .metric import (_BLOCK, _check_p, doubling_constant_upper,
+                     maximal_separated_net, passes)
 
 
 @dataclass(frozen=True)
@@ -305,8 +305,7 @@ def doubling_extension_map(space, net, p, system=None,
     bound.  At p < 1 part norms are exact up to ``exact_limit`` points and
     upper bounds above, which keeps the comparison sound.
     """
-    if not 0 < p <= 1:
-        raise BadParameter(f"p={p} outside (0, 1]")
+    _check_p(p)
     if system is None:
         system = whitney_cover(space, net)
     net = system.net

@@ -32,7 +32,7 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .errors import BadParameter, InternalInvariantBroken, SizeLimit
-from .metric import _BLOCK, ABS_TOL, _p_triangle
+from .metric import _BLOCK, ABS_TOL, _check_p, _p_triangle
 
 FOREST_LIMIT_DEFAULT = 8
 # one exact oracle call with the support the whole space, the worst case, on
@@ -285,8 +285,7 @@ def _check_limit(limit):
 def _molecule_vector(space, molecule, p):
     """The coefficients of ``molecule`` over ``space``, once p is in (0, 1]
     and they sum to zero, as each result-object solver requires."""
-    if not 0 < p <= 1:
-        raise BadParameter(f"p={p} outside (0, 1]")
+    _check_p(p)
     vec = molecule.vector(space.n)
     if abs(vec.sum()) > ABS_TOL * _scale(vec):
         raise BadParameter("molecule does not sum to zero")
@@ -668,6 +667,7 @@ def norm_value(space, vec, p, exact_limit=FOREST_LIMIT_DEFAULT, prefer="auto",
     for metric distances.
     """
     _check_limit(exact_limit)
+    _check_p(p)
     # ``prefer`` and ``certify`` take one value each and stay only because
     # the benchmark's tracer binds them by name (ROADMAP items 2 and 3)
     if prefer != "auto":
@@ -698,6 +698,7 @@ def norm_rows(space, rows, p, exact_limit=FOREST_LIMIT_DEFAULT):
     larger ones go to ``_support_row`` one at a time.
     """
     _check_limit(exact_limit)
+    _check_p(p)
     rows = np.asarray(rows, dtype=float)
     values = np.zeros(len(rows))
     order = np.r_[space.base, np.delete(np.arange(space.n), space.base)]
@@ -763,23 +764,19 @@ def _scan_pairs(space, norms):
 
 
 def _star_bounds(target, dpow, diff, p, exact_limit):
-    """Bounds on the norms ``norm_rows`` gives the balanced differences
-    over ``target`` held in the columns of ``diff``, as arrays (U, L^p).
-
-    U is the p-th power of the cheapest star, min over hubs h of sum_i
-    |v_i|^p d(i, h)^p, with ``dpow`` = max(d, d^T)^p and a zero diagonal, and
-    with the base's mass read as the balance of the others summed in index
+    """Upper bounds U on the norms ``norm_rows`` gives the balanced
+    differences over ``target`` held in the columns of ``diff``, as the
+    p-th power of the cheapest star, min over hubs h of sum_i |v_i|^p
+    d(i, h)^p, with ``dpow`` = max(d, d^T)^p and a zero diagonal, and with
+    the base's mass read as the balance of the others summed in index
     order, as ``_tree_dp`` reads it.  The hubs are the points of v's
     support and the base.  Each such star is a network that v's regime also
     costs, so U^(1/p) (1 + 1e-9) is at least the value on any matrix.  The
     two exceptions are supports of more than ``exact_limit`` points on a
     target above that limit: at p < 1 ``_upper_value`` costs the star at the
     base alone, and at p = 1 the network simplex does not relay, so U is
-    inf.  L = max_h |sum_i v_i d(i, h)| is the Kantorovich-Rubinstein bound
-    with the test function d(., h), a lower bound on a metric target."""
+    inf."""
     base = target.base
-    low = target.dist.T @ diff
-    low = np.abs(low, out=low).max(axis=0)
     weight = diff.copy()
     weight[base] = 0.0
     off = weight == 0  # the points off the support, but for the base
@@ -798,7 +795,7 @@ def _star_bounds(target, dpow, diff, p, exact_limit):
         else:
             off[:, wide] = (np.arange(target.n) != base)[:, None]
     star[off] = np.inf
-    return star.min(axis=0), low if p == 1.0 else low ** p
+    return star.min(axis=0)
 
 
 def _differences(target, distinct, ka, kb):
@@ -825,11 +822,11 @@ def _norm_differences(target, distinct, ka, kb, p, exact_limit):
 
 def _bound_part(target, rows, p, exact_limit):
     """One part of ``measure_lipschitz``: the rows' labels (equal rows
-    share one), the distinct rows, the (upper, lower) bounds of
-    ``_star_bounds`` of every label pair's difference as a (2, labels,
-    points) table read at [:, label of x, y], and whether every difference
-    of rows x < y is normed exactly by its regime: at p = 1, within the
-    exact limit, or when it is 0 within ``ABS_TOL``."""
+    share one), the distinct rows, the upper bound of ``_star_bounds`` of
+    every label pair's difference as a (labels, points) table read at
+    [label of x, y], and whether every difference of rows x < y is normed
+    exactly by its regime: at p = 1, within the exact limit, or when it is
+    0 within ``ABS_TOL``."""
     rows = np.ascontiguousarray(rows, dtype=float)
     keys = rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
     _, first, label = np.unique(keys, return_index=True, return_inverse=True)
@@ -842,7 +839,7 @@ def _bound_part(target, rows, p, exact_limit):
     cols = np.ascontiguousarray(distinct.T)
     dpow = np.maximum(target.dist, target.dist.T) ** p
     np.fill_diagonal(dpow, 0.0)
-    bounds = np.zeros((2, len(first), len(first)))
+    bounds = np.zeros((len(first), len(first)))
     exact, zero = p == 1.0 or target.n <= exact_limit, True
     step = max(1, _BLOCK // rows.shape[1])
     for lo in range(0, len(a), step):
@@ -852,13 +849,13 @@ def _bound_part(target, rows, p, exact_limit):
         diff = cols[:, ka]
         diff -= cols[:, kb]
         diff[target.base] -= diff.sum(axis=0)
-        bounds[:, ka, kb] = bounds[:, kb, ka] = _star_bounds(
+        bounds[ka, kb] = bounds[kb, ka] = _star_bounds(
             target, dpow, diff, p, exact_limit)
         if zero and not exact:
             off_base = np.abs(np.delete(diff, target.base, axis=0)) > ABS_TOL
             zero = not off_base.any() and not (np.abs(_differences(
                 target, distinct, ka, kb)) > ABS_TOL).any()
-    return label, distinct, bounds[:, :, label], exact or zero
+    return label, distinct, bounds[:, label], exact or zero
 
 
 def measure_lipschitz(space, parts, p, exact_limit=FOREST_LIMIT_DEFAULT):
@@ -875,31 +872,32 @@ def measure_lipschitz(space, parts, p, exact_limit=FOREST_LIMIT_DEFAULT):
     but only the pairs that can reach the maximum are normed.
 
     Bound, then solve.  In each part, pairs with the same two rows share
-    one label pair.  Every label pair's difference is bounded first, in
-    blocks (``_star_bounds``): from above by the cheapest star routing
-    (Gilbert's network cost), from below by Kantorovich-Rubinstein duality
-    with the test functions d(., h).  Across parts the p-th powers add.
-    The seed is the pair with the largest lower bound per distance; the
-    lower bound only picks it, so on a matrix that breaks the triangle
-    inequality it costs pruning, never correctness.  The seed is normed
-    together with the 16 pairs of largest upper bound per distance and
-    their ties, and r is the best ratio among them.  Then every pair whose
+    one label pair.  Every label pair's difference is bounded from above
+    first, in blocks, by the cheapest star routing (Gilbert's network cost,
+    ``_star_bounds``); across parts the p-th powers add.  The pairs whose
+    upper bound per distance reaches the 16th largest / (1 + 1e-6) are
+    normed, and r is the best ratio among them.  Then every pair whose
     upper bound per distance reaches r / (1 + 1e-6) is normed, r becomes
     the best ratio of all normed pairs, and the pairs whose bound reaches
     r / (1 + 1e-6) are scanned in lexicographic order by the scan's
-    first-maximum rule (``_first_max``).
+    first-maximum rule (``_first_max``).  Each step collects its pairs
+    block by block (``_row_blocks``) and keeps only those that reach its
+    cut, and never a pair whose bound is 0, so a constant map holds none.
 
     Why the result cannot move.  A kept pair's ratio has the same bits as
     in the full scan, since ``norm_rows`` values do not depend on the
-    batch, and r is one of these ratios.  A dropped pair's ratio is below
-    t = r / (1 + 1e-6).  In the full scan, a pair whose ratio is at least t
-    and beats every earlier ratio by a relative 1e-15 also updates the
-    kept-pair scan, and from then on both agree: no dropped pair can beat
-    a best of t or more.  Such a pair exists, or else the running maximum,
-    once past t, would grow by at most (1 + 1e-15) per pair and stay below
-    t (1 + 1e-15)^P < r for P < 10^8 pairs, though r is a ratio.
+    batch, and r is one of these ratios.  When r is 0 (no pair kept, or
+    all kept ratios 0), every ratio is 0 and neither scan finds a pair.
+    Otherwise a dropped pair's ratio is below t = r / (1 + 1e-6).  In the
+    full scan, a pair whose ratio is at least t and beats every earlier
+    ratio by a relative 1e-15 also updates the kept-pair scan, and from
+    then on both agree: no dropped pair can beat a best of t or more.  Such
+    a pair exists, or else the running maximum, once past t, would grow by
+    at most (1 + 1e-15) per pair and stay below t (1 + 1e-15)^P < r for
+    P < 10^8 pairs, though r is a ratio.
     """
     _check_limit(exact_limit)
+    _check_p(p)
     all_exact, tables = True, []
     for target, rows in parts:
         label, distinct, bounds, exact = _bound_part(target, rows, p,
@@ -910,33 +908,30 @@ def measure_lipschitz(space, parts, p, exact_limit=FOREST_LIMIT_DEFAULT):
     if space.n < 2 or not tables:
         return 0.0, None, all_exact
 
-    def bound(lo, hi, upper):  # (upper, lower) of a row block of pairs
-        acc = tables[0][3].take(tables[0][2][lo:hi], axis=1)
+    def bound(lo, hi, upper):  # upper bounds per distance of a row block
+        acc = tables[0][3].take(tables[0][2][lo:hi], axis=0)
         for _, _, label, bounds, _ in tables[1:]:
-            acc += bounds.take(label[lo:hi], axis=1)
+            acc += bounds.take(label[lo:hi], axis=0)
         if p != 1.0:
             np.power(acc, 1 / p, out=acc)
         np.divide(acc, space.dist[lo:hi], out=acc, where=upper)
-        acc[:, ~upper] = -np.inf
-        acc[0] *= 1 + 1e-9  # the star's rounding against the regime's
+        acc *= 1 + 1e-9  # the star's rounding against the regime's
         return acc
 
     def reach(floor):  # (xs, ys, upper bounds) of the pairs whose bound
-        # reaches floor, the seed and the floor; floor None reads the seed's
-        # lower bound / (1 + 2e-6), below the seed's ratio / (1 + 1e-6) on
-        # a metric target with room for rounding
-        seed, found = None, []
+        # reaches floor, or with floor None the 16th largest / (1 + 1e-6);
+        # a bound of 0 leaves a ratio of 0, which never updates the scan
+        top, found = np.full(16, -np.inf), []
         for lo, hi, upper in _row_blocks(space.n):
-            up, low = bound(lo, hi, upper)
-            x, y = divmod(int(low.argmax()), space.n)
-            if seed is None or low[x, y] > top:
-                seed, top = (lo + x, y), low[x, y]
-            cut = top / (1 + 2e-6) if floor is None else floor
-            xs, ys = np.nonzero(upper & ~(up < cut))
+            up = bound(lo, hi, upper)
+            if floor is None:
+                top = np.partition(np.r_[top, up[upper]], -16)[-16:]
+            cut = top[0] / (1 + 1e-6) if floor is None else floor
+            xs, ys = np.nonzero(upper & ~(up < cut) & (up > 0))
             found.append((xs + lo, ys, up[xs, ys]))
         xs, ys, up = (np.concatenate(f) for f in zip(*found))
         at = ~(up < cut)
-        return xs[at], ys[at], up[at], seed, cut
+        return xs[at], ys[at], up[at]
 
     def ratios(xs, ys):  # norms the label pairs not normed yet
         acc = np.zeros(len(xs))
@@ -954,14 +949,8 @@ def measure_lipschitz(space, parts, p, exact_limit=FOREST_LIMIT_DEFAULT):
             acc = np.array([x ** (1 / p) for x in acc.tolist()])
         return acc / space.dist[xs, ys]
 
-    xs, ys, up, seed, floor = reach(None)
-    # the seed, with the 16 largest upper bounds and their ties
-    head = ~(up < np.sort(up)[-16:][:1] / (1 + 1e-6))
-    best = ratios(np.r_[xs[head], seed[0]], np.r_[ys[head], seed[1]]).max()
-    if not best / (1 + 1e-6) >= floor:  # off the metric: pairs beyond these
-        xs, ys, up, _, _ = reach(best / (1 + 1e-6))  # may reach the best
-    at = ~(up < best / (1 + 1e-6))
-    xs, ys, up = xs[at], ys[at], up[at]
+    best = ratios(*reach(None)[:2]).max(initial=0.0)
+    xs, ys, up = reach(best / (1 + 1e-6))
     got = ratios(xs, ys)
     at = ~(up < got.max(initial=best) / (1 + 1e-6))
     best, best_pair = _first_max(0.0, None, got[at], xs[at], ys[at])

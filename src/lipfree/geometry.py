@@ -16,7 +16,7 @@ import numpy as np
 from .errors import BadParameter, BadSubset, NotSigmaClosed, PoleInDomain
 from .extension import _subset_map
 from .freenorm import FOREST_LIMIT_DEFAULT, _scan_pairs
-from .metric import REL_TOL, _norms
+from .metric import REL_TOL, _check_p, _norms
 
 
 def _ambient_norms(space):
@@ -80,8 +80,7 @@ def outward_amenability_map(space, S, p, exact_limit=FOREST_LIMIT_DEFAULT):
     """
     if S <= 0:
         raise BadParameter(f"S={S} must be positive")
-    if not 0 < p <= 1:
-        raise BadParameter(f"p={p} outside (0, 1]")
+    _check_p(p)
     norms = _ambient_norms(space)
     if norms.min() <= REL_TOL * S:
         raise BadSubset("sample contains the origin")

@@ -283,11 +283,16 @@ def _p_triangle(dist, p):
     return slack >= -ABS_TOL, slack, triple
 
 
+def _check_p(p):
+    """Refuse an exponent p outside (0, 1], NaN included."""
+    if not 0 < p <= 1:
+        raise BadParameter(f"p={p} outside (0, 1]")
+
+
 def validate_p_metric(space, p):
     """Check d**p against the triangle inequality over all triples
     (``_p_triangle``)."""
-    if not 0 < p <= 1:
-        raise BadParameter(f"p={p} outside (0, 1]")
+    _check_p(p)
     valid, slack, triple = _p_triangle(space.dist, p)
     return PMetricReport(valid, p, triple, slack)
 

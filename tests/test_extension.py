@@ -26,7 +26,7 @@ from lipfree.freenorm import measure_lipschitz, norm_value
 from lipfree.generators import grid_zd, random_ball
 from lipfree.metric import maximal_separated_net, passes
 
-from conftest import random_metric_space
+from conftest import _measure_every_pair, random_metric_space
 
 
 def _within_bounds(system):
@@ -203,23 +203,6 @@ def test_amenability_ratio_agrees_with_direct_oracle(rng):
     assert num >= den * (1 - 1e-9)
 
 
-def _measure_every_pair(space, sub, coeffs, p, exact_limit):
-    """Reference: one norm evaluation per pair x < y, first maximum kept."""
-    best, best_pair, all_exact = 0.0, None, True
-    for x in range(space.n):
-        for y in range(x + 1, space.n):
-            vec = coeffs[x] - coeffs[y]
-            vec[0] -= vec.sum()
-            if np.abs(vec).max(initial=0.0) == 0.0:
-                continue
-            v, exact = norm_value(sub, vec, p, exact_limit=exact_limit)
-            all_exact = all_exact and exact
-            ratio = v / space.dist[x, y]
-            if ratio > best * (1 + 1e-15):
-                best, best_pair = ratio, (x, y)
-    return best, best_pair, all_exact
-
-
 def _coeff_cases(rng, n, m):
     """Assignments with repeated rows, rows differing only in the base
     column (their differences balance to zero), and all rows equal."""
@@ -247,7 +230,7 @@ def test_measure_assignment_matches_every_pair(rng, monkeypatch, p, m):
         monkeypatch.setattr(freenorm, "norm_value", counted)
         got = measure_lipschitz(sp, [(sub, coeffs)], p, LIMIT)
         monkeypatch.undo()
-        assert got == _measure_every_pair(sp, sub, coeffs, p, LIMIT)
+        assert got == _measure_every_pair(sp, [(sub, coeffs)], p, LIMIT)
         assert calls == []  # every norm comes from the batched kernel
 
 
@@ -266,7 +249,7 @@ def test_point_removal_and_extension_match_every_pair(rng, p):
         delta[keep, np.arange(sub.n)] = 1.0
         for coeffs in (delta, rng.standard_normal((sp.n, sub.n))):
             got = measure_lipschitz(sp, [(sub, coeffs)], p, LIMIT)
-            assert got == _measure_every_pair(sp, sub, coeffs, p, LIMIT)
+            assert got == _measure_every_pair(sp, [(sub, coeffs)], p, LIMIT)
         lip, pair, _ = measure_lipschitz(sp, [(sub, delta)], p, LIMIT)
         # delta is an isometry: norms agree with distances up to rounding
         assert lip == pytest.approx(rep.measured_lip, rel=1e-14, abs=0.0)
@@ -275,7 +258,7 @@ def test_point_removal_and_extension_match_every_pair(rng, p):
     net = sorted({i for i in range(sp.n) if sp.coords[i][0] <= 1} | {sp.base})
     ext = doubling_extension_map(sp, net, p)
     assert (ext.measured_lip, ext.witness_pair, ext.measured_exact) == \
-        _measure_every_pair(sp, ext.net_subspace, ext.coeffs, p, LIMIT)
+        _measure_every_pair(sp, [(ext.net_subspace, ext.coeffs)], p, LIMIT)
 
 
 def test_point_removal_measures_distances(rng, monkeypatch):

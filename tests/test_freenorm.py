@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from lipfree.freenorm import (_BLOCK, FOREST_LIMIT_DEFAULT, FOREST_LIMIT_MAX,
 from lipfree.generators import grid_zd, random_ball
 from lipfree.metric import ABS_TOL
 
-from conftest import check_result_consistency, random_metric_space, random_molecule
+from conftest import (_every_pair_ratio, _first_max_pair, _measure_every_pair,
+                      check_result_consistency, random_metric_space,
+                      random_molecule)
 
 
 def test_delta_norm_is_base_distance(rng):
@@ -460,6 +463,25 @@ def test_norm_value_has_one_regime_choice():
     for certify in (False, 1):
         with pytest.raises(BadParameter, match=r"^certify=\w+ is not True$"):
             norm_value(sp, vec, 0.5, certify=certify)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda sp, m, p: free_norm_exact_small(sp, m, p),
+    lambda sp, m, p: free_norm_upper(sp, m, p),
+    lambda sp, m, p: norm_value(sp, m.vector(sp.n), p),
+    lambda sp, m, p: norm_rows(sp, m.vector(sp.n)[None], p),
+    lambda sp, m, p: measure_lipschitz(sp, [(sp, np.eye(sp.n))], p),
+], ids=["free_norm_exact_small", "free_norm_upper", "norm_value", "norm_rows",
+        "measure_lipschitz"])
+def test_every_entry_refuses_p_outside_the_unit_interval(entry):
+    """Every entry that takes p refuses one outside (0, 1]; p = 2 would
+    otherwise give a value below d(0, 1) tagged exact, and p <= 0 a bare
+    ZeroDivisionError.  ``free_norm_p1`` takes no p."""
+    sp = random_ball(d=2, n=6, seed=1)
+    m = Molecule.delta(1, sp.base)
+    for p in (2.0, 1.0 + 1e-12, 0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(BadParameter, match=r"^p=\S+ outside \(0, 1\]$"):
+            entry(sp, m, p)
 
 
 def prufer_trees(n):
@@ -1051,47 +1073,6 @@ def test_p1_supports_above_the_limit_take_the_simplex(rng, monkeypatch):
             check_result_consistency(sp, m, up, rel=1e-12)
 
 
-def _every_pair_ratio(space, parts, p, exact_limit):
-    """Per pair x < y, in lexicographic order, its ratio from one
-    ``norm_value`` per part with a nonzero difference; and whether every
-    norm was exact."""
-    ratios, all_exact = [], True
-    for x, y in itertools.combinations(range(space.n), 2):
-        norms = []
-        for target, rows in parts:
-            vec = rows[x] - rows[y]
-            vec[target.base] -= vec.sum()
-            if np.abs(vec).max() > 0:
-                v, exact = norm_value(target, vec, p, exact_limit=exact_limit)
-                all_exact = all_exact and exact
-                norms.append(v)
-        if len(parts) == 1:
-            ratios.append(norms[0] / space.dist[x, y] if norms else 0.0)
-        else:
-            acc = 0.0
-            for v in norms:
-                acc += v ** p
-            ratios.append(acc ** (1 / p) / space.dist[x, y])
-    return ratios, all_exact
-
-
-def _first_max_pair(n, ratios):
-    """The first pair x < y whose ratio beats the best so far by a relative
-    1e-15, with the pairs of n points in lexicographic order."""
-    best, best_pair = 0.0, None
-    for pair, ratio in zip(itertools.combinations(range(n), 2), ratios):
-        if ratio > best * (1 + 1e-15):
-            best, best_pair = ratio, pair
-    return best, best_pair
-
-
-def _measure_every_pair(space, parts, p, exact_limit):
-    """Reference for ``measure_lipschitz``: every pair's ratio, first
-    maximum kept."""
-    ratios, all_exact = _every_pair_ratio(space, parts, p, exact_limit)
-    return (*_first_max_pair(space.n, ratios), all_exact)
-
-
 @pytest.mark.parametrize("p", [1.0, 0.5, 0.25])
 def test_measure_lipschitz_matches_every_pair(rng, p):
     """Many small spaces, so that a last-ulp change in any one norm soon
@@ -1153,18 +1134,17 @@ def test_scan_pairs_matches_a_pair_loop(rng, monkeypatch):
 def test_star_bounds_hold_for_every_row(rng, p):
     """``_star_bounds`` against ``norm_rows``, row by row, on targets of
     9-10 points within the exact limit and above it (limit 4): the upper
-    bound, times 1 + 1e-9, is never below the value, on a matrix that
-    breaks the triangle inequality too, and the lower bound is never above
-    it on a metric.  Half the rows send everything to one hub off the base
-    and balance at the base to about 1e-17, where the base's mass must be
-    read as the balance of the others summed in index order, as
-    ``_tree_dp`` reads it: |the base entry|^p can be far smaller."""
+    bound, times 1 + 1e-9, is never below the value, on a metric and on a
+    matrix that breaks the triangle inequality.  Half the rows send
+    everything to one hub off the base and balance at the base to about
+    1e-17, where the base's mass must be read as the balance of the others
+    summed in index order, as ``_tree_dp`` reads it: |the base entry|^p can
+    be far smaller."""
     for case in range(24):
         m = int(rng.integers(9, 11))
         target = random_ball(d=2, n=m, seed=int(rng.integers(1 << 30)))
         target = target.take(list(range(m)), int(rng.integers(m)))
-        metric = case % 3 != 0
-        if not metric:
+        if case % 3 == 0:
             d = target.dist.copy()
             d[0, 1] = d[1, 0] = 4.0 * d[0, 1]
             target = space_from_matrix(d, base=target.base)
@@ -1178,12 +1158,10 @@ def test_star_bounds_hold_for_every_row(rng, p):
         dpow = np.maximum(target.dist, target.dist.T) ** p
         np.fill_diagonal(dpow, 0.0)
         for limit in (m, 4):
-            upper, lower = freenorm._star_bounds(
+            upper = freenorm._star_bounds(
                 target, dpow, np.ascontiguousarray(rows.T), p, limit)
             values = norm_rows(target, rows, p, limit)[0]
             assert (values <= upper ** (1 / p) * (1 + 1e-9)).all()
-            if metric:
-                assert (lower ** (1 / p) <= values * (1 + 1e-12)).all()
 
 
 def _delta_parts(rng, n, count):
@@ -1283,14 +1261,13 @@ def test_pruned_scan_on_a_target_off_the_metric(rng, p):
     """``space_from_matrix`` targets that break the triangle inequality,
     within the exact limit and above it (limit 3), with point-evaluation
     rows and some dense ones.  On the first, d(0, 2) is far above d(0, 1) +
-    d(1, 2): the Kantorovich-Rubinstein value that picks the seed is then
-    no lower bound, and the seed's ratio can fall below it; above the
-    limit, the network simplex on a wide support ships 0 -> 2 directly,
-    where a star through 1 is cheaper, so no star bounds it.  On the second
-    (a spider), the leaves lie 10 apart and 1 from a hub that no row
-    holds: above the limit the support's own tree costs 10 per unit where
-    a star through the hub would cost 2, so only hubs in the support
-    bound the norm."""
+    d(1, 2): above the limit, the network simplex on a wide support ships
+    0 -> 2 directly, where a star through 1 is cheaper, so no star bounds
+    it.  On the second (a spider), the leaves lie 10 apart and 1 from a hub
+    that no row holds: above the limit the support's own tree costs 10 per
+    unit where a star through the hub would cost 2, so only hubs in the
+    support bound the norm.  Off the metric the pruned scan keeps the
+    exhaustive scan's result, bit for bit, as on a metric."""
     for case in range(8):
         m = int(rng.integers(4, 9))
         if case % 2:
@@ -1340,3 +1317,23 @@ def test_pruned_scan_norms_few_label_pairs(monkeypatch):
         pairs = len(set(zip(label[xs].tolist(), label[ys].tolist())))
         assert 0 < sum(normed) < 0.05 * pairs
         assert ext.measured_lip > 0 and ext.witness_pair is not None
+
+
+def test_pruned_scan_holds_no_pair_of_a_constant_map():
+    """A map of 1000 points onto one image, in two parts: every bound is 0,
+    so no pair is collected, and the peak of traced allocations stays far
+    below the 12 MB that the indices and bounds of its 499,500 pairs
+    alone would take."""
+    space = random_ball(d=2, n=1000, seed=0)
+    target = random_ball(d=2, n=5, seed=1)
+    rows = np.zeros((space.n, target.n))
+    rows[:, 3] = 2.0
+    for p in (1.0, 0.5):
+        tracemalloc.start()
+        try:
+            got = measure_lipschitz(space, [(target, rows)] * 2, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (0.0, None, True)
+        assert peak < 8e6
