@@ -444,6 +444,8 @@ def verify_separated_inverse(family, p, samples=200, seed=0,
     K > 1 between consecutive annuli; the sampled max of |e| / |P(e)| is
     compared against the closed-form bound.
     """
+    if samples < 1:
+        raise BadParameter(f"samples={samples} must be positive")
     members = sorted(g for part in family.parts for g in part.members)
     if members != list(_space_basis(family.space)):
         raise BadFamily("annuli must partition the nonbase points")

@@ -12,8 +12,7 @@ p = 1 that is the transportation cost.  Three solvers cover the range:
   network (vertex solutions of the flow polyhedron have acyclic support),
   found by the send-and-split subset DP ``_tree_dp`` over the support's
   k points off the base in O(3^k n + 2^k n^2), with the other points as
-  relays when d^p satisfies the triangle inequality (every point joins
-  otherwise), and capped at ``forest_limit`` points.  The loops'
+  relays, and capped at ``forest_limit`` points.  The loops'
   ``norm_rows`` (one row: ``norm_value``) norms every row this way, at
   every p, on a space of at most ``exact_limit`` points.
 * ``free_norm_upper`` -- the support regime the loops use above that
@@ -22,17 +21,19 @@ p = 1 that is the transportation cost.  Three solvers cover the range:
   p = 1 and the cheaper of the star and the minimum-spanning-tree
   routings at p < 1; never below the true norm, and tagged exact when
   the support is the whole space within that limit.
+Every entry refuses a p outside (0, 1] and, at any scale, a space whose d^p
+breaks the triangle inequality (``metric._check_p_metric``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
 from .errors import BadParameter, InternalInvariantBroken, SizeLimit
-from .metric import _BLOCK, ABS_TOL, _check_p, _p_triangle
+from .metric import _BLOCK, ABS_TOL, _check_p, _check_p_metric
 
 FOREST_LIMIT_DEFAULT = 8
 # one exact oracle call with the support the whole space, the worst case, on
@@ -179,9 +180,8 @@ def _tree_dp(dist, vecs, p, terms, root, tree=False):
     G[S - A][x]`` over x's rectangles.  Send: ``G[S][v] = min over x of
     J[S][x] + |mu(S)|^p d(x, v)^p``, with d(v, v) taken as 0.  Every value
     is the cost of a network that carries the masses, so none is below the
-    norm.  One hop reaches the norm whenever every point but the root is a
-    terminal, whatever ``dist``, and whenever d^p satisfies the triangle
-    inequality, as a relay of degree two can then be skipped.  |mass|^p
+    norm.  One hop reaches the norm, as on a p-metric a relay of degree two
+    can be skipped.  |mass|^p
     and the root use Python's float power (numpy's array power can differ
     in the last ulp).  Returns ``(norms, edges)``; with ``tree``, the
     (child, parent, mass) edges of a cheapest network for row 0, found by
@@ -239,14 +239,6 @@ def _tree_dp(dist, vecs, p, terms, root, tree=False):
     return norms, edges
 
 
-@lru_cache(maxsize=64)
-def _relays(key, n, p):
-    """Whether d^p passes the triangle inequality within ``ABS_TOL``
-    (``metric._p_triangle``) for the (n, n) float64 distance matrix of bytes
-    ``key``; cached, as the loops norm many rows over the same few spaces."""
-    return _p_triangle(np.frombuffer(key).reshape(n, n), p)[0]
-
-
 @cache
 def _dp_width(k, n):
     """Per row, ``_tree_dp``'s largest table for k terminals of n points:
@@ -257,12 +249,9 @@ def _dp_width(k, n):
 def _whole_rows(space, rows, p, tree=False):
     """Exact norms of rows sharing one support, by ``_tree_dp`` over
     the whole space in blocks of about ``_BLOCK`` table entries, as (values,
-    row 0's network edges with ``tree``).  Terminals: the support off the
-    base when d^p passes the triangle inequality (``_relays``), so the
-    other points may relay by one hop; otherwise every point but the base."""
+    row 0's network edges with ``tree``).  The terminals are the support off
+    the base, and the other points may relay by one hop."""
     held = rows[0] != 0
-    if not held.all() and not _relays(space.dist.tobytes(), space.n, p):
-        held[:] = True
     held[space.base] = False
     terms = held.nonzero()[0]
     step = max(1, _BLOCK // _dp_width(len(terms), space.n))
@@ -283,9 +272,9 @@ def _check_limit(limit):
 
 
 def _molecule_vector(space, molecule, p):
-    """The coefficients of ``molecule`` over ``space``, once p is in (0, 1]
-    and they sum to zero, as each result-object solver requires."""
-    _check_p(p)
+    """The coefficients of ``molecule`` over ``space``, once the space passes
+    ``_check_p_metric`` and they sum to zero, as each solver requires."""
+    _check_p_metric(space, p)
     vec = molecule.vector(space.n)
     if abs(vec.sum()) > ABS_TOL * _scale(vec):
         raise BadParameter("molecule does not sum to zero")
@@ -518,10 +507,9 @@ def free_norm_p1(space, molecule):
     vanish at the base.  Both are checked at run time: the certificate must
     pair with the molecule to the value within 1e-9 relative and be
     1-Lipschitz against ``space.dist`` within 1e-9 of the diameter.  That
-    holds for any genuine metric, snowflaked or not.  When a check fails (a
-    distance matrix that breaks the triangle inequality), the result is
-    tagged ``upper-bound`` with no certificate: the value is still the cost
-    of a feasible plan.
+    holds on every metric the gate admits, snowflaked or not; should
+    rounding ever break a check, the result is tagged ``upper-bound`` with
+    no certificate: the value is still the cost of a feasible plan.
     """
     vec = _molecule_vector(space, molecule, 1.0)
     if np.abs(vec).max(initial=0.0) <= ABS_TOL:
@@ -663,11 +651,11 @@ def norm_value(space, vec, p, exact_limit=FOREST_LIMIT_DEFAULT, prefer="auto",
     ``_support_row``: the oracle on the support while that has at most
     ``exact_limit`` points, and otherwise the network simplex at p = 1 and
     the star/MST bound at p < 1.  The entry at the base is read as the
-    balance of the others.  At p = 1 every value is tagged exact, as it is
-    for metric distances.
+    balance of the others.  At p = 1 every value is tagged exact: on a
+    metric the support's transport cost is the norm.
     """
     _check_limit(exact_limit)
-    _check_p(p)
+    _check_p_metric(space, p)
     # ``prefer`` and ``certify`` take one value each and stay only because
     # the benchmark's tracer binds them by name (ROADMAP items 2 and 3)
     if prefer != "auto":
@@ -698,7 +686,7 @@ def norm_rows(space, rows, p, exact_limit=FOREST_LIMIT_DEFAULT):
     larger ones go to ``_support_row`` one at a time.
     """
     _check_limit(exact_limit)
-    _check_p(p)
+    _check_p_metric(space, p)
     rows = np.asarray(rows, dtype=float)
     values = np.zeros(len(rows))
     order = np.r_[space.base, np.delete(np.arange(space.n), space.base)]
@@ -771,11 +759,11 @@ def _star_bounds(target, dpow, diff, p, exact_limit):
     the base's mass read as the balance of the others summed in index
     order, as ``_tree_dp`` reads it.  The hubs are the points of v's
     support and the base.  Each such star is a network that v's regime also
-    costs, so U^(1/p) (1 + 1e-9) is at least the value on any matrix.  The
-    two exceptions are supports of more than ``exact_limit`` points on a
-    target above that limit: at p < 1 ``_upper_value`` costs the star at the
-    base alone, and at p = 1 the network simplex does not relay, so U is
-    inf."""
+    costs, so U^(1/p) (1 + 1e-9) is at least the value, the network
+    simplex's too: on a metric, shipping straight from source to sink costs
+    no more than through a hub.  A support of more than ``exact_limit`` points
+    on a target above that limit goes at p < 1 to ``_upper_value``, whose
+    only star is at the base."""
     base = target.base
     weight = diff.copy()
     weight[base] = 0.0
@@ -788,12 +776,9 @@ def _star_bounds(target, dpow, diff, p, exact_limit):
     if p != 1.0:
         np.power(weight, p, out=weight)
     star = dpow @ weight  # dpow is symmetric: the base's term is d(h, base)
-    if target.n > exact_limit:
+    if target.n > exact_limit and p != 1.0:
         wide = target.n - off.sum(axis=0) > exact_limit
-        if p == 1.0:
-            star[:, wide] = np.inf
-        else:
-            off[:, wide] = (np.arange(target.n) != base)[:, None]
+        off[:, wide] = (np.arange(target.n) != base)[:, None]
     star[off] = np.inf
     return star.min(axis=0)
 
@@ -871,10 +856,11 @@ def measure_lipschitz(space, parts, p, exact_limit=FOREST_LIMIT_DEFAULT):
     and scanning the pairs in lexicographic order (``_scan_pairs``) gives,
     but only the pairs that can reach the maximum are normed.
 
-    Bound, then solve.  In each part, pairs with the same two rows share
-    one label pair.  Every label pair's difference is bounded from above
-    first, in blocks, by the cheapest star routing (Gilbert's network cost,
-    ``_star_bounds``); across parts the p-th powers add.  The pairs whose
+    Bound, then solve.  Each target must pass ``_check_p_metric``.  In each
+    part, pairs with the same two rows share one label pair.  Every label
+    pair's difference is bounded from above first, in blocks, by the
+    cheapest star routing (``_star_bounds``), which on a p-metric its regime
+    can only undercut; across parts the p-th powers add.  The pairs whose
     upper bound per distance reaches the 16th largest / (1 + 1e-6) are
     normed, and r is the best ratio among them.  Then every pair whose
     upper bound per distance reaches r / (1 + 1e-6) is normed, r becomes
@@ -900,6 +886,7 @@ def measure_lipschitz(space, parts, p, exact_limit=FOREST_LIMIT_DEFAULT):
     _check_p(p)
     all_exact, tables = True, []
     for target, rows in parts:
+        _check_p_metric(target, p)
         label, distinct, bounds, exact = _bound_part(target, rows, p,
                                                      exact_limit)
         all_exact = all_exact and exact

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -256,31 +257,30 @@ class PMetricReport:
     valid: bool
     p: float
     worst_triple: tuple | None
-    slack: float  # min over triples of d^p(x,y) + d^p(y,z) - d^p(x,z)
+    slack: float  # d^p(x,y) + d^p(y,z) - d^p(x,z) of the worst triple
 
 
-def _p_triangle(dist, p):
-    """Whether d^p satisfies the triangle inequality within ``ABS_TOL`` on
-    the distance matrix ``dist``, as (holds, slack, triple): the smallest
-    slack d^p(x, y) + d^p(y, z) - d^p(x, z) over triples of distinct
-    points, and its position indices (x, y, z) with y the middle point
-    (inf and None under three points).  It holds iff the slack is at
-    least -ABS_TOL."""
-    dp = dist ** p
-    n = len(dp)
-    worst = (math.inf, None)
+@lru_cache(maxsize=64)
+def _p_triangle(key, n, p):
+    """Whether d^p satisfies the triangle inequality at any scale on the
+    (n, n) float64 distance matrix of bytes ``key``, as (holds, slack,
+    triple): a triple passes when its slack d^p(x, y) + d^p(y, z) - d^p(x, z)
+    is at least -1e-12 times its largest d^p, which is d^p(x, z) whenever
+    the slack is negative.  The triple (x, y, z), y the middle point, is the
+    one of least slack relative to d^p(x, z), with its slack (inf and None
+    under three points).  Cached, as the loops norm over few spaces."""
+    dp = np.frombuffer(key).reshape(n, n) ** p
+    worst = (math.inf, math.inf, None)
     for y in range(n):
-        # slack for all (x, z) with middle point y
+        # slack for all (x, z) with middle point y, relative to d^p(x, z)
         s = dp[:, y][:, None] + dp[y, :][None, :] - dp
-        s[y, :] = math.inf
-        s[:, y] = math.inf
-        np.fill_diagonal(s, math.inf)
-        k = int(np.argmin(s))
-        x, z = divmod(k, n)
-        if s[x, z] < worst[0]:
-            worst = (float(s[x, z]), (x, y, z))
-    slack, triple = worst
-    return slack >= -ABS_TOL, slack, triple
+        rel = np.divide(s, dp, out=np.full_like(s, math.inf), where=dp > 0)
+        rel[y, :] = rel[:, y] = math.inf
+        x, z = divmod(int(np.argmin(rel)), n)
+        if rel[x, z] < worst[0]:
+            worst = (float(rel[x, z]), float(s[x, z]), (x, y, z))
+    rel, slack, triple = worst
+    return rel >= -1e-12, slack, triple
 
 
 def _check_p(p):
@@ -293,8 +293,21 @@ def validate_p_metric(space, p):
     """Check d**p against the triangle inequality over all triples
     (``_p_triangle``)."""
     _check_p(p)
-    valid, slack, triple = _p_triangle(space.dist, p)
+    valid, slack, triple = _p_triangle(space.dist.tobytes(), space.n, p)
     return PMetricReport(valid, p, triple, slack)
+
+
+def _check_p_metric(space, p):
+    """The gate of every norm entry: refuse p outside (0, 1], and a space
+    whose d^p breaks the triangle inequality, as F_p is defined over
+    p-metrics only.  A space with coords passes at once: a norm raised to
+    alpha <= 1 is a p-metric for every p <= 1."""
+    _check_p(p)
+    if space.coords is None and not (check := validate_p_metric(space, p)).valid:
+        (x, y, z), e = check.worst_triple, "" if p == 1 else f"^{p:g}"
+        raise BadParameter(
+            f"d^p breaks the triangle inequality at p={p:g}: d({x}, {z}){e} > "
+            f"d({x}, {y}){e} + d({y}, {z}){e}, slack {check.slack:.6g}")
 
 
 def maximal_separated_net(space, subset, r):

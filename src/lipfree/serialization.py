@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .errors import BadParameter
-from .metric import build_space, space_from_matrix, validate_p_metric
+from .metric import _check_p_metric, build_space, space_from_matrix
 
 
 def space_to_json(space):
@@ -45,21 +45,18 @@ def save_space(space, path):
 
 
 def load_space(path):
-    """Read a JSON or CSV space file.  A distance matrix that breaks the
-    triangle inequality is rejected: the solvers assume a metric, and the
-    p = 1 transport value would be tagged exact on it."""
+    """Read a JSON or CSV space file.  A distance matrix is refused, at any
+    scale, unless it is a metric (``metric._check_p_metric`` at p = 1), and
+    so a p-metric for every p <= 1: the gate of every norm entry."""
     path = str(path)
     if path.endswith(".csv"):
         return space_from_csv(path)
     with open(path) as fh:
         space = space_from_json(json.load(fh))
-    if space.coords is None:
-        check = validate_p_metric(space, 1.0)
-        if not check.valid:
-            x, y, z = check.worst_triple
-            raise BadParameter(
-                f"{path}: the distance matrix is not a metric: d({x}, {z}) > "
-                f"d({x}, {y}) + d({y}, {z}), slack {check.slack:.6g}")
+    try:
+        _check_p_metric(space, 1.0)
+    except BadParameter as exc:
+        raise BadParameter(f"{path}: {exc}") from None
     return space
 
 

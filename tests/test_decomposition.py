@@ -239,6 +239,10 @@ def test_separated_inverse_single_annulus():
     rep = verify_separated_inverse(fam, 1.0, samples=30, seed=0)
     assert rep.max_ratio <= 1.0 + 1e-9
     assert rep.bound == 1.0
+    # no sample would give max_ratio 0, certified: a record that cannot fail
+    for samples in (0, -1):
+        with pytest.raises(BadParameter, match=r"^samples=-?\d must be positive$"):
+            verify_separated_inverse(fam, 1.0, samples=samples)
 
 
 def test_separated_inverse_geometric_family():

@@ -18,14 +18,15 @@ from lipfree import (
     norm_value,
     space_from_matrix,
 )
-from lipfree import freenorm
+from lipfree import freenorm, metric
 from lipfree.errors import BadParameter, InternalInvariantBroken
 from lipfree.freenorm import (_BLOCK, FOREST_LIMIT_DEFAULT, FOREST_LIMIT_MAX,
                               _child_splits, _dense_restrict, _dp_levels,
                               _dp_width, _mst_parents, _scale, _scan_pairs,
                               _transport, _tree_dp, _upper_value)
-from lipfree.generators import grid_zd, random_ball
+from lipfree.generators import annulus_rays, grid_zd, random_ball
 from lipfree.metric import ABS_TOL
+from lipfree.serialization import load_space, save_space
 
 from conftest import (_every_pair_ratio, _first_max_pair, _measure_every_pair,
                       check_result_consistency, random_metric_space,
@@ -138,38 +139,94 @@ def test_transport_certificate_at_extreme_scales(rng, scale):
                                       rel=1e-12)
 
 
-def test_triangle_violation_is_tagged_upper_bound():
-    # d(0, 2) = 3 > d(0, 1) + d(1, 2) = 2: the direct plan is not optimal,
-    # and its c-transform witness is not 1-Lipschitz
-    sp = space_from_matrix([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
-    m = Molecule.delta(2, 0)
+def test_failed_certificate_is_tagged_upper_bound(rng, monkeypatch):
+    """Should rounding ever break the run-time check of the certificate,
+    ``free_norm_p1`` keeps the plan's value and tags it upper-bound, with
+    no certificate."""
+    sp = random_metric_space(rng, 6)
+    m = dense_molecule(rng, sp)
+    want = free_norm_p1(sp, m)
+    monkeypatch.setattr(freenorm, "_certificate_defects",
+                        lambda *args: (0.0, 2 * freenorm._CERT_TOL))
     res = free_norm_p1(sp, m)
-    assert res.exactness == "upper-bound"
-    assert res.certificate is None
-    assert res.value == 3.0
-    assert free_norm_exact_small(sp, m, 1.0).value == pytest.approx(2.0)
+    assert (res.exactness, res.certificate) == ("upper-bound", None)
+    assert (res.value, res.representation) == (want.value, want.representation)
 
 
-@pytest.mark.parametrize("s", [1.0, 1e-6])
-def test_p1_loops_relay_off_a_non_metric_matrix(s):
+# the six norm entries, each called on a space, a molecule and p
+_SIX_ENTRIES = {
+    "free_norm_p1": lambda sp, m, p: free_norm_p1(sp, m),
+    "free_norm_exact_small": lambda sp, m, p: free_norm_exact_small(sp, m, p),
+    "free_norm_upper": lambda sp, m, p: free_norm_upper(sp, m, p),
+    "norm_value": lambda sp, m, p: norm_value(sp, m.vector(sp.n), p),
+    "norm_rows": lambda sp, m, p: norm_rows(sp, m.vector(sp.n)[None], p),
+    "measure_lipschitz": lambda sp, m, p: measure_lipschitz(
+        sp, [(sp, np.eye(sp.n))], p),
+}
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-6, 1e-10])
+def test_one_verdict_on_a_non_metric_matrix_at_every_scale(s):
     """d(0, 2) = 2.001 s breaks the triangle inequality through point 1 by
-    0.001 s.  ``norm_rows``, ``norm_value`` and ``free_norm_exact_small``
-    keep point 1 a terminal, relay through it and agree on 2 s, tagged
-    exact; ``free_norm_p1`` pays the direct 2.001 s and, its certificate
-    failing, tags it upper-bound."""
+    0.001 s, at every scale s, and all six entries refuse it at p = 1.  At
+    p = 0.5 it is a 0.5-metric (2.001^0.5 < 2), and delta(2) costs d(0, 2)
+    everywhere: exact over the whole space, and an upper bound tagged so
+    from the support alone (``free_norm_upper``), which here misses only
+    the zero-mass point 1."""
     sp = space_from_matrix(s * np.array([[0.0, 1.0, 2.001], [1.0, 0.0, 1.0],
                                          [2.001, 1.0, 0.0]]))
     m = Molecule.delta(2, 0)
-    vec = m.vector(sp.n)
-    res = free_norm_exact_small(sp, m, 1.0)
-    assert res.exactness == "exact"
-    assert res.value == pytest.approx(2.0 * s, rel=1e-14)
-    values, exact = norm_rows(sp, vec[None], 1.0)
-    assert (values.tolist(), exact.tolist()) == ([res.value], [True])
-    assert norm_value(sp, vec, 1.0) == (res.value, True)
-    direct = free_norm_p1(sp, m)
-    assert (direct.exactness, direct.certificate) == ("upper-bound", None)
-    assert direct.value == pytest.approx(2.001 * s, rel=1e-14)
+    for entry in _SIX_ENTRIES.values():
+        with pytest.raises(BadParameter, match=r"^d\^p breaks the triangle "
+                           r"inequality at p=1: d\(0, 2\) > d\(0, 1\) \+ "
+                           r"d\(1, 2\), slack -\S+$"):
+            entry(sp, m, 1.0)
+    vec, want = m.vector(sp.n), 2.001 * s
+    assert norm_value(sp, vec, 0.5) == (pytest.approx(want, rel=1e-14), True)
+    values, exact = norm_rows(sp, vec[None], 0.5)
+    assert (values.tolist(), exact.tolist()) == ([norm_value(sp, vec, 0.5)[0]],
+                                                 [True])
+    for res, tag in ((free_norm_exact_small(sp, m, 0.5), "exact"),
+                     (free_norm_upper(sp, m, 0.5), "upper-bound")):
+        assert (res.value, res.exactness) == (pytest.approx(want, rel=1e-14), tag)
+    lip = measure_lipschitz(line_space([0.0, 1.0, 2.0]), [(sp, np.eye(3))], 0.5)
+    assert lip[0] == pytest.approx(max(1.0, 2.001 / 2) * s, rel=1e-14)
+
+
+@pytest.mark.parametrize("s", [1e6, 1e-6])
+def test_collinear_matrix_passes_the_gate_at_every_scale(s, tmp_path):
+    """The 16-point rays fixture written as a distance matrix is a metric
+    with collinear points, where the slack of d(x, z) <= d(x, y) + d(y, z)
+    is 0 up to rounding.  At s = 1e6 that rounding is far above 1e-12 in
+    absolute terms, and the scale-free rule still lets the gate, and so
+    ``load_space``, pass it, at p = 1 and below."""
+    rays = annulus_rays(rays=3, radii=(0.3, 0.7, 1.1, 1.9, 2.9),
+                        include_origin=True)
+    sp = space_from_matrix(s * rays.dist)
+    slack = metric._p_triangle(sp.dist.tobytes(), sp.n, 1.0)[1]
+    assert slack < (-ABS_TOL if s > 1 else 0.0)
+    path = tmp_path / "rays.json"
+    save_space(sp, path)
+    assert np.array_equal(load_space(path).dist, sp.dist)
+    m = Molecule.delta(sp.n - 1, 0)
+    for p in (1.0, 0.5):
+        value = norm_value(sp, m.vector(sp.n), p)[0]
+        assert value == pytest.approx(sp.d(0, sp.n - 1), rel=1e-12)
+
+
+def test_non_metric_matrix_above_the_exact_limit_is_refused():
+    """On a 10-point ball with d(0, 2) raised to d(0, 1) + d(1, 2) + 0.5,
+    the loops' p = 1 regime above the exact limit would cost delta(2) by
+    transport on its support, 2.663, tagged exact, where the whole-space DP
+    finds 0.764.  ``norm_value`` and ``norm_rows`` now refuse it at p = 1."""
+    d = random_ball(d=2, n=10, seed=3).dist.copy()
+    d[0, 2] = d[2, 0] = d[0, 1] + d[1, 2] + 0.5
+    sp = space_from_matrix(d)
+    vec = Molecule.delta(2, 0).vector(sp.n)
+    for call in (lambda: norm_value(sp, vec, 1.0),
+                 lambda: norm_rows(sp, vec[None], 1.0)):
+        with pytest.raises(BadParameter, match=r"at p=1: d\(0, 2\) > "):
+            call()
 
 
 def reference_transport(dist, vec):
@@ -465,15 +522,8 @@ def test_norm_value_has_one_regime_choice():
             norm_value(sp, vec, 0.5, certify=certify)
 
 
-@pytest.mark.parametrize("entry", [
-    lambda sp, m, p: free_norm_exact_small(sp, m, p),
-    lambda sp, m, p: free_norm_upper(sp, m, p),
-    lambda sp, m, p: norm_value(sp, m.vector(sp.n), p),
-    lambda sp, m, p: norm_rows(sp, m.vector(sp.n)[None], p),
-    lambda sp, m, p: measure_lipschitz(sp, [(sp, np.eye(sp.n))], p),
-], ids=["free_norm_exact_small", "free_norm_upper", "norm_value", "norm_rows",
-        "measure_lipschitz"])
-def test_every_entry_refuses_p_outside_the_unit_interval(entry):
+@pytest.mark.parametrize("name", [n for n in _SIX_ENTRIES if n != "free_norm_p1"])
+def test_every_entry_refuses_p_outside_the_unit_interval(name):
     """Every entry that takes p refuses one outside (0, 1]; p = 2 would
     otherwise give a value below d(0, 1) tagged exact, and p <= 0 a bare
     ZeroDivisionError.  ``free_norm_p1`` takes no p."""
@@ -481,7 +531,7 @@ def test_every_entry_refuses_p_outside_the_unit_interval(entry):
     m = Molecule.delta(1, sp.base)
     for p in (2.0, 1.0 + 1e-12, 0.0, -0.5, math.nan, math.inf):
         with pytest.raises(BadParameter, match=r"^p=\S+ outside \(0, 1\]$"):
-            entry(sp, m, p)
+            _SIX_ENTRIES[name](sp, m, p)
 
 
 def prufer_trees(n):
@@ -703,49 +753,32 @@ def test_oracle_relays_through_a_zero_mass_hub():
     check_result_consistency(sp, m, res, rel=1e-14)
 
 
-def test_certified_value_relays_off_a_non_metric_matrix():
-    """d(0, 2) = 5 breaks the triangle inequality through point 1, so the
-    zero-mass point 1 stays a terminal and the two-hop route is found,
-    through ``norm_rows`` as through ``norm_value``; with point 2 the only
-    terminal the value would be 5."""
-    sp = space_from_matrix([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-    m = Molecule.balanced({2: 1.0}, 0)
-    vec = m.vector(sp.n)
-    values, exact = norm_rows(sp, vec[None], 0.5)
-    assert exact.tolist() == [True]
-    assert values[0] == pytest.approx(4.0, rel=1e-14)
-    value, exact = norm_value(sp, vec, 0.5)
-    assert (value, exact) == (values[0], True)
-    assert value == pytest.approx(brute_force_norm(sp, m, 0.5), rel=1e-14)
-    res = free_norm_exact_small(sp, m, 0.5)
-    assert res.value == value
-    assert sorted(res.representation) == [(1, 0, 1.0), (2, 1, 1.0)]
-
-
-def test_non_metric_matrix_keeps_every_terminal():
+def test_p_metric_gate_runs_once_per_matrix_and_p():
     """The triangle test runs once per matrix and p; a changed matrix, or
-    one read at another p, is tested again.  With d(0, 2) = 5 and d(0, 1) =
-    d(1, 2) = 1, d^p passes at p = 0.25 (5^0.25 < 2) and fails at p = 0.5,
-    where every point but the base stays a terminal: ``norm_rows`` then
-    finds the two-hop route through the zero-mass point 1, of cost 4, and
-    otherwise the one hop, of cost d(0, 2)."""
+    one read at another p, is tested again, and a space with coords never.
+    With d(0, 2) = 5 and d(0, 1) = d(1, 2) = 1, d^p passes at p = 0.25
+    (5^0.25 < 2), where delta(2) goes straight to the base, and fails at
+    p = 0.5."""
     dist = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     rows = np.array([[-1.0, 0.0, 1.0]])
-    freenorm._relays.cache_clear()
+    metric._p_triangle.cache_clear()
     sp = space_from_matrix(dist)
     for _ in range(3):
         assert norm_rows(sp, rows, 0.5)[0][0] == pytest.approx(2.0, rel=1e-14)
-    assert freenorm._relays.cache_info().misses == 1
+    assert metric._p_triangle.cache_info().misses == 1
     dist[0, 2] = dist[2, 0] = 5.0
     sp = space_from_matrix(dist)
-    for p, want in ((0.5, 4.0), (0.25, 5.0)):
-        values, exact = norm_rows(sp, rows, p)
-        assert exact.tolist() == [True]
-        assert values[0] == pytest.approx(want, rel=1e-14)
-    assert freenorm._relays.cache_info().misses == 3
-    full = np.array([[-1.0, 0.5, 0.5]])  # full support: no test needed
-    assert norm_rows(sp, full, 0.5)[1].tolist() == [True]
-    assert freenorm._relays.cache_info().misses == 3
+    values, exact = norm_rows(sp, rows, 0.25)
+    assert (values.tolist(), exact.tolist()) == ([pytest.approx(5.0, rel=1e-14)],
+                                                 [True])
+    for _ in range(2):
+        with pytest.raises(BadParameter, match=r"^d\^p breaks the triangle "
+                           r"inequality at p=0.5: d\(0, 2\)\^0.5 > "
+                           r"d\(0, 1\)\^0.5 \+ d\(1, 2\)\^0.5, slack -0.236068$"):
+            norm_rows(sp, rows, 0.5)
+    assert metric._p_triangle.cache_info().misses == 3
+    norm_rows(line_space([0.0, 1.0, 2.0]), rows, 0.5)
+    assert metric._p_triangle.cache_info().misses == 3
 
 
 def test_oracle_at_ten_points(rng):
@@ -1134,8 +1167,8 @@ def test_scan_pairs_matches_a_pair_loop(rng, monkeypatch):
 def test_star_bounds_hold_for_every_row(rng, p):
     """``_star_bounds`` against ``norm_rows``, row by row, on targets of
     9-10 points within the exact limit and above it (limit 4): the upper
-    bound, times 1 + 1e-9, is never below the value, on a metric and on a
-    matrix that breaks the triangle inequality.  Half the rows send
+    bound, times 1 + 1e-9, is never below the value, also at p = 1 where
+    the network simplex norms the wide supports.  Half the rows send
     everything to one hub off the base and balance at the base to about
     1e-17, where the base's mass must be read as the balance of the others
     summed in index order, as ``_tree_dp`` reads it: |the base entry|^p can
@@ -1144,10 +1177,6 @@ def test_star_bounds_hold_for_every_row(rng, p):
         m = int(rng.integers(9, 11))
         target = random_ball(d=2, n=m, seed=int(rng.integers(1 << 30)))
         target = target.take(list(range(m)), int(rng.integers(m)))
-        if case % 3 == 0:
-            d = target.dist.copy()
-            d[0, 1] = d[1, 0] = 4.0 * d[0, 1]
-            target = space_from_matrix(d, base=target.base)
         rows = rng.random((30, m)) * 0.1
         rows[rng.random(rows.shape) < rng.random((30, 1))] = 0.0
         hub = (target.base + 1 + int(rng.integers(m - 1))) % m
@@ -1239,9 +1268,9 @@ def test_pruned_scan_follows_ratios_that_creep(rng):
 def test_pruned_scan_on_wide_supports_above_the_limit(rng, p):
     """Targets of 12 points with exact limit 4, and rows with supports of
     2-12 points: above the limit a support goes at p = 1 to the network
-    simplex, which no star bounds (U = inf), and at p < 1 to the cheaper
-    of the star at the base and the spanning tree, so only the base is a
-    hub.  Sparse rows keep some supports within the limit."""
+    simplex, which on a metric every star bounds, and at p < 1 to the
+    cheaper of the star at the base and the spanning tree, so only the base
+    is a hub.  Sparse rows keep some supports within the limit."""
     for _ in range(6):
         space = random_metric_space(rng, int(rng.integers(8, 16)))
         target = random_ball(d=2, n=12, seed=int(rng.integers(1 << 30)),
@@ -1260,14 +1289,13 @@ def test_pruned_scan_on_wide_supports_above_the_limit(rng, p):
 def test_pruned_scan_on_a_target_off_the_metric(rng, p):
     """``space_from_matrix`` targets that break the triangle inequality,
     within the exact limit and above it (limit 3), with point-evaluation
-    rows and some dense ones.  On the first, d(0, 2) is far above d(0, 1) +
-    d(1, 2): above the limit, the network simplex on a wide support ships
-    0 -> 2 directly, where a star through 1 is cheaper, so no star bounds
-    it.  On the second (a spider), the leaves lie 10 apart and 1 from a hub
-    that no row holds: above the limit the support's own tree costs 10 per
-    unit where a star through the hub would cost 2, so only hubs in the
-    support bound the norm.  Off the metric the pruned scan keeps the
-    exhaustive scan's result, bit for bit, as on a metric."""
+    rows and some dense ones.  On the first, d(0, 2) is 6 (d(0, 1) +
+    d(1, 2)); on the second (a spider), the leaves lie 20-22 apart and 1
+    from a hub.  Where d^p breaks the triangle inequality, the pruned scan
+    refuses the target, as norming every pair would; where d^p is a metric
+    (some of the first at p = 0.25), it keeps the exhaustive scan's result,
+    bit for bit."""
+    verdicts = set()
     for case in range(8):
         m = int(rng.integers(4, 9))
         if case % 2:
@@ -1287,9 +1315,17 @@ def test_pruned_scan_on_a_target_off_the_metric(rng, p):
         dense = rng.random(space.n) < 0.3
         rows[np.ix_(dense, spread)] = rng.standard_normal((dense.sum(),
                                                            len(spread)))
+        valid = metric.validate_p_metric(target, p).valid
+        verdicts.add(valid)
         for limit in (FOREST_LIMIT_DEFAULT, 3):
-            assert measure_lipschitz(space, [(target, rows)], p, limit) == \
-                _measure_every_pair(space, [(target, rows)], p, limit)
+            if valid:
+                assert measure_lipschitz(space, [(target, rows)], p, limit) == \
+                    _measure_every_pair(space, [(target, rows)], p, limit)
+                continue
+            for scan in (measure_lipschitz, _measure_every_pair):
+                with pytest.raises(BadParameter, match="triangle inequality"):
+                    scan(space, [(target, rows)], p, limit)
+    assert verdicts == ({False, True} if p == 0.25 else {False})
 
 
 def test_pruned_scan_norms_few_label_pairs(monkeypatch):
