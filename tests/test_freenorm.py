@@ -753,6 +753,57 @@ def test_oracle_relays_through_a_zero_mass_hub():
     check_result_consistency(sp, m, res, rel=1e-14)
 
 
+def hub_off_the_metric():
+    """Base 0, a hub 1 at 1 from it, and leaves 2 and 3 at 0.01 from the
+    hub and 1.2 from the base: d(0, 2) > d(0, 1) + d(1, 2), so d is no
+    metric, but d^0.5 is one (1.2^0.5 < 1 + 0.1)."""
+    return space_from_matrix([[0.0, 1.0, 1.2, 1.2], [1.0, 0.0, 0.01, 0.01],
+                              [1.2, 0.01, 0.0, 0.02], [1.2, 0.01, 0.02, 0.0]])
+
+
+def test_certified_value_relays_off_a_non_metric_matrix():
+    """On a matrix that breaks the triangle inequality at p = 1 but whose
+    d^0.5 is a metric, the leaves' masses merge at the zero-mass hub 1, at
+    (2 * 0.01^0.5 + 2^0.5 * 1^0.5)^2, below merging at a leaf and below
+    the support-restricted value; ``norm_rows``, ``norm_value`` and
+    ``free_norm_exact_small`` agree on it, tagged exact.  At p = 1 the
+    same matrix is refused."""
+    sp = hub_off_the_metric()
+    m = Molecule.balanced({2: 1.0, 3: 1.0}, 0)
+    vec = m.vector(sp.n)
+    values, exact = norm_rows(sp, vec[None], 0.5)
+    assert exact.tolist() == [True]
+    assert values[0] == pytest.approx((0.2 + math.sqrt(2.0)) ** 2, rel=1e-14)
+    value, exact = norm_value(sp, vec, 0.5)
+    assert (value, exact) == (values[0], True)
+    assert value == pytest.approx(brute_force_norm(sp, m, 0.5), rel=1e-14)
+    res = free_norm_exact_small(sp, m, 0.5)
+    assert res.value == value
+    assert sorted(res.representation) == [(1, 0, 2.0), (2, 1, 1.0),
+                                          (3, 1, 1.0)]
+    assert free_norm_upper(sp, m, 0.5).value > value * (1 + 1e-3)
+    with pytest.raises(BadParameter, match=r"at p=1: d\(0, 2\) > "):
+        norm_rows(sp, vec[None], 1.0)
+
+
+def test_non_metric_matrix_keeps_every_terminal(rng):
+    """On the same matrix at p = 0.5, rows of every support keep each
+    point they hold off the base a terminal, and let the others relay:
+    ``norm_rows`` matches the spanning-tree enumeration row by row, tagged
+    exact."""
+    sp = hub_off_the_metric()
+    for held in itertools.product((False, True), repeat=3):
+        if not any(held):
+            continue
+        coeffs = {x: float(rng.standard_normal()) for x, h in
+                  zip(range(1, 4), held) if h}
+        m = Molecule.balanced(coeffs, 0)
+        values, exact = norm_rows(sp, m.vector(sp.n)[None], 0.5)
+        assert exact.tolist() == [True]
+        assert values[0] == pytest.approx(brute_force_norm(sp, m, 0.5),
+                                          rel=1e-12)
+
+
 def test_p_metric_gate_runs_once_per_matrix_and_p():
     """The triangle test runs once per matrix and p; a changed matrix, or
     one read at another p, is tested again, and a space with coords never.
