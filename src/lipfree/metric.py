@@ -33,7 +33,7 @@ def passes(measured, bound, tol):
 NORM_KINDS = ("euclidean", "sup", "taxicab", "matrix")
 
 _BLOCK = 1 << 17  # float64 entries per transient block, 1 MB
-_EXACT_COVER_POINTS = 10  # balls up to this size get a minimum cover
+_EXACT_COVER_POINTS = 10  # balls up to this size may get a minimum cover
 
 
 @dataclass(frozen=True)
@@ -357,85 +357,37 @@ def _greedy_covers(dist, centers, radii):
                 break
         if live.size:  # a diagonal entry above r/2
             raise BadParameter("uncoverable ball")
-        covers += _rows(picks[:, :at + 1])
+        covers += [tuple(c for c in row if c >= 0)
+                   for row in picks[:, :at + 1].tolist()]
     return covers
 
 
-def _minimum_covers(dist, centers, radii, sizes):
-    """Minimum covers of the same balls for balls of at most
-    ``_EXACT_COVER_POINTS`` points, by breadth-first search over the
-    covered subsets of each ball (bitmasks, at most 2**size states), the
-    balls of a block in lockstep.
-
-    Only the first centre of each maximal covered subset is expanded, which
-    keeps a minimum cover.  A ball's first visit to its full mask is at the
-    minimum cover size; the centres are read back along the stored
-    (previous state, centre) links.  Returns one tuple of centres per ball.
-    """
-    if not len(centers):
-        return []
-    n = len(dist)
-    m = int(sizes.max())
-    states = 1 << m
-    # ball k holds the sizes[k] nearest points of its centre; bit j is the
-    # j-th of them
-    near = np.argsort(dist[centers], axis=1, kind="stable")[:, :m]
-    bit = np.where(np.arange(m) < sizes[:, None], 1 << np.arange(m), 0)
-    earlier = np.tri(n, k=-1, dtype=bool)  # [c, c2]: c2 < c
-    # per ball, the largest array: int32 links, distances, subset flags
-    step = max(1, 8 * _BLOCK // max(4 * states, 8 * n * m, n * n))
-    chunk = max(1, _BLOCK // n)  # frontier entries per expansion
-    covers = []
-    for lo in range(0, len(centers), step):
-        r, bits = radii[lo:lo + step], bit[lo:lo + step]
-        masks = ((dist[near[lo:lo + step, None, :], np.arange(n)[None, :, None]]
-                  <= r[:, None, None] / 2.0) * bits[:, None, :]).sum(axis=2)
-        inside = (masks[:, :, None] & ~masks[:, None, :]) == 0  # [k, c, c2]
-        dominated = (inside & (~inside.transpose(0, 2, 1) | earlier)).any(axis=2)
-        kept = n - dominated.sum(axis=1)
-        cand = np.argsort(dominated, axis=1, kind="stable")[:, :kept.max()]
-        masks = np.where(np.arange(cand.shape[1]) < kept[:, None],
-                         np.take_along_axis(masks, cand, axis=1), 0)
-        full = bits.sum(axis=1)
-        depth = np.full((len(r), states), -1, dtype=np.int8)
-        depth[:, 0] = 0
-        prev = np.zeros((len(r), states), dtype=np.int32)
-        via = np.zeros((len(r), states), dtype=np.int32)
-        live = np.ones(len(r), dtype=bool)
-        for d in range(m):  # the ball's own points cover it: m levels suffice
-            # flat indices: 2-d np.nonzero is several times slower
-            ball, state = np.divmod(np.flatnonzero(depth == d), states)
-            ball, state = ball[live[ball]], state[live[ball]]
-            for at in range(0, len(ball), chunk):
-                b, s = ball[at:at + chunk], state[at:at + chunk]
-                nxt = s[:, None] | masks[b]
-                row, col = np.divmod(
-                    np.flatnonzero(depth[b[:, None], nxt] < 0), nxt.shape[1])
-                b_new, t_new = b[row], nxt[row, col]
-                depth[b_new, t_new] = d + 1
-                prev[b_new, t_new] = s[row]
-                via[b_new, t_new] = col
-            live &= depth[np.arange(len(r)), full] < 0
-            if not live.any():
-                break
-        if live.any():
-            raise BadParameter("uncoverable ball")
-        picks = np.full((len(r), m), -1)
-        ball, state = np.arange(len(r)), full
-        for at in range(m):
-            ball, state = ball[state > 0], state[state > 0]
-            if not ball.size:
-                break
-            picks[ball, at] = cand[ball, via[ball, state]]
-            state = prev[ball, state]
-        covers += _rows(picks)
-    return covers
-
-
-def _rows(picks):
-    """The rows of a -1-padded array of centres, as tuples."""
-    return [tuple(row[:k]) for row, k in
-            zip(picks.tolist(), (picks >= 0).sum(axis=1).tolist())]
+def _minimum_cover(dist, x, r):
+    """A minimum cover of B(x, r) by radius-r/2 balls centred at the points,
+    by breadth-first search over the covered subsets of the ball as
+    bitmasks.  Each distinct subset a point covers is one move, made by its
+    first such point; the centres are read back along the stored (previous
+    subset, centre) links.  The ball must be coverable."""
+    ball = np.flatnonzero(dist[x] <= r)
+    masks, first = np.unique((dist[:, ball] <= r / 2.0) @ (1 << np.arange(
+        len(ball))), return_index=True)
+    full = (1 << len(ball)) - 1
+    prev = np.full(full + 1, -1)
+    prev[0] = 0  # the empty subset, where the read-back stops
+    via = np.zeros(full + 1, dtype=int)
+    frontier = np.zeros(1, dtype=int)
+    while prev[full] < 0:
+        nxt = frontier[:, None] | masks[None, :]
+        fresh = prev[nxt] < 0
+        subsets, at = np.unique(nxt[fresh], return_index=True)
+        row, col = np.nonzero(fresh)
+        prev[subsets], via[subsets] = frontier[row[at]], first[col[at]]
+        frontier = subsets
+    cover, subset = [], full
+    while subset:
+        cover.append(int(via[subset]))
+        subset = prev[subset]
+    return tuple(cover)
 
 
 @dataclass(frozen=True)
@@ -443,12 +395,11 @@ class BallCover:
     center: int
     radius: float
     cover_centers: tuple
-    exact: bool
 
 
 @dataclass(frozen=True)
 class DoublingReport:
-    """Upper bound for the doubling constant with per-ball witness covers."""
+    """Upper bound for the doubling constant with one cover per ball."""
 
     value: int
     covers: tuple = field(repr=False)
@@ -461,12 +412,17 @@ def doubling_constant_upper(space):
     only.  For d_k <= r < d_{k+1} (or r >= the largest), B(x, r) equals
     B(x, d_k), and a cover of it by radius-d_k/2 balls also covers it at
     radius r/2, so every realized radius is accounted for.  Each scanned
-    ball B(x, r) is covered by radius-r/2 balls centered at space points:
-    by an exact minimum set cover (breadth-first search over covered-point
-    bitmasks) when the ball holds at most ``_EXACT_COVER_POINTS`` points,
-    and greedily otherwise, ties going to the first point.  The greedy
-    covers of all balls run in lockstep.  The maximum emitted cover size
-    is an upper bound for the doubling constant and may be safely
+    ball B(x, r) is covered greedily by radius-r/2 balls centered at space
+    points, ties going to the first point, all balls in lockstep.  The
+    bound D starts at the longest greedy cover of a ball of more than
+    ``_EXACT_COVER_POINTS`` points (1 if there is none).  The small balls,
+    of at most that many points, are then taken longest greedy cover
+    first: while a greedy cover is longer than the running D, a minimum
+    cover (breadth-first search over covered-point bitmasks) replaces it
+    where that is shorter, and D rises to its length.  So D is the maximum
+    of the large balls' greedy cover sizes and the small balls' minimum
+    cover sizes, in any order: a skipped small ball's greedy cover, never
+    shorter than its minimum one, is already within D.  D may be safely
     substituted into bounds that increase with it.
     """
     centers, radii, sizes = [], [], []
@@ -480,13 +436,18 @@ def doubling_constant_upper(space):
         sizes.append(size[keep])
     centers, radii, sizes = (np.concatenate(a) for a in (centers, radii, sizes))
     if not len(centers):
-        cover = BallCover(space.base, 0.0, (space.base,), True)
-        return DoublingReport(1, (cover,))
-    exact = sizes <= _EXACT_COVER_POINTS
-    found = {True: iter(_minimum_covers(space.dist, centers[exact],
-                                        radii[exact], sizes[exact])),
-             False: iter(_greedy_covers(space.dist, centers[~exact],
-                                        radii[~exact]))}
-    covers = tuple(BallCover(x, r, next(found[e]), e) for x, r, e in
-                   zip(centers.tolist(), radii.tolist(), exact.tolist()))
-    return DoublingReport(max(len(c.cover_centers) for c in covers), covers)
+        return DoublingReport(1, (BallCover(space.base, 0.0, (space.base,)),))
+    covers = _greedy_covers(space.dist, centers, radii)
+    small = sizes <= _EXACT_COVER_POINTS
+    value = max([1] + [len(c) for c, s in zip(covers, small) if not s])
+    # longest greedy covers first: fewer small balls need a search
+    for k in sorted(np.flatnonzero(small).tolist(),
+                    key=lambda k: -len(covers[k])):
+        if len(covers[k]) <= value:
+            break
+        # min keeps the greedy cover when the minimum is no shorter
+        covers[k] = min(covers[k], _minimum_cover(space.dist, centers[k],
+                                                  radii[k]), key=len)
+        value = max(value, len(covers[k]))
+    return DoublingReport(value, tuple(map(
+        BallCover, centers.tolist(), radii.tolist(), covers)))

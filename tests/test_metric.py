@@ -273,6 +273,9 @@ def _doubling_spaces(rng):
     for alpha in (0.5, 0.25):
         yield random_metric_space(rng, 12, alpha=alpha)
     yield snowflake(line_space(list(range(11))), 0.5)
+    # the amenability suite's net on a 20-point ball: D = 4, set by a
+    # minimum cover, where greedy covers alone give 5
+    yield generate("random-ball", 0, n=20).take(list(range(0, 20, 2)), 0)
 
 
 @pytest.mark.parametrize("exact_threshold", [4, 10])
@@ -305,7 +308,9 @@ def test_doubling_covers_every_realized_ball(rng, monkeypatch):
 
 
 def _reference_covers(space):
-    """Reference scan: one scalar cover per ball, in the scan's order."""
+    """Reference scan: per ball, in the scan's order, (x, r, greedy cover,
+    minimum cover), the minimum cover None above ``_EXACT_COVER_POINTS``
+    points."""
     candidates = list(range(space.n))
     covers = []
     for x in range(space.n):
@@ -314,38 +319,47 @@ def _reference_covers(space):
             ball = [int(b) for b in np.nonzero(drow <= r)[0]]
             if len(ball) <= 1:
                 continue
-            exact = len(ball) <= metric._EXACT_COVER_POINTS
-            cover = _exact_cover if exact else _greedy_cover
-            covers.append((x, r, cover(space, ball, r / 2.0, candidates),
-                           exact))
+            greedy = _greedy_cover(space, ball, r / 2.0, candidates)
+            exact = (_exact_cover(space, ball, r / 2.0, candidates)
+                     if len(ball) <= metric._EXACT_COVER_POINTS else None)
+            covers.append((x, r, greedy, exact))
     return covers
 
 
 def test_lockstep_covers_match_scalar_references(rng):
+    """Every reported cover covers its ball, within D.  A cover equals the
+    scalar greedy reference, centre for centre, unless it replaced it: then
+    its ball is small and the cover has the minimum cover's length, shorter
+    than greedy.  D is the maximum of the large balls' greedy covers and
+    the small balls' minimum covers."""
     ball = generate("random-ball", 1, d=2, n=300)
     subset = [0] + sorted((1 + rng.choice(299, 29, replace=False)).tolist())
+    replaced = 0
     for sp in [*_doubling_spaces(rng), ball.take(subset, 0)]:
         rep = doubling_constant_upper(sp)
         ref = _reference_covers(sp)
         assert len(rep.covers) == len(ref)
-        for got, (x, r, cover, exact) in zip(rep.covers, ref):
-            assert (got.center, got.radius, got.exact) == (x, r, exact)
-            assert len(got.cover_centers) == len(cover)
-            if not exact:  # greedy ties go to the first point in both
-                assert list(got.cover_centers) == cover
+        for got, (x, r, greedy, exact) in zip(rep.covers, ref):
+            assert (got.center, got.radius) == (x, r)
             ball_pts = np.nonzero(sp.dist[x] <= r)[0]
             near = sp.dist[np.ix_(list(got.cover_centers), ball_pts)]
             assert (near <= r / 2.0).any(axis=0).all()
-        assert rep.value == max(len(c) for _, _, c, _ in ref)
+            assert len(got.cover_centers) <= rep.value
+            # greedy ties go to the first point in both
+            if list(got.cover_centers) != greedy:
+                assert exact is not None
+                assert len(got.cover_centers) == len(exact) < len(greedy)
+                replaced += 1
+        assert rep.value == max(len(g if e is None else e)
+                                for _, _, g, e in ref)
+    assert replaced  # the minimum-cover step ran and moved a cover
 
 
-@pytest.mark.parametrize("exact_threshold", [0, 10])
-def test_doubling_rejects_uncoverable_ball(monkeypatch, exact_threshold):
+def test_doubling_rejects_uncoverable_ball():
     # point 0's diagonal entry (within ABS_TOL) exceeds half the radius of
     # its smallest ball, so point 0 covers nothing there
     mat = np.array([[8e-13, 1.2e-12, 5.0], [1.2e-12, 0.0, 5.0],
                     [5.0, 5.0, 0.0]])
-    monkeypatch.setattr(metric, "_EXACT_COVER_POINTS", exact_threshold)
     with pytest.raises(BadParameter):
         doubling_constant_upper(space_from_matrix(mat))
 
