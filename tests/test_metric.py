@@ -355,11 +355,13 @@ def test_lockstep_covers_match_scalar_references(rng):
     assert replaced  # the minimum-cover step ran and moved a cover
 
 
-def test_doubling_rejects_uncoverable_ball():
+@pytest.mark.parametrize("exact_threshold", [0, 10])
+def test_doubling_rejects_uncoverable_ball(monkeypatch, exact_threshold):
     # point 0's diagonal entry (within ABS_TOL) exceeds half the radius of
     # its smallest ball, so point 0 covers nothing there
     mat = np.array([[8e-13, 1.2e-12, 5.0], [1.2e-12, 0.0, 5.0],
                     [5.0, 5.0, 0.0]])
+    monkeypatch.setattr(metric, "_EXACT_COVER_POINTS", exact_threshold)
     with pytest.raises(BadParameter):
         doubling_constant_upper(space_from_matrix(mat))
 
