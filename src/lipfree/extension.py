@@ -107,7 +107,9 @@ def _h_checks(space, comp, indices, phi, d_net, K):
     low = d_net / (4.0 * phi.max(axis=0))
     j = int(np.argmax(low))
     total = phi.sum(axis=0)
-    ratio = np.abs(total[:, None] - total) / dcomp
+    ratio = total[:, None] - total
+    np.abs(ratio, out=ratio)
+    ratio /= dcomp
     hp = float(ratio.max(initial=0.0))
     wp = _first_max_pair(ratio, np.arange(len(comp)), comp) if hp else None
     return (
@@ -275,6 +277,13 @@ def weight_variation_check(system, p):
     step = max(1, _BLOCK // m)
     for lo in range(0, m - 1, step):
         hi = min(lo + step, m - 1)
+        # the right-hand side, built in place; inf on and below the
+        # diagonal leaves a ratio of 0 there, which never beats ``worst``
+        rhs = system.space.dist[np.ix_(comp[lo:hi], comp)]
+        rhs /= np.maximum(d_net[lo:hi, None], d_net)
+        rhs **= p
+        rhs *= 2.0 * 8.0 ** p * K
+        rhs[np.arange(m) <= np.arange(lo, hi)[:, None]] = np.inf
         lhs = np.zeros((hi - lo, m))
         for row, row_p, (on, off) in zip(psi, psi_p, held):
             lhs[:, on] += np.abs(row[lo:hi, None] - row[on]) ** p
@@ -283,15 +292,10 @@ def weight_variation_check(system, p):
         if hi == m - 1:
             # numpy sums a single column pairwise: the last pair keeps that
             lhs[-1, -1] = (np.abs(psi[:, -2] - psi[:, -1]) ** p).sum()
-        A = np.maximum(d_net[lo:hi, None], d_net)
-        d = system.space.dist[np.ix_(comp[lo:hi], comp)]
-        rhs = 2.0 * 8.0 ** p * K * (d / A) ** p
-        upper = np.arange(m) > np.arange(lo, hi)[:, None]
-        ratio = np.divide(lhs, rhs, out=np.full_like(lhs, -np.inf),
-                          where=upper)
-        a, b = divmod(int(np.argmax(ratio)), m)
-        if ratio[a, b] > worst:
-            worst, wpair = float(ratio[a, b]), (int(comp[lo + a]), int(comp[b]))
+        lhs /= rhs
+        a, b = divmod(int(np.argmax(lhs)), m)
+        if lhs[a, b] > worst:
+            worst, wpair = float(lhs[a, b]), (int(comp[lo + a]), int(comp[b]))
     return CrucialReport(wpair, worst)
 
 

@@ -763,9 +763,10 @@ def _star_bounds(target, dpow, diff, p, exact_limit):
     simplex's too: on a metric, shipping straight from source to sink costs
     no more than through a hub.  A support of more than ``exact_limit`` points
     on a target above that limit goes at p < 1 to ``_upper_value``, whose
-    only star is at the base."""
+    only star is at the base.  ``diff`` is overwritten if it is
+    C-contiguous, and copied in C order otherwise."""
     base = target.base
-    weight = diff.copy()
+    weight = np.ascontiguousarray(diff)
     weight[base] = 0.0
     off = weight == 0  # the points off the support, but for the base
     off[base] = False
@@ -831,15 +832,15 @@ def _bound_part(target, rows, p, exact_limit):
         ka, kb = a[lo:lo + step], b[lo:lo + step]
         # one difference per column: off the base its entries have the
         # bits of ``_differences``, and the base entry is only bounded
-        diff = cols[:, ka]
-        diff -= cols[:, kb]
+        diff = cols.take(ka, axis=1)  # C order, for ``_star_bounds``
+        diff -= cols.take(kb, axis=1)
         diff[target.base] -= diff.sum(axis=0)
-        bounds[ka, kb] = bounds[kb, ka] = _star_bounds(
-            target, dpow, diff, p, exact_limit)
         if zero and not exact:
             off_base = np.abs(np.delete(diff, target.base, axis=0)) > ABS_TOL
             zero = not off_base.any() and not (np.abs(_differences(
                 target, distinct, ka, kb)) > ABS_TOL).any()
+        bounds[ka, kb] = bounds[kb, ka] = _star_bounds(
+            target, dpow, diff, p, exact_limit)
     return label, distinct, bounds[:, label], exact or zero
 
 

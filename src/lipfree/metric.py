@@ -333,9 +333,10 @@ def _greedy_covers(dist, centers, radii):
     radius-r/2 balls centred at the points, all balls in lockstep.
 
     Each step gives every ball that is not yet covered the first point
-    that covers the most of its uncovered points.  The (balls, points,
-    points) membership tensor is taken in blocks of balls within
-    ``_BLOCK``.  Returns one tuple of centres per ball.
+    that covers the most of its uncovered points; a covered ball leaves the
+    step's arrays.  The (balls, points, points) membership tensor is taken
+    in blocks of balls within ``_BLOCK``.  Returns one tuple of centres per
+    ball.
     """
     n = len(dist)
     covers = []
@@ -347,12 +348,14 @@ def _greedy_covers(dist, centers, radii):
         picks = np.full((len(x), n), -1)
         live = np.arange(len(x))
         for at in range(n):  # every point covers itself: n steps suffice
-            gains = np.count_nonzero(member[live] & uncovered[live, None],
-                                     axis=2)
+            gains = np.einsum("bcp,bp->bc", member, uncovered, dtype=np.intp)
             best = gains.argmax(axis=1)  # ties -> first point
             picks[live, at] = best
-            uncovered[live] &= ~member[live, best]
-            live = live[uncovered[live].any(axis=1)]
+            uncovered &= ~member[np.arange(len(live)), best]
+            more = uncovered.any(axis=1)
+            if not more.all():  # covered balls leave the block
+                live, member, uncovered = (a[more] for a in (live, member,
+                                                             uncovered))
             if not live.size:
                 break
         if live.size:  # a diagonal entry above r/2

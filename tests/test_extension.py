@@ -261,6 +261,18 @@ def test_point_removal_and_extension_match_every_pair(rng, p):
         _measure_every_pair(sp, [(ext.net_subspace, ext.coeffs)], p, LIMIT)
 
 
+
+def test_extension_rows_balanced_to_rounding_match_every_pair():
+    """A 66-point sup-norm ball whose extension rows balance at the base to
+    within rounding, at p = 0.25 above the exact limit: the star bounds
+    must read the base's mass summed row by row, or a bound can fall below
+    its norm and the pruned scan drop the maximizing pair."""
+    sp = random_ball(d=2, n=66, seed=43, norm="sup")
+    ext = doubling_extension_map(sp, [0, 2, 3, 18, 25, 30, 37, 40], 0.25,
+                                 exact_limit=6)
+    assert (ext.measured_lip, ext.witness_pair, ext.measured_exact) == \
+        _measure_every_pair(sp, [(ext.net_subspace, ext.coeffs)], 0.25, 6)
+
 def test_point_removal_measures_distances(rng, monkeypatch):
     def no_norms(*args, **kwargs):
         raise AssertionError("point removal made a norm call")

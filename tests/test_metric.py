@@ -358,7 +358,8 @@ def test_lockstep_covers_match_scalar_references(rng):
 @pytest.mark.parametrize("exact_threshold", [0, 10])
 def test_doubling_rejects_uncoverable_ball(monkeypatch, exact_threshold):
     # point 0's diagonal entry (within ABS_TOL) exceeds half the radius of
-    # its smallest ball, so point 0 covers nothing there
+    # its smallest ball, so point 0 covers nothing there; at either
+    # threshold the greedy pass raises before any minimum cover is tried
     mat = np.array([[8e-13, 1.2e-12, 5.0], [1.2e-12, 0.0, 5.0],
                     [5.0, 5.0, 0.0]])
     monkeypatch.setattr(metric, "_EXACT_COVER_POINTS", exact_threshold)
