@@ -254,24 +254,20 @@ def test_point_removal_and_extension_match_every_pair(rng, p):
         # delta is an isometry: norms agree with distances up to rounding
         assert lip == pytest.approx(rep.measured_lip, rel=1e-14, abs=0.0)
         assert pair == rep.witness_pair
-    sp = grid_zd(d=2, lo=0, hi=4)
-    net = sorted({i for i in range(sp.n) if sp.coords[i][0] <= 1} | {sp.base})
-    ext = doubling_extension_map(sp, net, p)
-    assert (ext.measured_lip, ext.witness_pair, ext.measured_exact) == \
-        _measure_every_pair(sp, [(ext.net_subspace, ext.coeffs)], p, LIMIT)
+    grid = grid_zd(d=2, lo=0, hi=4)
+    # the sup-norm ball's extension rows balance at the base to within
+    # rounding: at p = 0.25 a star bound that read the base's mass summed
+    # other than row by row would fall below its norm, and the pruned scan
+    # would drop the maximizing pair
+    ball = random_ball(d=2, n=66, seed=43, norm="sup")
+    for sp, net in (
+            (grid, sorted({i for i in range(grid.n) if grid.coords[i][0] <= 1}
+                          | {grid.base})),
+            (ball, [0, 2, 3, 18, 25, 30, 37, 40])):
+        ext = doubling_extension_map(sp, net, p)
+        assert (ext.measured_lip, ext.witness_pair, ext.measured_exact) == \
+            _measure_every_pair(sp, [(ext.net_subspace, ext.coeffs)], p, LIMIT)
 
-
-
-def test_extension_rows_balanced_to_rounding_match_every_pair():
-    """A 66-point sup-norm ball whose extension rows balance at the base to
-    within rounding, at p = 0.25 above the exact limit: the star bounds
-    must read the base's mass summed row by row, or a bound can fall below
-    its norm and the pruned scan drop the maximizing pair."""
-    sp = random_ball(d=2, n=66, seed=43, norm="sup")
-    ext = doubling_extension_map(sp, [0, 2, 3, 18, 25, 30, 37, 40], 0.25,
-                                 exact_limit=6)
-    assert (ext.measured_lip, ext.witness_pair, ext.measured_exact) == \
-        _measure_every_pair(sp, [(ext.net_subspace, ext.coeffs)], 0.25, 6)
 
 def test_point_removal_measures_distances(rng, monkeypatch):
     def no_norms(*args, **kwargs):
