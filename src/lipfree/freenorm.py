@@ -164,15 +164,17 @@ def _dp_levels(k, n):
     return levels
 
 
-def _tree_dp(dist, vecs, p, terms, root, tree=False):
+def _tree_dp(dist, masses, p, cols, tree=False):
     """Cheapest network under the concave cost sum |mu(edge)|^p d^p that
-    carries the masses at the terminals ``terms`` to ``root``, for every
-    row i of ``vecs`` over ``dist[i]``: the free p-norm, when the network
-    may relay through the other points (Gilbert, Bell Syst. Tech. J. 46
-    (1967) 2209-2227).
+    carries row i's masses ``masses[i]``, at its k terminals, to its root,
+    for every row i over its own column order ``cols[i]`` of the points of
+    ``dist``: the terminals, in the order of ``masses[i]``, then the root,
+    then the points that may relay.  That is the free p-norm, when the
+    network may relay through the other points (Gilbert, Bell Syst. Tech.
+    J. 46 (1967) 2209-2227).
 
     Send-and-split after Erickson, Monma & Veinott, Math. Oper. Res. 12
-    (1987) 634-664, in O(3^k n + 2^k n^2) for k terminals and n points.
+    (1987) 634-664, in O(3^k n + 2^k n^2) for k terminals and n columns.
     For a terminal subset S, ``G[S][v]`` is the cheapest network that
     brings S's mass to the point v.  Each level of ``_dp_levels`` fills one
     subset size, vectorised across rows.  Split: at each split point x (a
@@ -181,26 +183,24 @@ def _tree_dp(dist, vecs, p, terms, root, tree=False):
     J[S][x] + |mu(S)|^p d(x, v)^p``, with d(v, v) taken as 0.  Every value
     is the cost of a network that carries the masses, so none is below the
     norm.  One hop reaches the norm, as on a p-metric a relay of degree two
-    can be skipped.  |mass|^p
-    and the root use Python's float power (numpy's array power can differ
-    in the last ulp).  Returns ``(norms, edges)``; with ``tree``, the
-    (child, parent, mass) edges of a cheapest network for row 0, found by
-    backtracking which split point and split reach each stored minimum.
+    can be skipped.  A row's values depend on its own columns alone, so
+    they have the same bits in any batch.  |mass|^p and the root use
+    Python's float power (numpy's array power can differ in the last ulp).
+    Returns ``(norms, edges)``; with ``tree``, the (child, parent, mass)
+    edges of a cheapest network for row 0, as points of ``dist`` through
+    ``cols[0]``, found by backtracking which split point and split reach
+    each stored minimum.
     """
-    b, n = vecs.shape
-    k = len(terms)
+    b, n = cols.shape
+    k = masses.shape[1]
     if k == 0:
         return [0.0] * b, []
-    relay = np.ones(n, dtype=bool)
-    relay[terms] = relay[root] = False
-    # terminals, then the root, then the points that may relay
-    cols = np.concatenate((terms, [root], relay.nonzero()[0]))
-    dp = dist[:, cols[:, None], cols] ** p
-    dp.reshape(len(dp), -1)[:, ::n + 1] = 0.0  # the diagonal may be ABS_TOL
+    dp = dist[cols[:, :, None], cols[:, None, :]] ** p
+    dp.reshape(b, -1)[:, ::n + 1] = 0.0  # the diagonal may be ABS_TOL
     dp = dp.transpose(1, 2, 0)  # rows last, as in every table
     mass = np.zeros((1 << k, b))  # mass[S], summed in increasing terminal order
-    for j, t in enumerate(terms.tolist()):
-        mass[1 << j:2 << j] = mass[:1 << j] + vecs[:, t]
+    for j in range(k):
+        mass[1 << j:2 << j] = mass[:1 << j] + masses[:, j]
     w = np.reshape([abs(m) ** p for m in mass.ravel().tolist()], mass.shape)
     G = np.empty((1 << k, n, b))
     one = 1 << np.arange(k)
@@ -218,7 +218,7 @@ def _tree_dp(dist, vecs, p, terms, root, tree=False):
     if not tree:
         return norms, []
     G, w = G[..., 0].tolist(), w[:, 0].tolist()
-    dp, mass, cols = dp[..., 0].tolist(), mass[:, 0].tolist(), cols.tolist()
+    dp, mass, cols = dp[..., 0].tolist(), mass[:, 0].tolist(), cols[0].tolist()
     edges, stack = [], [(len(w) - 1, k, cost[0])]
     while stack:
         s, v, target = stack.pop()
@@ -241,23 +241,30 @@ def _tree_dp(dist, vecs, p, terms, root, tree=False):
 
 @cache
 def _dp_width(k, n):
-    """Per row, ``_tree_dp``'s largest table for k terminals of n points:
-    G, or its widest level's split rectangles (three live at once)."""
-    return max([n << k] + [a.size for _, a, _, _ in _dp_levels(k, n)])
+    """Per row, ``_tree_dp``'s largest table for k terminals of n columns:
+    its distances, G, or its widest level's split rectangles (three live at
+    once)."""
+    return max([n * n, n << k] + [a.size for _, a, _, _ in _dp_levels(k, n)])
 
 
-def _whole_rows(space, rows, p, tree=False):
-    """Exact norms of rows sharing one support, by ``_tree_dp`` over
-    the whole space in blocks of about ``_BLOCK`` table entries, as (values,
-    row 0's network edges with ``tree``).  The terminals are the support off
-    the base, and the other points may relay by one hop."""
-    held = rows[0] != 0
+def _columns(held, base):
+    """Per row of the mask ``held`` of its terminals (never the base), the
+    column order of ``_tree_dp``: the terminals in index order, then the
+    base, then the other points in index order."""
+    key = np.where(held, 0, 2)
+    key[:, base] = 1
+    return np.argsort(key, axis=1, kind="stable")
+
+
+def _whole_row(space, vec, p, tree=False):
+    """Exact norm of one row by ``_tree_dp`` over the whole space, as
+    (value, its network's edges with ``tree``): the terminals are the
+    support off the base, and the other points may relay by one hop."""
+    held = vec != 0
     held[space.base] = False
-    terms = held.nonzero()[0]
-    step = max(1, _BLOCK // _dp_width(len(terms), space.n))
-    blocks = [_tree_dp(space.dist[None], rows[lo:lo + step], p, terms,
-                       space.base, tree) for lo in range(0, len(rows), step)]
-    return [v for values, _ in blocks for v in values], blocks[0][1]
+    (value,), edges = _tree_dp(space.dist, vec[held][None], p,
+                               _columns(held[None], space.base), tree)
+    return value, edges
 
 
 def _scale(vec):
@@ -293,7 +300,7 @@ def _tree_result(value, exact, edges, p, vec):
 
 def free_norm_exact_small(space, molecule, p, forest_limit=FOREST_LIMIT_DEFAULT):
     """Exact free norm for p in (0, 1] by the subset DP ``_tree_dp`` over
-    the whole space (``_whole_rows``); the representation may route mass
+    the whole space (``_whole_row``); the representation may route mass
     through points outside the support."""
     _check_limit(forest_limit)
     if space.n > forest_limit:
@@ -301,7 +308,7 @@ def free_norm_exact_small(space, molecule, p, forest_limit=FOREST_LIMIT_DEFAULT)
     vec = _molecule_vector(space, molecule, p)
     if np.abs(vec).max(initial=0.0) <= ABS_TOL:
         return FreeNormResult(0.0, (), "exact", p)
-    (value,), edges = _whole_rows(space, vec[None], p, tree=True)
+    value, edges = _whole_row(space, vec, p, tree=True)
     return _tree_result(value, True, edges, p, vec)
 
 
@@ -610,8 +617,8 @@ def _support_row(space, vec, p, limit, tree=False):
     sub, dsub, vsub = _dense_restrict(space, vec)
     k = len(sub)
     if k <= limit:
-        (value,), edges = _tree_dp(dsub[None], vsub[None], p,
-                                   np.arange(1, k), 0, tree)
+        (value,), edges = _tree_dp(dsub, vsub[None, 1:], p,
+                                   np.r_[1:k, 0][None], tree)
     elif p == 1.0:
         if abs(vsub.sum()) > 1e-14 * _scale(vsub):  # beyond _transport's band
             vsub[0] = -vsub[1:].sum()
@@ -647,7 +654,7 @@ def norm_value(space, vec, p, exact_limit=FOREST_LIMIT_DEFAULT, prefer="auto",
 
     One rule at every p in (0, 1]: on a space of at most ``exact_limit``
     points, the oracle over the whole space, with the points off the
-    support as relays (``_whole_rows``), exact.  Above it,
+    support as relays (``_whole_row``), exact.  Above it,
     ``_support_row``: the oracle on the support while that has at most
     ``exact_limit`` points, and otherwise the network simplex at p = 1 and
     the star/MST bound at p < 1.  The entry at the base is read as the
@@ -666,7 +673,7 @@ def norm_value(space, vec, p, exact_limit=FOREST_LIMIT_DEFAULT, prefer="auto",
     if np.abs(vec).max(initial=0.0) <= ABS_TOL:
         return 0.0, True
     if space.n <= exact_limit:
-        return _whole_rows(space, vec[None], p)[0][0], True
+        return _whole_row(space, vec, p)[0], True
     value, exact, _ = _support_row(space, vec, p, exact_limit)
     return value, exact or p == 1.0
 
@@ -679,40 +686,38 @@ def norm_rows(space, rows, p, exact_limit=FOREST_LIMIT_DEFAULT):
     """``norm_value(space, rows[i], p, exact_limit)`` for every row i, as
     arrays (values, exact), bitwise equal to the per-row calls.
 
-    On a space of at most ``exact_limit`` points, each group of rows with
-    one support goes to ``_whole_rows``.  Otherwise rows are grouped by
-    support size k (ordered as ``_dense_restrict`` does): supports of at
-    most ``exact_limit`` points run the subset DP batched, in blocks, and
-    larger ones go to ``_support_row`` one at a time.
+    Nonzero rows are grouped by their number k of terminals, the points of
+    the support off the base, and each group runs ``_tree_dp`` in blocks,
+    every row over its own columns (``_columns``).  On a space of at most
+    ``exact_limit`` points the columns are the whole space, as in
+    ``_whole_row``.  Above it they are the support, as in ``_support_row``,
+    while it has at most ``exact_limit`` points; larger supports go to
+    ``_support_row`` one at a time.
     """
     _check_limit(exact_limit)
     _check_p_metric(space, p)
     rows = np.asarray(rows, dtype=float)
     values = np.zeros(len(rows))
-    order = np.r_[space.base, np.delete(np.arange(space.n), space.base)]
-    held = (rows != 0)[:, order]
-    held[:, 0] = True
+    held = rows != 0
+    held[:, space.base] = False
     nonzero = np.abs(rows).max(axis=1, initial=0.0) > ABS_TOL
-    if space.n <= exact_limit:  # by the support off the base
-        support = held[:, 1:] @ (1 << np.arange(space.n - 1))
-        for key in np.unique(support[nonzero]).tolist():
-            at = np.flatnonzero(nonzero & (support == key))
-            values[at] = _whole_rows(space, rows[at], p)[0]
-        return values, np.ones(len(rows), dtype=bool)
-    size = np.where(nonzero, held.sum(axis=1), 0)
-    exact = (size == 0) | (p == 1.0)  # p < 1 here gives upper bounds
-    for k in np.unique(size[size > 0]).tolist():
-        todo = np.flatnonzero(size == k)
-        if k > exact_limit:
+    count = np.where(nonzero, held.sum(axis=1), 0)
+    whole = space.n <= exact_limit
+    # above the limit, p < 1 gives upper bounds
+    exact = whole | ~nonzero | (p == 1.0)
+    for k in np.unique(count[count > 0]).tolist():
+        todo = np.flatnonzero(count == k)
+        if not whole and k >= exact_limit:
             values[todo] = [_support_row(space, rows[i], p, exact_limit)[0]
                             for i in todo.tolist()]
             continue
-        step = max(1, _BLOCK // _dp_width(k - 1, k))
-        for at in np.array_split(todo, -(-len(todo) // step)):
-            sub = order[np.argsort(~held[at], axis=1, kind="stable")[:, :k]]
-            vsub = np.take_along_axis(rows[at], sub, axis=1)
-            dsub = space.dist[sub[:, :, None], sub[:, None, :]]
-            values[at] = _tree_dp(dsub, vsub, p, np.arange(1, k), 0)[0]
+        width = space.n if whole else k + 1
+        step = max(1, _BLOCK // _dp_width(k, width))
+        for lo in range(0, len(todo), step):
+            at = todo[lo:lo + step]
+            masses = rows[at][held[at]].reshape(-1, k)  # in index order
+            values[at] = _tree_dp(space.dist, masses, p,
+                                  _columns(held[at], space.base)[:, :width])[0]
     return values, exact
 
 
@@ -831,10 +836,9 @@ def _bound_part(target, rows, p, exact_limit):
     for lo in range(0, len(a), step):
         ka, kb = a[lo:lo + step], b[lo:lo + step]
         # one difference per column: off the base its entries have the
-        # bits of ``_differences``, and the base entry is only bounded
+        # bits of ``_differences``; ``_star_bounds`` rebuilds the base entry
         diff = cols.take(ka, axis=1)  # C order, for ``_star_bounds``
         diff -= cols.take(kb, axis=1)
-        diff[target.base] -= diff.sum(axis=0)
         if zero and not exact:
             off_base = np.abs(np.delete(diff, target.base, axis=0)) > ABS_TOL
             zero = not off_base.any() and not (np.abs(_differences(

@@ -192,6 +192,47 @@ def test_amenability_lower_bound_certified_small(rng):
     assert rep.max_ratio >= 1.0 - 1e-9  # fewer representations on the subset
 
 
+def per_sample_amenability(space, net, p, samples, seed):
+    """Reference: ``amenability_defect`` one sample at a time, each side
+    normed by its own ``norm_value`` call, as (max ratio, mean ratio,
+    certified)."""
+    order = [space.base] + [i for i in net if i != space.base]
+    sub = space.take(order, 0)
+    rng = np.random.default_rng(seed)
+    ratios, certified = [], True
+    for _ in range(samples):
+        size = int(rng.integers(1, sub.n))
+        chosen = rng.choice(list(range(1, sub.n)), size=size, replace=False)
+        coef = rng.standard_normal(size)
+        vec_sub = np.zeros(sub.n)
+        vec_sub[chosen] = coef
+        vec_sub[0] = -coef.sum()
+        num, exact_n = norm_value(sub, vec_sub, p)
+        vec_amb = np.zeros(space.n)
+        for li, c in zip(chosen, coef):
+            vec_amb[order[li]] = c
+        vec_amb[space.base] -= vec_amb.sum()
+        den, exact_d = norm_value(space, vec_amb, p)
+        certified = certified and exact_n and exact_d
+        if den > 0:
+            ratios.append(num / den)
+    return float(max(ratios)), float(np.mean(ratios)), certified
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, 0.25])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_amenability_matches_per_sample_norms(p, seed):
+    """Bit for bit the per-sample reference, on the amenability suite's
+    every other point of an 8-point ball, within the exact limit, and of a
+    20-point ball, where both sides norm on the support."""
+    for n in (8, 20):
+        space = random_ball(d=2, n=n, seed=seed)
+        net = list(range(0, n, 2))
+        rep = amenability_defect(space, net, p, samples=60, seed=seed)
+        assert (rep.max_ratio, rep.mean_ratio, rep.certified) == \
+            per_sample_amenability(space, net, p, 60, seed)
+
+
 def test_amenability_ratio_agrees_with_direct_oracle(rng):
     sp = random_metric_space(rng, 6)
     net = [0, 1, 2, 3]

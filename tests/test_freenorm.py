@@ -643,39 +643,38 @@ def scalar_send_split(dist, vec, p, terms, root):
 
 def test_tree_dp_matches_scalar_reference(rng):
     """Bitwise, up to 10 points, with every other point a terminal and with
-    a random subset of them: values for a batch of rows over per-row
-    distances and over one shared distance table, and value and network
-    per row, on snowflaked distances, a 1e-13 diagonal and zero
-    coefficients.  Every root up to 8 points; two roots, the base and a
-    random one, at 9 and 10."""
+    a random number of them: values for a batch of rows, each over its own
+    columns (its own root and its own terminals), and value and network per
+    row, on plain and snowflaked distances and a 1e-13 diagonal, with zero
+    coefficients.  Every root up to 8 points; random roots at 9 and 10."""
     for n in range(1, 11):
-        b = 6 if n <= 8 else 3
+        b = max(n, 6) if n <= 8 else 3
         for p in (1.0, 0.5, 0.25, 0.7):
-            pts = rng.standard_normal((b, n, 2))
-            dist = np.sqrt(((pts[:, :, None] - pts[:, None]) ** 2).sum(-1))
-            dist[1] **= 0.5
-            dist[2][np.diag_indices(n)] = 1e-13
-            vecs = rng.standard_normal((b, n)) * 10.0 ** rng.integers(-3, 4, (b, 1))
-            vecs[rng.random((b, n)) < 0.25] = 0.0
-            roots = range(n) if n <= 8 else (0, int(rng.integers(1, n)))
-            for root in roots:
-                others = [x for x in range(n) if x != root]
-                some = sorted(x for x in others if rng.random() < 0.6)
-                for terms in (others, some):
-                    want = [scalar_send_split(dist[i], vecs[i], p, terms, root)
-                            for i in range(b)]
-                    # rows 0-2 over row 2's distances, shared as one table
-                    shared = [scalar_send_split(dist[2], v, p, terms, root)
-                              for v in vecs[:2]] + want[2:3]
-                    terms = np.array(terms, dtype=int)
-                    assert _tree_dp(dist, vecs, p, terms, root)[0] == [
+            pts = rng.standard_normal((n, 2))
+            plain = np.sqrt(((pts[:, None] - pts) ** 2).sum(-1))
+            tiny = plain.copy()
+            tiny[np.diag_indices(n)] = 1e-13
+            for dist in (plain, plain ** 0.5, tiny):
+                vecs = (rng.standard_normal((b, n))
+                        * 10.0 ** rng.integers(-3, 4, (b, 1)))
+                vecs[rng.random((b, n)) < 0.25] = 0.0
+                roots = (np.arange(b) % n if n <= 8 else
+                         rng.integers(0, n, b)).tolist()
+                for k in (n - 1, int(rng.integers(0, n))):
+                    terms = [sorted(rng.choice([x for x in range(n) if x != r],
+                                               size=k, replace=False).tolist())
+                             for r in roots]
+                    want = [scalar_send_split(dist, vec, p, t, r)
+                            for vec, t, r in zip(vecs, terms, roots)]
+                    cols = np.array([t + [r] + [x for x in range(n)
+                                                if x != r and x not in t]
+                                     for t, r in zip(terms, roots)])
+                    masses = np.take_along_axis(vecs, cols[:, :k], axis=1)
+                    assert _tree_dp(dist, masses, p, cols)[0] == [
                         w[0] for w in want]
-                    assert _tree_dp(dist[2:3], vecs[:3], p, terms, root)[0] == [
-                        w[0] for w in shared]
-                    for i in range(b):
-                        norm, edges = want[i]
-                        assert _tree_dp(dist[i][None], vecs[i][None], p, terms,
-                                        root, tree=True) == ([norm], edges)
+                    for i, (norm, edges) in enumerate(want):
+                        assert _tree_dp(dist, masses[i:i + 1], p, cols[i:i + 1],
+                                        tree=True) == ([norm], edges)
 
 
 def test_dp_levels_are_the_admissible_splits():
@@ -1036,7 +1035,7 @@ def test_upper_value_never_below_tree_dp(rng):
                                    alpha=float(rng.choice([1.0, 0.5]))).dist
         vsub = rng.standard_normal(k)
         vsub[0] = -vsub[1:].sum()
-        exact = _tree_dp(dsub[None], vsub[None], 0.5, np.arange(1, k), 0)[0][0]
+        exact = _tree_dp(dsub, vsub[None, 1:], 0.5, np.r_[1:k, 0][None])[0][0]
         assert _upper_value(dsub, vsub, 0.5)[0] >= exact * (1 - 1e-12)
 
 
@@ -1101,10 +1100,50 @@ def test_norm_rows_matches_norm_value(rng, p):
             check_norm_rows_p1(space, rows)  # the one-problem reference
 
 
+def counted_tree_dp(monkeypatch):
+    """Patch ``freenorm._tree_dp`` to record, per call, its number of
+    terminals; returns the list it appends to."""
+    calls, tree_dp = [], freenorm._tree_dp
+
+    def counted(dist, masses, p, cols, tree=False):
+        calls.append(masses.shape[1])
+        return tree_dp(dist, masses, p, cols, tree)
+    monkeypatch.setattr(freenorm, "_tree_dp", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, 0.25])
+def test_norm_rows_makes_one_tree_dp_call_per_terminal_count(rng, monkeypatch,
+                                                             p):
+    """On spaces within the exact limit, ``norm_rows`` norms rows of every
+    number of terminals (points of the support off the base), each count on
+    several supports, with one ``_tree_dp`` call per count, and none for
+    zero rows or rows held at the base alone; every value and tag has the
+    bits of ``norm_value``.  At p = 0.5 also on the 4-point matrix whose d
+    is no metric but d^0.5 is."""
+    spaces = [random_metric_space(rng, n) for n in (2, 5, FOREST_LIMIT_DEFAULT)]
+    if p == 0.5:
+        spaces.append(hub_off_the_metric())
+    for space in spaces:
+        others = np.delete(np.arange(space.n), space.base)
+        rows = np.zeros((4 * space.n + 1, space.n))
+        for i, row in enumerate(rows[:-1]):
+            pts = rng.choice(others, size=i // 4, replace=False)
+            row[pts] = rng.standard_normal(len(pts))
+            row[space.base] = -row.sum() if len(pts) else 1.0
+        rows = rows[rng.permutation(len(rows))]
+        calls = counted_tree_dp(monkeypatch)
+        values, exact = norm_rows(space, rows, p)
+        monkeypatch.undo()
+        assert sorted(calls) == list(range(1, space.n))
+        for row, v, e in zip(rows, values.tolist(), exact.tolist()):
+            assert (v, e) == norm_value(space, row, p)
+
+
 @pytest.mark.parametrize("p", [1.0, 0.5])
-def test_norm_rows_batch_spans_blocks(rng, p):
-    """More rows of one support size than fit in one block; on 8 points,
-    more rows of one support than ``_whole_rows`` takes in one."""
+def test_norm_rows_batch_spans_blocks(rng, monkeypatch, p):
+    """More rows of one support size than fit in one block, above the exact
+    limit and on 8 points, take one ``_tree_dp`` call per block."""
     k = FOREST_LIMIT_DEFAULT
     # on k points the support off the base is every point but the base:
     # the same tables as the support DP of k points
@@ -1116,7 +1155,10 @@ def test_norm_rows_batch_spans_blocks(rng, p):
             pts = rng.choice(np.arange(1, n), size=k - 1, replace=False)
             row[pts] = rng.standard_normal(k - 1)
             row[space.base] = -row.sum()
+        calls = counted_tree_dp(monkeypatch)
         values, exact = norm_rows(space, rows, p)
+        monkeypatch.undo()
+        assert calls == [k - 1] * 2
         for row, v, e in zip(rows, values.tolist(), exact.tolist()):
             assert (v, e) == norm_value(space, row, p)
 
