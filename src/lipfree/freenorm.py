@@ -317,6 +317,7 @@ def free_norm_exact_small(space, molecule, p, forest_limit=FOREST_LIMIT_DEFAULT)
 # the c-transform of the sink potentials as the Kantorovich dual witness
 
 _CERT_TOL = 1e-9
+_BLAND_RUN = 1  # degenerate pivots in a row, per ns + nt, before Bland's rule
 
 
 def _greedy_start(cost, excess, deficit):
@@ -328,21 +329,27 @@ def _greedy_start(cost, excess, deficit):
     and only the last cell closes both.  So a cell that empties a row and a
     column at once leaves the column open, and a later cell ships 0 there.
     Each closed line has its cell in a line closed later, so the cells form
-    a tree.  The sorted cells are screened for closed lines with numpy,
-    ns + nt at a time."""
+    a tree.  Cells are sorted by numpy's default argsort, or by a stable one
+    when two costs are equal (without ties the orders agree), and screened
+    for closed lines by a numpy mask in chunks of ns + nt that double, then
+    one by one by a list of the same flags."""
     ns, nt = cost.shape
     n = ns + nt
     left = excess.tolist() + deficit.tolist()
-    closed = np.zeros(n, dtype=bool)
+    closed, shut = np.zeros(n, dtype=bool), [False] * n
     lines = [ns, nt]  # rows and columns still open
     adj = [[] for _ in range(n)]
-    rows, cols = np.divmod(np.argsort(cost, axis=None, kind="stable"), nt)
+    order = np.argsort(cost, axis=None)
+    if (np.diff(cost.ravel()[order]) == 0).any():  # a tie
+        order = np.argsort(cost, axis=None, kind="stable")
+    rows, cols = np.divmod(order, nt)
     cols += ns
-    for lo in range(0, ns * nt, n):
-        s_, t_ = rows[lo:lo + n], cols[lo:lo + n]
+    lo, size = 0, n
+    while lo < ns * nt:
+        s_, t_ = rows[lo:lo + size], cols[lo:lo + size]
         live = ~(closed[s_] | closed[t_])
         for s, t in zip(s_[live].tolist(), t_[live].tolist()):
-            if closed[s] or closed[t]:
+            if shut[s] or shut[t]:
                 continue
             amount = min(left[s], left[t])
             adj[s].append((t, amount))
@@ -352,8 +359,10 @@ def _greedy_start(cost, excess, deficit):
             side = int(lines[1] > 1 and (lines[0] == 1 or left[s] > left[t]))
             left[s] -= amount
             left[t] -= amount
-            closed[(s, t)[side]] = True
+            x = (s, t)[side]
+            closed[x] = shut[x] = True
             lines[side] -= 1
+        lo, size = lo + size, 2 * size
     raise InternalInvariantBroken("greedy start ran out of cells")
 
 
@@ -368,21 +377,24 @@ def _network_simplex(cost, excess, deficit):
     With one source or one sink the plan is forced.  Otherwise the basis is
     a spanning tree of ns + nt - 1 cells of the bipartite source x sink
     graph, rooted at source 0 and started by ``_greedy_start``; zero cells
-    in it make pivots degenerate.  Each pivot prices every cell
-    (Dantzig's rule, the most negative reduced cost, until none is below
-    the stop), finds the cycle by walking up from both ends of the
-    entering cell to their meeting point, ships the least
-    flow on the cycle's decreasing arcs (ties go to the lowest cell index)
-    and re-hangs the subtree cut off by the leaving arc, shifting the
-    potentials on that subtree alone.
+    in it make pivots degenerate.  Each pivot prices every cell into one
+    buffer (Dantzig's rule, the most negative reduced cost, until none is
+    below the stop), finds the cycle by walking up from both ends of the
+    entering cell to their meeting point, ships the least flow on the
+    cycle's decreasing arcs, found in one pass (ties go to the lowest cell
+    index, computed only on a tie), updates no flow when that is 0, and
+    re-hangs the subtree cut off by the leaving arc, shifting the
+    potentials on that subtree alone.  These are the float operations of
+    the plain ``cost + pot_s - pot_t`` and full cycle scan, in the same
+    order, less only additions of 0: the pivots and bits are the same.
 
     Termination: a pivot that ships a positive amount lowers the cost, so
     no basis before it recurs.  Only degenerate pivots (shipping 0) can
-    cycle; once ns + nt of them come in a row, the entering cell is the
-    lowest-indexed one below the stop, until a pivot ships again: with the
-    lowest-index leaving rule this is Bland's rule (Math. Oper. Res. 2
-    (1977) 103-107), which never repeats a basis.  There are finitely many
-    bases, so the method stops; the pivot guard raises
+    cycle; once ``_BLAND_RUN`` times ns + nt of them come in a row, the
+    entering cell is the lowest-indexed one below the stop, until a pivot
+    ships again: with the lowest-index leaving rule this is Bland's rule
+    (Math. Oper. Res. 2 (1977) 103-107), which never repeats a basis.  There
+    are finitely many bases, so the method stops; the pivot guard raises
     ``InternalInvariantBroken`` if rounding ever defeats that argument.
     """
     ns, nt = cost.shape
@@ -409,25 +421,28 @@ def _network_simplex(cost, excess, deficit):
     if len(order) < n:  # else a cycle walk below would never meet
         raise InternalInvariantBroken("greedy start does not span")
     pot = np.array(pot)
+    pot_s, pot_t, reduced = pot[:ns, None], pot[ns:], np.empty((ns, nt))
 
     def cell_of(x):  # of the arc to x's parent: the source is the lower end
         return min(x, parent[x]) * nt + max(x, parent[x]) - ns
     stop = -1e-12 * float(cost.max())
-    degenerate = 0
+    bland, degenerate = _BLAND_RUN * n, 0
     for _ in range(1000 + 40 * n * n):
-        reduced = cost + pot[:ns, None] - pot[ns:]
-        if degenerate < n:
+        np.add(cost, pot_s, out=reduced)
+        np.subtract(reduced, pot_t, out=reduced)
+        if degenerate < bland:
             cell = int(reduced.argmin())
         else:  # Bland's rule: the lowest-indexed improving cell
             cell = int((reduced < stop).argmax())
-        gain = float(reduced.flat[cell])
+        gain = reduced.item(cell)
         if not gain < stop:
             break
         s, t = divmod(cell, nt)
         t += ns
         # the cycle: up from s and from t to their meeting point; the
         # entering cell ships s -> t, so an arc to a parent decreases on
-        # s's side when its node is a source, on t's side when a sink
+        # s's side when its node is a source, on t's side when a sink:
+        # every other node of each side, from s and from t
         s_side, t_side = [], []
         a, b = s, t
         while a != b:
@@ -437,15 +452,16 @@ def _network_simplex(cost, excess, deficit):
             if depth[b] > depth[a]:
                 t_side.append(b)
                 b = parent[b]
-        down = ([x for x in s_side if x < ns]
-                + [x for x in t_side if x >= ns])
-        theta = min(flow[x] for x in down)
-        tied = [x for x in down if flow[x] == theta]
-        out = min(tied, key=cell_of) if len(tied) > 1 else tied[0]
-        for x in s_side:
-            flow[x] += -theta if x < ns else theta
-        for x in t_side:
-            flow[x] += theta if x < ns else -theta
+        down, out, theta = s_side[::2] + t_side[::2], -1, float("inf")
+        for x in down:
+            if flow[x] < theta or (flow[x] == theta
+                                   and cell_of(x) < cell_of(out)):
+                out, theta = x, flow[x]
+        if theta > 0:  # shipping 0 would leave every flow as it was
+            for x in down:
+                flow[x] -= theta
+            for x in s_side[1::2] + t_side[1::2]:
+                flow[x] += theta
         degenerate = 0 if theta > 0 else degenerate + 1
         # re-hang the subtree below the leaving arc from the entering cell:
         # the path from the cell's end on that side up to ``out`` turns over
@@ -464,11 +480,11 @@ def _network_simplex(cost, excess, deficit):
             for y in below:
                 depth[y] = depth[x] + 1
             moved += below
-        pot[moved] += gain if side else -gain
+        pot[moved if len(moved) > 1 else inner] += gain if side else -gain
     else:
         raise InternalInvariantBroken("network simplex pivot guard exceeded")
-    plan = np.zeros(ns * nt)
-    plan[[cell_of(x) for x in range(1, n)]] = flow[1:]
+    plan, x, up = np.zeros(ns * nt), np.arange(1, n), np.array(parent[1:])
+    plan[np.minimum(x, up) * nt + np.maximum(x, up) - ns] = flow[1:]
     return plan.reshape(ns, nt), pot[ns:]
 
 
@@ -502,8 +518,9 @@ def _certificate_defects(space, vec, value, cert):
     """(pairing gap relative to the value, Lipschitz excess of ``cert`` over
     ``space.dist`` relative to the diameter); both 0 for a valid witness."""
     gap = abs(float(vec @ cert) - value) / (value or 1.0)
-    excess = float((cert[:, None] - cert[None, :] - space.dist).max())
-    return gap, excess / (space.diameter() or 1.0)
+    excess = np.subtract.outer(cert, cert)  # over every pair of the space
+    excess -= space.dist
+    return gap, float(excess.max()) / (space.diameter() or 1.0)
 
 
 def free_norm_p1(space, molecule):
@@ -523,7 +540,9 @@ def free_norm_p1(space, molecule):
         return FreeNormResult(0.0, (), "exact", 1.0,
                               certificate=np.zeros(space.n))
     value, flows, sinks, g = _transport(space.dist, vec)
-    cert = np.min(space.dist[:, sinks] + g, axis=1)
+    cert = space.dist[:, sinks]
+    cert += g
+    cert = cert.min(axis=1)
     cert -= cert[space.base]
     if max(_certificate_defects(space, vec, value, cert)) <= _CERT_TOL:
         return FreeNormResult(value, flows, "exact", 1.0, certificate=cert)

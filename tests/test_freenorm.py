@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -468,6 +469,74 @@ def test_free_norm_p1_finishes_on_a_fully_degenerate_instance():
     pot_s = (pot_t - cost).max(axis=1)  # cost + pot_s - pot_t >= 0
     assert float((flow * cost).sum()) == pytest.approx(
         pot_t.sum() - pot_s.sum(), rel=1e-12)  # primal = dual: optimal
+
+
+def simplex_family():
+    """(cost, excess, deficit) of 20 random real-cost problems, 20 with
+    tied integer costs in {1, 2, 3} and integer masses, and the 30 x 30
+    unit assignment of the degenerate test, each 2-60 x 2-60."""
+    problems = []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        ns, nt = rng.integers(2, 61, size=2).tolist()
+        excess, deficit = rng.random(ns), rng.random(nt)
+        problems.append((rng.random((ns, nt)), excess,
+                         deficit * (excess.sum() / deficit.sum())))
+    for seed in range(100, 120):
+        rng = np.random.default_rng(seed)
+        ns, nt = rng.integers(2, 61, size=2).tolist()
+        total = max(ns, nt) + int(rng.integers(0, 100))
+        excess = 1.0 + np.bincount(rng.integers(0, ns, total - ns), minlength=ns)
+        deficit = 1.0 + np.bincount(rng.integers(0, nt, total - nt), minlength=nt)
+        problems.append((rng.integers(1, 4, size=(ns, nt)).astype(float),
+                         excess, deficit))
+    cost = np.random.default_rng(4).integers(1, 4, size=(30, 30)).astype(float)
+    problems.append((cost, np.ones(30), np.ones(30)))
+    return problems
+
+
+SIMPLEX_FAMILY_SHA256 = (
+    "16338522dde0f2433014cad4cab9e8c608da73906c24a45033d7ce7e36cda764")
+
+
+def test_network_simplex_plans_and_potentials_keep_their_bits():
+    """Every pivot, tie rule and rounding of ``_network_simplex`` is pinned
+    by the sha256 of its plans and potentials over ``simplex_family``;
+    a change that moves a pivot updates the digest and says why."""
+    digest = hashlib.sha256()
+    for cost, excess, deficit in simplex_family():
+        flow, pot_t = freenorm._network_simplex(cost, excess, deficit)
+        digest.update(np.ascontiguousarray(flow, dtype=float).tobytes())
+        digest.update(np.ascontiguousarray(pot_t, dtype=float).tobytes())
+    assert digest.hexdigest() == SIMPLEX_FAMILY_SHA256
+
+
+def test_network_simplex_by_blands_rule_from_the_first_pivot(rng, monkeypatch):
+    """With ``_BLAND_RUN`` at 0 every pivot enters by Bland's rule, a branch
+    that Dantzig entry reaches on no known input.  On tied rows and on the
+    degenerate unit assignment it still ends at the reference's value with
+    a feasible plan (``check_transport``), and each plan costs what its
+    potentials' dual pays."""
+    monkeypatch.setattr(freenorm, "_BLAND_RUN", 0)
+    simplex = freenorm._network_simplex
+    shapes = []
+
+    def checked(cost, excess, deficit):
+        flow, pot_t = simplex(cost, excess, deficit)
+        pot_s = (pot_t - cost).max(axis=1)  # cost + pot_s - pot_t >= 0
+        primal = float((flow * cost).sum())
+        assert abs(primal - (pot_t @ deficit - pot_s @ excess)) <= 1e-12 * primal
+        shapes.append(cost.shape)
+        return flow, pot_t
+    monkeypatch.setattr(freenorm, "_network_simplex", checked)
+    for sp in tied_spaces():
+        for vec in transport_rows(rng, sp, 40):
+            check_transport(sp.dist, vec)
+    cost = np.random.default_rng(4).integers(1, 4, size=(30, 30)).astype(float)
+    dist = np.block([[np.zeros((30, 30)), cost], [cost.T, np.zeros((30, 30))]])
+    check_transport(dist, np.repeat([1.0, -1.0], 30))
+    assert shapes[-1] == (30, 30)
+    assert sum(min(shape) >= 2 for shape in shapes) >= 60
 
 
 def test_zero_molecule():
