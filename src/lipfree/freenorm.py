@@ -340,7 +340,8 @@ def _greedy_start(cost, excess, deficit):
     lines = [ns, nt]  # rows and columns still open
     adj = [[] for _ in range(n)]
     order = np.argsort(cost, axis=None)
-    if (np.diff(cost.ravel()[order]) == 0).any():  # a tie
+    keys = cost.ravel()[order]
+    if (keys[1:] == keys[:-1]).any():  # a tie
         order = np.argsort(cost, axis=None, kind="stable")
     rows, cols = np.divmod(order, nt)
     cols += ns
