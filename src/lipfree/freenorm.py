@@ -329,10 +329,9 @@ def _greedy_start(cost, excess, deficit):
     and only the last cell closes both.  So a cell that empties a row and a
     column at once leaves the column open, and a later cell ships 0 there.
     Each closed line has its cell in a line closed later, so the cells form
-    a tree.  Cells are sorted by numpy's default argsort, or by a stable one
-    when two costs are equal (without ties the orders agree), and screened
-    for closed lines by a numpy mask in chunks of ns + nt that double, then
-    one by one by a list of the same flags."""
+    a tree.  Cells are sorted by numpy's default argsort, stably only when
+    two costs tie (else the orders agree), and screened for closed lines by
+    a numpy mask in chunks of ns + nt that double, then by a list."""
     ns, nt = cost.shape
     n = ns + nt
     left = excess.tolist() + deficit.tolist()
@@ -382,12 +381,11 @@ def _network_simplex(cost, excess, deficit):
     buffer (Dantzig's rule, the most negative reduced cost, until none is
     below the stop), finds the cycle by walking up from both ends of the
     entering cell to their meeting point, ships the least flow on the
-    cycle's decreasing arcs, found in one pass (ties go to the lowest cell
-    index, computed only on a tie), updates no flow when that is 0, and
-    re-hangs the subtree cut off by the leaving arc, shifting the
-    potentials on that subtree alone.  These are the float operations of
-    the plain ``cost + pot_s - pot_t`` and full cycle scan, in the same
-    order, less only additions of 0: the pivots and bits are the same.
+    cycle's decreasing arcs (one pass; ties go to the lowest cell index)
+    unless it is 0, and re-hangs the subtree cut off by the leaving arc,
+    shifting the potentials on that subtree alone.  These are the float
+    operations of ``cost + pot_s - pot_t`` and a full cycle update, in
+    the same order, less only additions of 0: the same pivots and bits.
 
     Termination: a pivot that ships a positive amount lowers the cost, so
     no basis before it recurs.  Only degenerate pivots (shipping 0) can
@@ -541,9 +539,8 @@ def free_norm_p1(space, molecule):
         return FreeNormResult(0.0, (), "exact", 1.0,
                               certificate=np.zeros(space.n))
     value, flows, sinks, g = _transport(space.dist, vec)
-    cert = space.dist[:, sinks]
-    cert += g
-    cert = cert.min(axis=1)
+    cert = space.dist[:, sinks]  # one (n, sinks) temporary
+    cert = np.add(cert, g, out=cert).min(axis=1)
     cert -= cert[space.base]
     if max(_certificate_defects(space, vec, value, cert)) <= _CERT_TOL:
         return FreeNormResult(value, flows, "exact", 1.0, certificate=cert)
