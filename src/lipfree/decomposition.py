@@ -146,9 +146,9 @@ def build_hat_partition(intervals, r, k, window=None):
     [a_n + r, b_n - r] must cover the working window.  Each psi_n is
     (3k/r)-Lipschitz and positive exactly on (a_n, b_n).
     """
-    if r <= 0:
+    if not r > 0:
         raise BadParameter(f"margin r={r} must be positive")
-    if k < 1:
+    if not k >= 1:
         raise BadParameter(f"overlap bound k={k} must be >= 1")
     supports = [(float(lo), float(hi)) for lo, hi in intervals]
     if not supports:
@@ -220,7 +220,7 @@ def annulus_family(space, R, radius_intervals):
     interval A_n of base distances.  Membership is tested on the radii
     themselves, so closed endpoints at sample radii are kept; ``R`` is the
     scale in which ``operator_T``'s weights read log-radii."""
-    if R <= 1:
+    if not R > 1:
         raise BadParameter(f"R={R} must exceed 1")
     radii = space.radii()
     parts = []
@@ -355,11 +355,11 @@ def norm_bound_T(p, k, R, K1, K2):
                                        K2^p R^p / (R-1)^p))^{1/p}
     """
     _check_p(p)
-    if R <= 1:
+    if not R > 1:
         raise BadParameter(f"R={R} must exceed 1")
-    if k < 1:
+    if not k >= 1:
         raise BadParameter(f"k={k} must be >= 1")
-    if K1 <= 0 or K2 <= 0:
+    if not (K1 > 0 and K2 > 0):
         raise BadParameter("K1 and K2 must be positive")
     lr = math.log(R)
     inner = (K1 ** p / lr ** p
@@ -419,7 +419,7 @@ def two_band_cores(c3=0.5):
     """The two-set split {(-inf, c3], [0, inf)} of the log-radius line:
     cores (-inf, c3/2] and [c3/2, inf) with margin c3/2, so the bumps are
     exactly (-inf, c3) and (0, inf)."""
-    if c3 <= 0:
+    if not c3 > 0:
         raise BadParameter(f"split point c3={c3} must be positive")
     r = c3 / 2.0
     cores = [(-math.inf, r), (r, math.inf)]
@@ -621,7 +621,7 @@ def commuting_approximants(space, R, m_max, p, exact_limit=FOREST_LIMIT_DEFAULT)
     place points at hat centers R^(R n), inside the central plateau, or
     beyond the last hat.
     """
-    if R <= 1:
+    if not R > 1:
         raise BadParameter(f"R={R} must exceed 1")
     nonbase = _space_basis(space)
     if not nonbase:

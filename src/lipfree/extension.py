@@ -18,8 +18,8 @@ import numpy as np
 from .errors import BadParameter, BadSubset, InternalInvariantBroken, TooSmall
 from .freenorm import (FOREST_LIMIT_DEFAULT, _scan_pairs, measure_lipschitz,
                        norm_rows, norm_value)
-from .metric import (_BLOCK, _check_p, doubling_constant_upper,
-                     maximal_separated_net, passes)
+from .metric import (_BLOCK, _check_p, _subset_indices,
+                     doubling_constant_upper, maximal_separated_net, passes)
 
 # No code here calls ``norm_value`` any more, but the benchmark's tracer
 # (perfbench/tracing.py) wraps ``lipfree.extension.norm_value`` by name, so
@@ -133,7 +133,7 @@ def whitney_cover(space, net):
     ties by point order, and patches are half-scale neighborhoods of the
     cells.  All structural properties are checked exhaustively.
     """
-    net = sorted(set(int(i) for i in net))
+    net = _subset_indices(space, net)
     if not net:
         raise BadSubset("subset must be nonempty")
     if space.base not in net:
@@ -398,7 +398,7 @@ def amenability_defect(space, net, p, samples=100, seed=0,
     isometric, so every ratio is 1 up to solver tolerance.  All samples are
     drawn first, and each side is normed by one ``norm_rows`` call.
     """
-    net = sorted(set(int(i) for i in net))
+    net = _subset_indices(space, net)
     if space.base not in net:
         raise BadSubset("subset must contain the base point")
     if len(net) == 1:

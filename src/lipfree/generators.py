@@ -91,7 +91,7 @@ def annulus_rays(rays=8, radii=(1.0, 2.0, 4.0), d=2, include_origin=False,
     prepended and becomes the base.
     """
     radii = [float(r) for r in radii]
-    if any(r <= 0 for r in radii):
+    if not all(r > 0 for r in radii):
         raise BadParameter("radii must be positive")
     if d < 2:
         raise BadParameter("rays need ambient dimension >= 2")

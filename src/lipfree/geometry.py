@@ -55,7 +55,7 @@ def radial_retraction(space, S):
     sample.  The measured Lipschitz constant is reported together with its
     excess over 2, which only reflects sample resolution.
     """
-    if S <= 0:
+    if not S > 0:
         raise BadParameter(f"S={S} must be positive")
     norms = _ambient_norms(space)
     inside = norms <= S * (1 + REL_TOL)
@@ -78,7 +78,7 @@ def outward_amenability_map(space, S, p, exact_limit=FOREST_LIMIT_DEFAULT):
     point must already be outer.  Radii within ``REL_TOL * S`` count as
     equal.
     """
-    if S <= 0:
+    if not S > 0:
         raise BadParameter(f"S={S} must be positive")
     _check_p(p)
     norms = _ambient_norms(space)

@@ -8,12 +8,13 @@ tol is decided by ``passes``, with relative tolerance ``REL_TOL`` on bounds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadParameter, DuplicatePoint
+from .errors import BadParameter, BadSubset, DuplicatePoint
 
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
@@ -66,7 +67,7 @@ class IntervalSpec:
 
     def exp_base(self, R):
         """The interval of R**u for u in this interval (R > 1)."""
-        if R <= 1:
+        if not R > 1:
             raise BadParameter("exp_base requires R > 1")
         lo = 0.0 if self.lo == -math.inf else R ** self.lo
         hi = math.inf if self.hi == math.inf else R ** self.hi
@@ -310,15 +311,29 @@ def _check_p_metric(space, p):
             f"d({x}, {y}){e} + d({y}, {z}){e}, slack {check.slack:.6g}")
 
 
+def _subset_indices(space, indices):
+    """The distinct points of a subset of ``space``, in index order; an
+    index that is not a whole number in [0, n) is refused, not truncated
+    or read from the end."""
+    points = set()
+    for i in indices:
+        if (isinstance(i, bool) or not isinstance(i, numbers.Real)
+                or not 0 <= i < space.n or not float(i).is_integer()):
+            raise BadSubset(f"subset index {i!r} is not a whole number "
+                            f"in [0, {space.n})")
+        points.add(int(i))
+    return sorted(points)
+
+
 def maximal_separated_net(space, subset, r):
     """Greedy maximal r-separated subset, scanning in stored point order.
 
     The result S satisfies d(y, z) >= r for distinct y, z in S and
     d(x, S) < r for every x in ``subset``.
     """
-    if r <= 0:
+    if not r > 0:
         raise BadParameter(f"r={r} must be positive")
-    subset = sorted(int(i) for i in subset)
+    subset = _subset_indices(space, subset)
     if not subset:
         raise BadParameter("subset must be nonempty")
     chosen = []

@@ -42,6 +42,7 @@ from .freenorm import (
     free_norm_exact_small,
     free_norm_p1,
     free_norm_upper,
+    measure_lipschitz,
     norm_rows,
     norm_value,
 )
@@ -55,12 +56,18 @@ from .geometry import (
 from .metric import (
     REL_TOL,
     IntervalSpec,
+    _subset_indices,
     build_space,
     doubling_constant_upper,
     maximal_separated_net,
     passes,
 )
 from .serialization import dump_report, load_space
+
+# No code here calls ``norm_value`` any more, but the benchmark's tracer
+# (perfbench/tracing.py) wraps ``lipfree.suites.norm_value`` by name, so
+# the name stays bound until that patch point goes (ROADMAP item 2)
+_TRACED_NAMES = (norm_value,)
 
 
 # The tols a run may override (``--tol-override KEY=VAL``), by the suite
@@ -114,7 +121,7 @@ def _subset(config, space, default):
     gives, with the base point added, in index order."""
     spec = (config.space_source or {}).get("subset")
     net = default() if spec is None else spec["indices"]
-    return sorted({space.base} | {int(i) for i in net})
+    return sorted({space.base, *_subset_indices(space, net)})
 
 
 def _random_molecule(rng, space, max_support=4):
@@ -261,28 +268,20 @@ def suite_decomposition(config):
             f"P_inverse_ratio_p{p}", rep.max_ratio, rep.bound,
             bound_inputs={"K": rep.gap, "p": p, "certified": rep.certified}))
 
-    # P never increases norms on sampled sum elements
-    rng = np.random.default_rng(config.seed)
-    worst = 0.0
-    for _ in range(40):
-        acc = 0.0
-        total = np.zeros(space.n)
-        p = 1.0
-        for part in fam.parts:
-            c = rng.standard_normal(len(part.members))
-            vec = np.zeros(part.subspace.n)
-            vec[1:] = c
-            vec[0] = -c.sum()
-            v, _ = norm_value(part.subspace, vec, p,
-                              exact_limit=config.exact_limit)
-            acc += v ** p
-            for li, g in enumerate(part.members):
-                total[g] += c[li]
-        total[space.base] -= total.sum()
-        vp, _ = norm_value(space, total, p, exact_limit=config.exact_limit)
-        if acc > 0:
-            worst = max(worst, vp / acc ** (1 / p))
-    records.append(_record("P_norm_one_sampled", worst, 1.0))
+    # ||P|| = max over parts of ||F_1(M_n) -> F_1(M)||, which by
+    # linearization is the Lipschitz constant of x -> delta(x) on M_n
+    best, best_pair, all_exact = 0.0, None, True
+    for part in fam.parts:
+        points = [space.base, *part.members]
+        rows = np.zeros((len(points), space.n))  # delta(base) = 0
+        rows[np.arange(1, len(points)), part.members] = 1.0
+        lip, pair, exact = measure_lipschitz(part.subspace, [(space, rows)],
+                                             1.0, config.exact_limit)
+        all_exact = all_exact and exact
+        if lip > best:
+            best, best_pair = lip, (points[pair[0]], points[pair[1]])
+    records.append(_record("P_norm_one", best, 1.0, witness=best_pair,
+                           bound_inputs={"measured_exact": all_exact}))
     return records
 
 

@@ -29,6 +29,8 @@ from lipfree import decomposition, freenorm
 from lipfree.decomposition import _max_open_overlap, measure_map_into_sum
 from lipfree.freenorm import measure_lipschitz, norm_value
 from lipfree.generators import annulus_rays
+from lipfree.geometry import outward_amenability_map, radial_retraction
+from lipfree.metric import maximal_separated_net
 
 
 def test_single_interval_partition_is_one():
@@ -544,3 +546,34 @@ def test_sum_and_diagonal_maps_match_every_pair(rng, monkeypatch, p,
         got = measure_lipschitz(space, [(space, rows)], p, exact_limit)
         monkeypatch.undo()
         assert got == _diagonal_map_every_pair(space, w, p, exact_limit)
+
+
+_NAN = float("nan")
+_RAYS = annulus_rays(rays=3, radii=[1.0, 2.0, 4.0], include_origin=True)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: radial_retraction(_RAYS, _NAN),
+    lambda: outward_amenability_map(_RAYS, _NAN, 1.0),
+    lambda: build_hat_partition([(-2.0, 12.0)], r=_NAN, k=1),
+    lambda: build_hat_partition([(-2.0, 12.0)], r=1.0, k=_NAN),
+    lambda: maximal_separated_net(_RAYS, range(_RAYS.n), _NAN),
+    lambda: annulus_family(_RAYS, _NAN, [IntervalSpec(0.5, 5.0, True, True)]),
+    lambda: commuting_approximants(_RAYS, _NAN, m_max=2, p=1.0),
+    lambda: norm_bound_T(1.0, _NAN, 2.0, 1.0, 1.0),
+    lambda: norm_bound_T(1.0, 2, _NAN, 1.0, 1.0),
+    lambda: norm_bound_T(1.0, 2, 2.0, _NAN, 1.0),
+    lambda: norm_bound_T(1.0, 2, 2.0, 1.0, _NAN),
+    lambda: IntervalSpec(0.0, 1.0, True, True).exp_base(_NAN),
+    lambda: two_band_cores(_NAN),
+    lambda: annulus_rays(rays=3, radii=[1.0, _NAN]),
+], ids=["retraction_S", "outward_S", "hat_r", "hat_k", "net_r", "family_R",
+        "approximants_R", "bound_T_k", "bound_T_R", "bound_T_K1",
+        "bound_T_K2", "exp_base_R", "two_band_c3", "rays_radii"])
+def test_nan_fails_the_positivity_guards(call):
+    """A NaN radius, margin, scale or constant is refused by the guard
+    that refuses a value that is not positive, not run on or caught later
+    by another check."""
+    with pytest.raises(BadParameter, match="must be positive|must exceed 1"
+                                           "|must be >= 1|requires R > 1"):
+        call()

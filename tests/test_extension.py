@@ -9,6 +9,7 @@ from lipfree import (
     BadSubset,
     InternalInvariantBroken,
     Molecule,
+    SuiteConfig,
     TooSmall,
     amenability_defect,
     doubling_extension_map,
@@ -17,6 +18,7 @@ from lipfree import (
     line_space,
     linearization_residual,
     point_removal_map,
+    run_suite,
     weight_variation_check,
     whitney_cover,
 )
@@ -87,6 +89,32 @@ def test_whitney_requires_base_in_subset():
     sp = line_space([0.0, 1.0, 2.0])
     with pytest.raises(BadSubset):
         whitney_cover(sp, [1, 2])
+
+
+def _run_on_subset(suite):
+    def run(space, net):
+        source = {"kind": "random-ball", "params": {"n": space.n},
+                  "subset": {"indices": net}}
+        return run_suite(SuiteConfig(suite=suite, space_source=source))
+    return run
+
+
+@pytest.mark.parametrize("entry", [
+    whitney_cover,
+    lambda space, net: doubling_extension_map(space, net, 1.0),
+    lambda space, net: amenability_defect(space, net, 1.0),
+    lambda space, net: maximal_separated_net(space, net, 0.5),
+    _run_on_subset("whitney"),
+    _run_on_subset("amenability"),
+], ids=["whitney_cover", "doubling_extension_map", "amenability_defect",
+        "maximal_separated_net", "whitney_suite", "amenability_suite"])
+@pytest.mark.parametrize("net", [[0, 3, -1], [0, 3, 12], [0, 3.7],
+                                 [0, float("nan")], [0, "3"]])
+def test_subset_index_outside_the_space_is_refused(entry, net):
+    """An index from the end, past the end or with a fraction is refused,
+    not read as another point or truncated."""
+    with pytest.raises(BadSubset, match="is not a whole number in"):
+        entry(random_ball(n=12, seed=0), net)
 
 
 def test_extension_restricts_to_delta():

@@ -5,8 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from lipfree import (Mismatch, SuiteConfig, norm_value, report_diff,
-                     run_suite, space_from_matrix, suites)
+from lipfree import (Mismatch, SuiteConfig, annulus_family, freenorm,
+                     norm_value, report_diff, run_suite, space_from_matrix,
+                     suites)
 from lipfree.cli import main
 from lipfree.errors import BadSuite
 from lipfree.extension import point_removal_map
@@ -89,6 +90,65 @@ def test_delta_isometry_matches_every_pair(n):
                 v, _ = norm_value(space, vec, p, config.exact_limit)
                 worst = max(worst, abs(v - space.dist[x, y]) / space.dist[x, y])
         assert records[f"delta_isometry_p{p}"]["measured"] == worst
+
+
+_RAYS85 = {"kind": "annulus-rays",
+           "params": {"rays": 12, "radii": (0.25, 0.5, 1, 2, 4, 8, 16),
+                      "include_origin": True}}
+_BALL8 = {"kind": "random-ball", "params": {"n": 8}}
+
+
+@pytest.mark.parametrize("source, seed", [(None, 0), (_BALL8, 0),
+                                          (_BALL8, 3), (_RAYS85, 0)])
+def test_p_norm_one_matches_every_pair(monkeypatch, source, seed):
+    """``P_norm_one`` equals, bit for bit, the largest ratio
+    |delta(x) - delta(y)| / d(x, y) over F(M), by one ``norm_value`` per
+    pair within each part of the family the suite builds; it reads 1."""
+    families = []
+
+    def kept(*args):
+        families.append(annulus_family(*args))
+        return families[-1]
+
+    monkeypatch.setattr(suites, "annulus_family", kept)
+    config = SuiteConfig(suite="decomposition", space_source=source,
+                         seed=seed, p_list=(1.0,))
+    doc, _ = run_suite(config)
+    record = {r["check"]: r for r in doc["checks"]}["P_norm_one"]
+    (family,) = families
+    space = family.space
+    worst, ratios = 0.0, {}
+    for part in family.parts:
+        points = [space.base, *part.members]
+        for i, x in enumerate(points):
+            for y in points[i + 1:]:
+                vec = np.zeros(space.n)
+                vec[x], vec[y] = 1.0, -1.0
+                v, _ = norm_value(space, vec, 1.0, config.exact_limit)
+                ratios[x, y] = v / space.dist[x, y]
+                worst = max(worst, ratios[x, y])
+    assert record["measured"] == worst
+    assert ratios[tuple(record["witness"])] == worst
+    assert abs(worst - 1.0) <= 1e-9
+    assert record["passed"]
+    assert record["bound_inputs"] == {"measured_exact": True}
+
+
+def test_p_norm_one_can_fail(monkeypatch):
+    """The record's falsifier: norms inflated by a relative 1e-6 put the
+    inclusions' constant above its bound 1."""
+    norm_rows = freenorm.norm_rows
+
+    def inflated(*args):
+        values, exact = norm_rows(*args)
+        return values * (1 + 1e-6), exact
+
+    monkeypatch.setattr(freenorm, "norm_rows", inflated)
+    doc, ok = run_suite(SuiteConfig(suite="decomposition", p_list=(1.0,)))
+    record = {r["check"]: r for r in doc["checks"]}["P_norm_one"]
+    assert record["measured"] > 1.0 + 1e-7
+    assert not record["passed"]
+    assert not ok
 
 
 def test_unknown_suite_and_empty_p():
@@ -284,7 +344,7 @@ def test_cli_decomposition_with_no_radius_near_one(tmp_path, radii):
              for check in ("pst_identity_residual", "T_norm", "weight_sums")]
     names += [f"P_inverse_ratio_p{p}" for p in (1.0, 0.5, 0.25)]
     assert (sorted(r["check"] for r in doc["checks"])
-            == sorted(names + ["P_norm_one_sampled"]))
+            == sorted(names + ["P_norm_one"]))
     assert all(r["passed"] for r in doc["checks"])
 
 
