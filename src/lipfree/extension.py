@@ -131,15 +131,20 @@ def whitney_cover(space, net):
     Scales range over the dyadic exponents realized by distances to the
     subset; nets are greedy in stored point order, nearest-net cells break
     ties by point order, and patches are half-scale neighborhoods of the
-    cells.  All structural properties are checked exhaustively.
+    cells.  Each scale takes two whole-array passes: one
+    ``np.minimum.reduceat`` over the shell's columns, grouped by cell,
+    gives every cell's distance from each complement point, and one masked
+    row minimum over the patch rows of all cells gives every phi_i, in row
+    blocks within ``_BLOCK``.  All structural properties are checked
+    exhaustively.
     """
     net = _subset_indices(space, net)
     if not net:
         raise BadSubset("subset must be nonempty")
     if space.base not in net:
         raise BadSubset("subset must contain the base point")
-    comp = [i for i in range(space.n) if i not in set(net)]
-    comp_idx = np.array(comp, dtype=int)
+    comp_idx = np.setdiff1d(np.arange(space.n), net)
+    comp = comp_idx.tolist()
     net_sub = space.take(net, net.index(space.base))
     doubling = doubling_constant_upper(net_sub)
     K = 3 * doubling.value ** 4
@@ -156,32 +161,38 @@ def whitney_cover(space, net):
     n_lo = int(math.floor(math.log2(d_net.min())))
     n_hi = int(math.floor(math.log2(d_net.max())))
 
+    # per scale, V_i = {x : d(x, cell i) < radius / 2}, and
     # phi_i = d(., X \ V_i) on V_i and 0 off it, computed on V_i's rows only
     indices = []
     phi = []
     for scale in range(n_lo, n_hi + 1):
         radius = 2.0 ** scale
-        shell = np.nonzero((d_net >= radius) & (d_net < 2 * radius))[0]
+        shell = np.flatnonzero((d_net >= radius) & (d_net < 2 * radius))
         if shell.size == 0:
             continue
         net_pts = maximal_separated_net(space, net, radius)
-        dmat = space.dist[np.ix_(comp_idx[shell], net_pts)]
-        nearest = np.argmin(dmat, axis=1)  # ties -> first (stored order)
-        for yi, y in enumerate(net_pts):
-            members = shell[nearest == yi]
-            if members.size == 0:
-                continue
-            dcell = space.dist[np.ix_(comp_idx, comp_idx[members])].min(axis=1)
-            v = dcell < radius / 2.0
-            rows = comp_idx[v]
-            outside = np.ones(space.n, dtype=bool)
-            outside[rows] = False
-            phi_i = np.zeros(len(comp))
-            phi_i[v] = space.dist[np.ix_(rows, np.flatnonzero(outside))].min(1)
-            indices.append((scale, int(y)))
-            phi.append(phi_i)
+        nearest = np.argmin(space.dist[np.ix_(comp_idx[shell], net_pts)],
+                            axis=1)  # ties -> first (stored order)
+        order = np.argsort(nearest, kind="stable")
+        cells, starts = np.unique(nearest[order], return_index=True)
+        dcell = np.minimum.reduceat(
+            space.dist[np.ix_(comp_idx, comp_idx[shell[order]])], starts,
+            axis=1)
+        patch = dcell.T < radius / 2.0  # [cell, complement point]
+        inside = np.zeros((len(cells), space.n), dtype=bool)
+        inside[:, comp_idx] = patch
+        cell, row = np.nonzero(patch)
+        phi_s = np.zeros((len(cells), len(comp)))
+        step = max(1, _BLOCK // space.n)
+        for lo in range(0, len(row), step):
+            c, x = cell[lo:lo + step], row[lo:lo + step]
+            block = space.dist[comp_idx[x]]
+            np.copyto(block, math.inf, where=inside[c])
+            phi_s[c, x] = block.min(axis=1)
+        indices += [(scale, int(net_pts[c])) for c in cells.tolist()]
+        phi.append(phi_s)
 
-    phi = np.array(phi)  # every complement point lies in some cell
+    phi = np.concatenate(phi)  # every complement point lies in some cell
     phi_total = phi.sum(axis=0)
     if np.any(phi_total <= 0):
         raise InternalInvariantBroken("weight total vanishes off the subset")
@@ -263,19 +274,22 @@ def weight_variation_check(system, p):
     sum_i |psi_i(x) - psi_i(y)|^p <= (2 * 8^p * K / A^p) * d^p(x, y)
     with A the larger of the two distances to the subset.
 
-    The sums run over blocks of rows x.  Index i adds its terms only on
-    the pairs where x or y lies in psi_i's support; every other term is
-    +0.0, which leaves a non-negative sum unchanged, so each sum is the
-    one over all i in index order.  The worst pair is the first maximum
-    in (x, y) order.
+    The sums run over blocks of rows x, and each index i adds its terms
+    in index order, row-wise.  A term |psi_i(x) - psi_i(y)|^p is
+    psi_i(y)^p where psi_i(x) = 0, and +0.0, which leaves a non-negative
+    sum unchanged, where both are 0.  So index i adds psi_i(y)^p on the
+    columns y of its support to every row of the block, and then its
+    support's rows x, kept aside before that, add |psi_i(x) - psi_i(.)|^p
+    over all columns instead.  The worst pair is the first maximum in
+    (x, y) order.
     """
     comp = np.array(system.complement, dtype=int)
     m = len(comp)
     if m < 2:
         return CrucialReport(None, 0.0)
     psi = system.psi
-    psi_p = psi ** p  # |psi_i(x) - 0|^p
-    held = [(np.flatnonzero(row), np.flatnonzero(row == 0)) for row in psi]
+    psi_p = psi ** p  # |0 - psi_i(y)|^p
+    support = [np.flatnonzero(row) for row in psi]
     d_net = system.dist_to_net
     K = system.overlap_bound
     worst, wpair = 0.0, None
@@ -290,10 +304,12 @@ def weight_variation_check(system, p):
         rhs *= 2.0 * 8.0 ** p * K
         rhs[np.arange(m) <= np.arange(lo, hi)[:, None]] = np.inf
         lhs = np.zeros((hi - lo, m))
-        for row, row_p, (on, off) in zip(psi, psi_p, held):
-            lhs[:, on] += np.abs(row[lo:hi, None] - row[on]) ** p
-            x = on[(on >= lo) & (on < hi)]
-            lhs[np.ix_(x - lo, off)] += row_p[x, None]
+        for row, row_p, on in zip(psi, psi_p, support):
+            x = on[(on >= lo) & (on < hi)] - lo
+            kept = lhs[x]
+            lhs[:, on] += row_p[on]
+            kept += np.abs(row[x + lo, None] - row) ** p
+            lhs[x] = kept
         if hi == m - 1:
             # numpy sums a single column pairwise: the last pair keeps that
             lhs[-1, -1] = (np.abs(psi[:, -2] - psi[:, -1]) ** p).sum()
@@ -312,11 +328,15 @@ def doubling_extension_map(space, net, p, system=None,
     The measured Lipschitz constant (free-norm target over the subset) is
     compared against 112 * 15^{1/p} * D^{4/p} with D the subset's doubling
     bound.  At p < 1 part norms are exact up to ``exact_limit`` points and
-    upper bounds above, which keeps the comparison sound.
+    upper bounds above, which keeps the comparison sound.  A ``system``
+    passed in must be built on the distinct points of ``net``.
     """
     _check_p(p)
     if system is None:
         system = whitney_cover(space, net)
+    elif (points := _subset_indices(space, net)) != list(system.net):
+        raise BadSubset(f"net {points} is not the subset {list(system.net)} "
+                        "the Whitney system was built on")
     net = system.net
     coeffs = np.zeros((space.n, len(net)))
     comp = np.array(system.complement, dtype=int)

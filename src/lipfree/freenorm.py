@@ -838,11 +838,10 @@ def _bound_part(target, rows, p, exact_limit):
     rows = np.ascontiguousarray(rows, dtype=float)
     keys = rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
     _, first, label = np.unique(keys, return_index=True, return_inverse=True)
-    last = len(rows) - 1 - np.unique(label[::-1], return_index=True)[1]
-    some = first[:, None] < last  # labels of some x < y
-    # a difference and its negative have the same bits up to sign, and so
-    # the same bounds and norm regime
-    a, b = np.nonzero(np.triu(some | some.T, 1))
+    # every two labels a < b hold some rows x < y, as two labels never share
+    # a row; a difference and its negative have the same bits up to sign,
+    # and so the same bounds and norm regime
+    a, b = np.triu_indices(len(first), 1)
     distinct = rows[first]
     cols = np.ascontiguousarray(distinct.T)
     dpow = np.maximum(target.dist, target.dist.T) ** p

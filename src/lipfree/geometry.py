@@ -16,13 +16,14 @@ import numpy as np
 from .errors import BadParameter, BadSubset, NotSigmaClosed, PoleInDomain
 from .extension import _subset_map
 from .freenorm import FOREST_LIMIT_DEFAULT, _scan_pairs
-from .metric import REL_TOL, _check_p, _norms
+from .metric import REL_TOL, _check_p, _distances
 
 
 def _ambient_norms(space):
     if space.coords is None:
         raise BadParameter("operation needs an embedded sample (coords)")
-    return _norms(space.coords, space.norm)
+    origin = np.zeros((1, space.coords.shape[1]))
+    return _distances(space.coords, origin, space.norm)[:, 0]
 
 
 def _ray_snap(space, norms, i, radius, targets=None):
@@ -31,7 +32,7 @@ def _ray_snap(space, norms, i, radius, targets=None):
     space's norm among ``targets`` (default: every point)."""
     cand = np.arange(space.n) if targets is None else np.asarray(targets)
     target = (radius / norms[i]) * space.coords[i]
-    d = _norms(space.coords[cand] - target, space.norm)
+    d = _distances(space.coords[cand], target[None], space.norm)[:, 0]
     j = int(np.argmin(d))
     if d[j] > REL_TOL * radius:
         raise NotSigmaClosed(

@@ -117,17 +117,19 @@ class PointedMetricSpace:
         if np.abs(np.diag(d)).max(initial=0.0) > ABS_TOL:
             raise BadParameter("nonzero diagonal in distance matrix")
         step = max(1, _BLOCK // n)
-        asym, near = 0.0, (math.inf, 0, 0)
+        asym, near, top = 0.0, (math.inf, 0, 0), -math.inf
         for lo in range(0, n, step):
             rows = d[lo:lo + step]
             asym = max(asym, float(np.abs(rows - d[:, lo:lo + step].T).max()))
             near = _least_off_diagonal(rows.copy(), lo, near)
+            top = np.maximum(top, rows.max())  # NaN stays, as in d.max()
         if asym > ABS_TOL:
             raise BadParameter("distance matrix is not symmetric")
         least, i, j = near
         if least <= ABS_TOL:
             raise DuplicatePoint(f"points {self.points[i]} and {self.points[j]} coincide")
         object.__setattr__(self, "dist", d)
+        object.__setattr__(self, "_diameter", float(top))
         if self.coords is not None:
             object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
 
@@ -143,7 +145,7 @@ class PointedMetricSpace:
         return self.dist[self.base].copy()
 
     def diameter(self):
-        return float(self.dist.max())
+        return self._diameter
 
     def take(self, indices, base):
         """Induced subspace on ``indices`` (a position list); ``base`` is a
@@ -160,14 +162,54 @@ class PointedMetricSpace:
         )
 
 
-def _norms(v, kind):
-    """The sup or taxicab norm of ``v`` over its last axis, as ``kind``
-    says, and the euclidean norm otherwise."""
+def _pairwise_sum(term, lo, hi):
+    """term(lo) + ... + term(hi - 1), for arrays term(k) >= 0 of one shape,
+    added in the order numpy's pairwise sum over a last axis adds them: in
+    sequence below 8 terms; up to 128, eight strided partial sums combined
+    pairwise, then the tail in sequence; above 128, the sums of two halves,
+    the first a multiple of 8 terms long.  term(k) may be overwritten."""
+    count = hi - lo
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        acc = _pairwise_sum(term, lo, lo + half)
+        acc += _pairwise_sum(term, lo + half, hi)
+        return acc
+    if count < 8:
+        acc = term(lo)
+        for k in range(lo + 1, hi):
+            acc += term(k)
+        return acc
+    tail = hi - count % 8
+    part = [term(lo + j) for j in range(8)]
+    for k in range(lo + 8, tail):
+        part[(k - lo) % 8] += term(k)
+    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+        part[a] += part[b]
+    for k in range(tail, hi):
+        part[0] += term(k)
+    return part[0]
+
+
+def _distances(a, b, kind):
+    """The (len(a), len(b)) matrix of the norms of a[i] - b[j], for points
+    as rows of ``a`` and ``b``: the sup or taxicab norm, as ``kind`` says,
+    and the euclidean norm otherwise.  It is formed one coordinate at a
+    time on (len(a), len(b)) arrays, and the coordinate terms are added in
+    numpy's pairwise order (``_pairwise_sum``), so every entry has the bits
+    of the norm taken over the last axis of the whole (len(a), len(b), d)
+    difference at once."""
+    def term(k):
+        t = np.subtract.outer(a[:, k], b[:, k])
+        return np.multiply(t, t, out=t) if kind == "euclidean" else np.abs(
+            t, out=t)
+
     if kind == "sup":
-        return np.abs(v).max(axis=-1)
-    if kind == "taxicab":
-        return np.abs(v).sum(axis=-1)
-    return np.sqrt((v ** 2).sum(axis=-1))
+        acc = term(0)
+        for k in range(1, a.shape[1]):
+            np.maximum(acc, term(k), out=acc)
+        return acc
+    acc = _pairwise_sum(term, 0, a.shape[1])
+    return acc if kind == "taxicab" else np.sqrt(acc, out=acc)
 
 
 def _least_off_diagonal(rows, lo, best):
@@ -188,6 +230,9 @@ def build_space(coords, norm_kind="euclidean", alpha=1.0, base=0, points=None):
     """Build a space from an embedded point cloud.
 
     dist[i][j] = ||coords_i - coords_j||**alpha.  Point order is preserved.
+    The norms are formed by ``_distances`` in blocks of rows, one
+    coordinate at a time, with the bits of numpy's reduction over the
+    whole (n, n, d) difference.
     """
     if norm_kind == "matrix":
         raise BadParameter("use space_from_matrix for explicit matrices")
@@ -197,15 +242,15 @@ def build_space(coords, norm_kind="euclidean", alpha=1.0, base=0, points=None):
         raise BadParameter(f"alpha={alpha} outside (0, 1]")
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     n = coords.shape[0]
-    if n < 1:
-        raise BadParameter("need at least one point")
+    if n < 1 or coords.shape[1] < 1:
+        raise BadParameter("need at least one point and one coordinate")
     if not (0 <= base < n):
         raise BadParameter(f"base index {base} out of range")
-    # rows in blocks: the (rows, n, d) difference stays within _BLOCK
+    # rows in blocks: up to 8 (rows, n) partial sums stay within _BLOCK
     dist, near = np.empty((n, n)), (math.inf, 0, 0)
-    step = max(1, _BLOCK // max(1, coords.size))
+    step = max(1, _BLOCK // (n * min(8, coords.shape[1])))
     for lo in range(0, n, step):
-        raw = _norms(coords[lo:lo + step, None, :] - coords, norm_kind)
+        raw = _distances(coords[lo:lo + step], coords, norm_kind)
         near = _least_off_diagonal(raw, lo, near)
         dist[lo:lo + step] = raw ** alpha
     least, i, j = near
@@ -343,40 +388,55 @@ def maximal_separated_net(space, subset, r):
     return chosen
 
 
+def _bit_rows(mask):
+    """The rows of a bool array over its last axis as uint64 words: bit b
+    of word w holds entry 64 w + b, and bits past the end are 0."""
+    packed = np.packbits(mask, axis=-1, bitorder="little")
+    words = np.zeros(mask.shape[:-1] + (-(-mask.shape[-1] // 64) * 8,),
+                     dtype=np.uint8)
+    words[..., :packed.shape[-1]] = packed
+    return words.view("<u8")
+
+
 def _greedy_covers(dist, centers, radii):
     """Greedy covers (Johnson 1974) of the balls B(centers[k], radii[k]) by
     radius-r/2 balls centred at the points, all balls in lockstep.
 
-    Each step gives every ball that is not yet covered the first point
-    that covers the most of its uncovered points; a covered ball leaves the
-    step's arrays.  The (balls, points, points) membership tensor is taken
-    in blocks of balls within ``_BLOCK``.  Returns one tuple of centres per
-    ball.
+    Point sets are uint64 bit words (``_bit_rows``): each ball's uncovered
+    points, and the r/2-balls about every point, one member row per
+    distinct radius.  Each step gives every ball that is not yet covered
+    the first point that covers the most of its uncovered points, scored
+    with ``np.bitwise_count``; a covered ball leaves the step.  Balls are
+    taken in blocks whose (radii, points, points) bool membership stays
+    within 1 MB, the size of ``_BLOCK`` float64 entries.  Returns one
+    tuple of centres per ball, its picks in order: the first ``count``
+    entries of its row of ``picks``.
     """
     n = len(dist)
     covers = []
     step = max(1, 8 * _BLOCK // (n * n))  # a 1 MB bool tensor per block
     for lo in range(0, len(centers), step):
         x, r = centers[lo:lo + step], radii[lo:lo + step]
-        member = dist[None] <= r[:, None, None] / 2.0  # [ball, centre, point]
-        uncovered = dist[x] <= r[:, None]
-        picks = np.full((len(x), n), -1)
+        radius, at = np.unique(r, return_inverse=True)
+        member = _bit_rows(dist[None] <= radius[:, None, None] / 2.0)
+        uncovered = _bit_rows(dist[x] <= r[:, None])  # [ball, word]
+        picks = np.zeros((len(x), n), dtype=np.intp)
+        count = np.zeros(len(x), dtype=np.intp)
         live = np.arange(len(x))
-        for at in range(n):  # every point covers itself: n steps suffice
-            gains = np.einsum("bcp,bp->bc", member, uncovered, dtype=np.intp)
-            best = gains.argmax(axis=1)  # ties -> first point
-            picks[live, at] = best
-            uncovered &= ~member[np.arange(len(live)), best]
-            more = uncovered.any(axis=1)
-            if not more.all():  # covered balls leave the block
-                live, member, uncovered = (a[more] for a in (live, member,
-                                                             uncovered))
+        for turn in range(n):  # every point covers itself: n turns do
+            balls = member[at[live]]  # [ball, centre, word]
+            balls &= uncovered[live, None, :]
+            best = np.bitwise_count(balls).sum(axis=2).argmax(axis=1)
+            picks[live, turn] = best  # ties -> first point
+            count[live] += 1
+            uncovered[live] &= ~member[at[live], best]
+            live = live[uncovered[live].any(axis=1)]
             if not live.size:
                 break
         if live.size:  # a diagonal entry above r/2
             raise BadParameter("uncoverable ball")
-        covers += [tuple(c for c in row if c >= 0)
-                   for row in picks[:, :at + 1].tolist()]
+        covers += [tuple(row[:c]) for row, c in zip(
+            picks[:, :count.max()].tolist(), count.tolist())]
     return covers
 
 
@@ -431,28 +491,28 @@ def doubling_constant_upper(space):
     B(x, d_k), and a cover of it by radius-d_k/2 balls also covers it at
     radius r/2, so every realized radius is accounted for.  Each scanned
     ball B(x, r) is covered greedily by radius-r/2 balls centered at space
-    points, ties going to the first point, all balls in lockstep.  The
-    bound D starts at the longest greedy cover of a ball of more than
-    ``_EXACT_COVER_POINTS`` points (1 if there is none).  The small balls,
-    of at most that many points, are then taken longest greedy cover
-    first: while a greedy cover is longer than the running D, a minimum
-    cover (breadth-first search over covered-point bitmasks) replaces it
-    where that is shorter, and D rises to its length.  So D is the maximum
+    points, ties going to the first point, all balls in lockstep on bit
+    words (``_greedy_covers``).  The bound D starts at the longest greedy
+    cover of a ball of more than ``_EXACT_COVER_POINTS`` points (1 if
+    there is none).  The small balls, of at most that many points, are
+    then taken longest greedy cover first: while a greedy cover is longer
+    than the running D, a minimum cover (breadth-first search over
+    covered-point bitmasks) replaces it where that is shorter, and D rises
+    to its length.  So D is the maximum
     of the large balls' greedy cover sizes and the small balls' minimum
     cover sizes, in any order: a skipped small ball's greedy cover, never
     shorter than its minimum one, is already within D.  D may be safely
     substituted into bounds that increase with it.
     """
-    centers, radii, sizes = [], [], []
-    for x in range(space.n):
-        row = np.sort(space.dist[x])
-        r = np.unique(row[row > 0])
-        size = np.searchsorted(row, r, side="right")
-        keep = size > 1
-        centers.append(np.full(keep.sum(), x))
-        radii.append(r[keep])
-        sizes.append(size[keep])
-    centers, radii, sizes = (np.concatenate(a) for a in (centers, radii, sizes))
+    # each row sorted: a positive entry that is the last of its value and
+    # not the first of the row is a radius, and its ball holds the points
+    # up to it
+    row = np.sort(space.dist, axis=1)
+    last = np.ones(row.shape, dtype=bool)
+    last[:, :-1] = row[:, 1:] != row[:, :-1]
+    last[:, 0] = False
+    centers, at = np.nonzero(last & (row > 0))
+    radii, sizes = row[centers, at], at + 1
     if not len(centers):
         return DoublingReport(1, (BallCover(space.base, 0.0, (space.base,)),))
     covers = _greedy_covers(space.dist, centers, radii)

@@ -521,7 +521,9 @@ def report_diff(old, new):
     """Textual diff of two reports of one suite: one line per change to a
     check's measured value, bound or tol; a changed pass flag is tagged on
     the first of them, or gets a line of its own; then one line per changed
-    ``bound_inputs`` key.  Only a record with a bound is flagged for growth."""
+    ``bound_inputs`` key.  A record on one side only gets one line with its
+    value, its bound (its tol if it has no bound) and its pass flag.  Only
+    a record with a bound is flagged for growth."""
     if old.get("suite") != new.get("suite"):
         raise Mismatch(f"suite mismatch: {old.get('suite')} vs {new.get('suite')}")
     old_checks = {r["check"]: r for r in old["checks"]}
@@ -530,7 +532,12 @@ def report_diff(old, new):
     for name in sorted(set(old_checks) | set(new_checks)):
         o, n = old_checks.get(name), new_checks.get(name)
         if o is None or n is None:
-            lines.append(f"{name}: only in {'new' if o is None else 'old'}")
+            rec = n if o is None else o
+            key = ("tol" if rec.get("bound") is None
+                   and rec.get("tol") is not None else "bound")
+            lines.append(f"{name}: only in {'new' if o is None else 'old'}: "
+                         f"{rec.get('measured')!r}, {key} {rec.get(key)!r}, "
+                         f"passed {rec.get('passed')}")
             continue
         changes = []
         for key in ("measured", "bound", "tol"):

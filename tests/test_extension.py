@@ -117,6 +117,19 @@ def test_subset_index_outside_the_space_is_refused(entry, net):
         entry(random_ball(n=12, seed=0), net)
 
 
+def test_extension_refuses_a_net_other_than_the_systems():
+    """A Whitney system passed in fixes the net: another net is refused,
+    not replaced by the system's, and a repeat of the system's points in
+    any order is the same net."""
+    space = random_ball(n=12, seed=0)
+    system = whitney_cover(space, [0, 2, 4])
+    with pytest.raises(BadSubset, match=r"^net \[0, 5, 7, 9\] is not the "
+                                        r"subset \[0, 2, 4\] "):
+        doubling_extension_map(space, [0, 5, 7, 9], 1.0, system=system)
+    ext = doubling_extension_map(space, [4, 0, 2, 2], 1.0, system=system)
+    assert ext.net == (0, 2, 4)
+
+
 def test_extension_restricts_to_delta():
     sp = line_space([0.0, 1.0, 2.0, 4.0, 8.0])
     net = [0, 1, 4]
@@ -512,6 +525,90 @@ def test_weight_variation_and_coeffs_match_reference(cloud_system, p):
     ext = doubling_extension_map(space, list(system.net), p, system=system,
                                  measure=False)
     assert np.array_equal(ext.coeffs, _reference_coeffs(space, system))
+
+
+def _loop_phi(space, net):
+    """Reference: the per-cell loop, one cell at a time, each with its own
+    column minimum over its members and its own minimum over the points
+    off its patch; returns (indices, phi)."""
+    comp = [i for i in range(space.n) if i not in set(net)]
+    comp_idx = np.array(comp, dtype=int)
+    d_net = space.dist[np.ix_(comp, net)].min(axis=1)
+    indices, phi = [], []
+    for scale in range(int(math.floor(math.log2(d_net.min()))),
+                       int(math.floor(math.log2(d_net.max()))) + 1):
+        radius = 2.0 ** scale
+        shell = np.nonzero((d_net >= radius) & (d_net < 2 * radius))[0]
+        if shell.size == 0:
+            continue
+        net_pts = maximal_separated_net(space, net, radius)
+        dmat = space.dist[np.ix_(comp_idx[shell], net_pts)]
+        nearest = np.argmin(dmat, axis=1)
+        for yi, y in enumerate(net_pts):
+            members = shell[nearest == yi]
+            if members.size == 0:
+                continue
+            dcell = space.dist[np.ix_(comp_idx, comp_idx[members])].min(axis=1)
+            v = dcell < radius / 2.0
+            rows = comp_idx[v]
+            outside = np.ones(space.n, dtype=bool)
+            outside[rows] = False
+            phi_i = np.zeros(len(comp))
+            phi_i[v] = space.dist[np.ix_(rows, np.flatnonzero(outside))].min(1)
+            indices.append((scale, int(y)))
+            phi.append(phi_i)
+    return tuple(indices), np.array(phi)
+
+
+def _loop_weight_variation(system, p):
+    """Reference: all rows x < m - 1 in one block; index i adds its terms
+    on the columns of its support and, on its support's rows, on the
+    columns off it."""
+    comp = np.array(system.complement, dtype=int)
+    m = len(comp)
+    psi = system.psi
+    psi_p = psi ** p
+    held = [(np.flatnonzero(row), np.flatnonzero(row == 0)) for row in psi]
+    d_net = system.dist_to_net
+    rhs = system.space.dist[np.ix_(comp[:m - 1], comp)]
+    rhs /= np.maximum(d_net[:m - 1, None], d_net)
+    rhs **= p
+    rhs *= 2.0 * 8.0 ** p * system.overlap_bound
+    rhs[np.arange(m) <= np.arange(m - 1)[:, None]] = np.inf
+    lhs = np.zeros((m - 1, m))
+    for row, row_p, (on, off) in zip(psi, psi_p, held):
+        lhs[:, on] += np.abs(row[:m - 1, None] - row[on]) ** p
+        x = on[on < m - 1]
+        lhs[np.ix_(x, off)] += row_p[x, None]
+    lhs[-1, -1] = (np.abs(psi[:, -2] - psi[:, -1]) ** p).sum()
+    lhs /= rhs
+    a, b = divmod(int(np.argmax(lhs)), m)
+    if lhs[a, b] > 0.0:
+        return extension.CrucialReport((int(comp[a]), int(comp[b])),
+                                       float(lhs[a, b]))
+    return extension.CrucialReport(None, 0.0)
+
+
+@pytest.mark.parametrize("block", [None, 1000], ids=["one_block", "blocks"])
+def test_whitney_passes_match_the_per_cell_loops(cloud_system, monkeypatch,
+                                                 block):
+    """phi, psi, the H-checks and the weight variation at p = 1, 0.5 and
+    0.25 are bit for bit those of the per-cell and per-column loops, also
+    when the patch rows and the weight rows run in blocks of 3 rows."""
+    space, system = cloud_system
+    if block is not None:
+        monkeypatch.setattr(extension, "_BLOCK", block)
+    got = whitney_cover(space, list(system.net))
+    indices, phi = _loop_phi(space, list(system.net))
+    assert got.indices == indices
+    assert got.phi.tobytes() == phi.tobytes()
+    assert got.psi.tobytes() == (phi / phi.sum(axis=0)[None, :]).tobytes()
+    assert got.checks == extension._h_checks(
+        space, list(got.complement), list(indices), phi, got.dist_to_net,
+        got.overlap_bound)
+    for p in (1.0, 0.5, 0.25):
+        assert weight_variation_check(got, p) == \
+            _loop_weight_variation(got, p), p
 
 
 def test_weight_variation_last_pair_sum():

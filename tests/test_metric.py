@@ -98,21 +98,50 @@ def test_duplicate_points_rejected():
         build_space([(0.0, 0.0), (0.0, 0.0)], "euclidean")
 
 
+def _whole_tensor_norms(v, kind):
+    """Reference: numpy's reduction over the last axis of the whole
+    difference tensor."""
+    if kind == "sup":
+        return np.abs(v).max(axis=-1)
+    if kind == "taxicab":
+        return np.abs(v).sum(axis=-1)
+    return np.sqrt((v ** 2).sum(axis=-1))
+
+
 @pytest.mark.parametrize("norm", ["euclidean", "sup", "taxicab"])
 def test_blocked_distances_match_the_whole_matrix(rng, norm):
-    """``build_space`` builds rows in blocks of about ``_BLOCK`` entries of
-    the coordinate difference; the matrix is bit for bit the one built
-    from the whole (n, n, d) difference at once."""
-    for d in (2, 5, 9, 12):
+    """``build_space`` builds rows in blocks of (rows, n) arrays, one
+    coordinate at a time; the matrix is bit for bit the one numpy's
+    reduction gives over the whole (n, n, d) difference at once.  d = 8,
+    16 and 17 take the eight strided partial sums, and 9, 12 and 17 a
+    tail after them."""
+    for d in (1, 2, 3, 5, 8, 9, 12, 16, 17):
         n = 301
-        assert n % (metric._BLOCK // (n * d)) != 0  # a ragged last block
+        step = metric._BLOCK // (n * min(8, d))
+        assert n % step != 0  # a ragged last block, or one block
         coords = rng.uniform(-1, 1, size=(n, d))
-        raw = metric._norms(coords[:, None, :] - coords[None, :, :], norm)
+        raw = _whole_tensor_norms(coords[:, None, :] - coords[None, :, :],
+                                  norm)
         for alpha in (1.0, 0.5, 0.7):
             want = raw ** alpha
             np.fill_diagonal(want, 0.0)
             got = build_space(coords, norm, alpha=alpha).dist
             assert got.tobytes() == want.tobytes(), (d, alpha)
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "sup", "taxicab"])
+def test_distances_take_numpy_pairwise_order_past_128_terms(rng, norm):
+    """Above 128 coordinates numpy sums two halves, the first a multiple
+    of 8 long; the point-to-point distances follow it bit for bit."""
+    for d in (129, 200):
+        a, b = rng.uniform(-1, 1, size=(7, d)), rng.uniform(-1, 1, size=(5, d))
+        want = _whole_tensor_norms(a[:, None, :] - b[None, :, :], norm)
+        assert metric._distances(a, b, norm).tobytes() == want.tobytes()
+
+
+def test_build_space_refuses_points_without_coordinates():
+    with pytest.raises(BadParameter, match="one coordinate"):
+        build_space(np.zeros((3, 0)))
 
 
 def test_blocked_checks_name_the_points_of_a_later_block(rng):
@@ -331,11 +360,14 @@ def test_lockstep_covers_match_scalar_references(rng):
     scalar greedy reference, centre for centre, unless it replaced it: then
     its ball is small and the cover has the minimum cover's length, shorter
     than greedy.  D is the maximum of the large balls' greedy covers and
-    the small balls' minimum covers."""
+    the small balls' minimum covers.  The 70-point space takes two bit
+    words per point set."""
     ball = generate("random-ball", 1, d=2, n=300)
     subset = [0] + sorted((1 + rng.choice(299, 29, replace=False)).tolist())
+    wide = [0] + sorted((1 + rng.choice(299, 69, replace=False)).tolist())
     replaced = 0
-    for sp in [*_doubling_spaces(rng), ball.take(subset, 0)]:
+    for sp in [*_doubling_spaces(rng), ball.take(subset, 0),
+               ball.take(wide, 0)]:
         rep = doubling_constant_upper(sp)
         ref = _reference_covers(sp)
         assert len(rep.covers) == len(ref)
@@ -365,6 +397,17 @@ def test_doubling_rejects_uncoverable_ball(monkeypatch, exact_threshold):
     monkeypatch.setattr(metric, "_EXACT_COVER_POINTS", exact_threshold)
     with pytest.raises(BadParameter):
         doubling_constant_upper(space_from_matrix(mat))
+
+
+def test_diameter_is_kept_from_the_blocked_pass(rng):
+    """The diameter is the largest entry over every row block of the
+    checks, the whole matrix's max; a space re-made from another matrix
+    gets its own."""
+    sp = build_space(rng.uniform(-1, 1, size=(700, 2)))
+    assert metric._BLOCK // sp.n < sp.n  # several row blocks
+    assert sp.diameter() == sp.dist.max()
+    half = snowflake(sp, 0.5)
+    assert half.diameter() == half.dist.max() != sp.diameter()
 
 
 def test_coords_consistency_invariant(rng):

@@ -264,6 +264,25 @@ def test_report_diff_lists_changed_tags():
         "T_norm_p0.5: bound_inputs.measured_exact True -> False"]
 
 
+def test_report_diff_prints_a_one_sided_record_in_full():
+    """A renamed record shows its value, bound (or tol) and pass flag on
+    both sides, so the move can be read from the diff alone."""
+    old = {"suite": "decomposition", "checks": [
+        {"check": "P_norm_one_sampled", "measured": 0.9943580497206198,
+         "bound": 1.0, "tol": None, "passed": True},
+        {"check": "gap", "measured": 2e-16, "bound": None, "tol": 1e-9,
+         "passed": True}]}
+    new = {"suite": "decomposition", "checks": [
+        {"check": "P_norm_one", "measured": 1.0, "bound": 1.0, "tol": None,
+         "passed": True}]}
+    assert report_diff(old, new).splitlines() == [
+        "P_norm_one: only in new: 1.0, bound 1.0, passed True",
+        "P_norm_one_sampled: only in old: 0.9943580497206198, bound 1.0, "
+        "passed True",
+        "gap: only in old: 2e-16, tol 1e-09, passed True",
+    ]
+
+
 def test_cli_generate_and_run(tmp_path):
     space_file = tmp_path / "space.json"
     rc = main(["generate", "--kind", "line", "--param", "n=5",
