@@ -56,8 +56,6 @@ def build_parser():
     run.add_argument("--p", default="1,0.5", help="comma-separated p values")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--out", help="report output path")
-    run.add_argument("--tol-override", action="append", metavar="KEY=VAL",
-                     help="tolerance override (repeatable)")
     run.add_argument("--exact-limit", type=int, default=FOREST_LIMIT_DEFAULT,
                      help="forest oracle size cap")
 
@@ -84,7 +82,6 @@ def main(argv=None):
                 space_source=source,
                 p_list=_parse_p_list(args.p),
                 seed=args.seed,
-                tol_overrides=_parse_params(args.tol_override),
                 exact_limit=args.exact_limit,
                 out=args.out,
             )

@@ -611,10 +611,12 @@ def commuting_approximants(space, R, m_max, p, exact_limit=FOREST_LIMIT_DEFAULT)
 
     S_m(delta(x)) = (sum of the 2m+1 central hat weights at log_R d(0,x))
     times delta(x); the hats have width 2R around centers R*n, slope 1/R,
-    and m runs over 1..m_max.  Returns the matrices (indexed by m-1), the
-    max residual of S_m S_m' = S_min(m, m'), the first m with S_m = Id, and
-    measured norms against the closed-form bound with k = 2, K1 = 1/R,
-    K2 = 1.
+    and m runs over 1..m_max, refused below 1.  Returns the matrices
+    (indexed by m-1), the max residual of S_m S_m' = S_min(m, m'), the
+    first m with S_m = Id, and measured norms against the closed-form bound
+    with k = 2, K1 = 1/R, K2 = 1.  The residual and the identity are read
+    from the weight rows w_m: S_a S_b - S_min(a, b) is diagonal, with
+    entries w_a w_b - w_min(a, b), the bits of the dense products.
 
     The min-semigroup relation with m = m' forces the truncated weight sum
     to take only the values 0 and 1 on realized radii; fixtures should
@@ -623,6 +625,8 @@ def commuting_approximants(space, R, m_max, p, exact_limit=FOREST_LIMIT_DEFAULT)
     """
     if not R > 1:
         raise BadParameter(f"R={R} must exceed 1")
+    if not m_max >= 1:
+        raise BadParameter(f"m_max={m_max} must be at least 1")
     nonbase = _space_basis(space)
     if not nonbase:
         raise BadFamily("space has no nonbase points")
@@ -635,18 +639,13 @@ def commuting_approximants(space, R, m_max, p, exact_limit=FOREST_LIMIT_DEFAULT)
         return sums
 
     diags = _point_weights(space, R, truncated_sums)
-    mats = [LinearMapMatrix(nonbase, nonbase, np.diag(np.delete(w, space.base)))
-            for w in diags]
-    resid = 0.0
-    for a in range(len(mats)):
-        for b in range(len(mats)):
-            prod = mats[a].compose(mats[b]).matrix
-            resid = max(resid, float(np.abs(prod - mats[min(a, b)].matrix).max()))
-    identity_from = None
-    for m, mat in enumerate(mats, start=1):
-        if np.abs(np.diag(mat.matrix) - 1.0).max(initial=0.0) <= 1e-12:
-            identity_from = m
-            break
+    w = np.delete(diags, space.base, axis=1)
+    mats = [LinearMapMatrix(nonbase, nonbase, np.diag(row)) for row in w]
+    at = np.arange(m_max)
+    resid = float(np.abs(w[:, None] * w[None] - w[np.minimum.outer(at, at)])
+                  .max(initial=0.0))
+    ones = np.flatnonzero(np.abs(w - 1.0).max(axis=1) <= 1e-12)
+    identity_from = int(ones[0]) + 1 if ones.size else None
     bound = norm_bound_T(p, 2, R, 1.0 / R, 1.0)
     # x -> S_m(delta(x)) has one part, F_p(space), whose row x is w(x) on
     # point x; the base row is 0, as delta(base) = 0

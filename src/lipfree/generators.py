@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from itertools import product
 
 import numpy as np
@@ -133,9 +134,12 @@ def generate(kind, seed=0, /, **params):
     goes to the kinds that draw at random; a parameter the kind's builder
     does not take is refused, ``seed`` among them, as it comes on its own,
     and so is a value not of the type of the builder's default (an int is
-    a number, a bool is neither)."""
+    a number, a bool is neither), and a seed that is not an integer >= 0."""
     if kind not in BUILDERS:
         raise BadParameter(f"unknown generator kind {kind!r}")
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or seed < 0):
+        raise BadParameter(f"seed {seed!r} is not an integer >= 0")
     defaults = {name: p.default for name, p in
                 inspect.signature(BUILDERS[kind]).parameters.items()}
     takes = [name for name in defaults if name != "seed"]

@@ -162,54 +162,27 @@ class PointedMetricSpace:
         )
 
 
-def _pairwise_sum(term, lo, hi):
-    """term(lo) + ... + term(hi - 1), for arrays term(k) >= 0 of one shape,
-    added in the order numpy's pairwise sum over a last axis adds them: in
-    sequence below 8 terms; up to 128, eight strided partial sums combined
-    pairwise, then the tail in sequence; above 128, the sums of two halves,
-    the first a multiple of 8 terms long.  term(k) may be overwritten."""
-    count = hi - lo
-    if count > 128:
-        half = count // 2 - count // 2 % 8
-        acc = _pairwise_sum(term, lo, lo + half)
-        acc += _pairwise_sum(term, lo + half, hi)
-        return acc
-    if count < 8:
-        acc = term(lo)
-        for k in range(lo + 1, hi):
-            acc += term(k)
-        return acc
-    tail = hi - count % 8
-    part = [term(lo + j) for j in range(8)]
-    for k in range(lo + 8, tail):
-        part[(k - lo) % 8] += term(k)
-    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-        part[a] += part[b]
-    for k in range(tail, hi):
-        part[0] += term(k)
-    return part[0]
-
-
 def _distances(a, b, kind):
     """The (len(a), len(b)) matrix of the norms of a[i] - b[j], for points
     as rows of ``a`` and ``b``: the sup or taxicab norm, as ``kind`` says,
-    and the euclidean norm otherwise.  It is formed one coordinate at a
-    time on (len(a), len(b)) arrays, and the coordinate terms are added in
-    numpy's pairwise order (``_pairwise_sum``), so every entry has the bits
-    of the norm taken over the last axis of the whole (len(a), len(b), d)
-    difference at once."""
-    def term(k):
-        t = np.subtract.outer(a[:, k], b[:, k])
+    and the euclidean norm otherwise.  The sup norm, and any norm below 8
+    coordinates, is formed one coordinate at a time on (len(a), len(b))
+    arrays: numpy adds fewer than 8 terms in sequence, and a maximum has no
+    order.  From 8 coordinates on, numpy reduces the last axis of the whole
+    (len(a), len(b), d) difference itself.  Either way every entry has the
+    bits of numpy's norm over that whole difference."""
+    def term(t):
         return np.multiply(t, t, out=t) if kind == "euclidean" else np.abs(
             t, out=t)
 
-    if kind == "sup":
-        acc = term(0)
+    if kind != "sup" and a.shape[1] >= 8:
+        acc = term(a[:, None, :] - b[None, :, :]).sum(axis=-1)
+    else:
+        combine = np.maximum if kind == "sup" else np.add
+        acc = term(np.subtract.outer(a[:, 0], b[:, 0]))
         for k in range(1, a.shape[1]):
-            np.maximum(acc, term(k), out=acc)
-        return acc
-    acc = _pairwise_sum(term, 0, a.shape[1])
-    return acc if kind == "taxicab" else np.sqrt(acc, out=acc)
+            combine(acc, term(np.subtract.outer(a[:, k], b[:, k])), out=acc)
+    return np.sqrt(acc, out=acc) if kind == "euclidean" else acc
 
 
 def _least_off_diagonal(rows, lo, best):
@@ -230,9 +203,9 @@ def build_space(coords, norm_kind="euclidean", alpha=1.0, base=0, points=None):
     """Build a space from an embedded point cloud.
 
     dist[i][j] = ||coords_i - coords_j||**alpha.  Point order is preserved.
-    The norms are formed by ``_distances`` in blocks of rows, one
-    coordinate at a time, with the bits of numpy's reduction over the
-    whole (n, n, d) difference.
+    The norms are formed by ``_distances`` in blocks of rows, each block's
+    (rows, n, d) difference within ``_BLOCK`` entries (at least one row),
+    with the bits of numpy's reduction over the whole (n, n, d) difference.
     """
     if norm_kind == "matrix":
         raise BadParameter("use space_from_matrix for explicit matrices")
@@ -246,9 +219,8 @@ def build_space(coords, norm_kind="euclidean", alpha=1.0, base=0, points=None):
         raise BadParameter("need at least one point and one coordinate")
     if not (0 <= base < n):
         raise BadParameter(f"base index {base} out of range")
-    # rows in blocks: up to 8 (rows, n) partial sums stay within _BLOCK
     dist, near = np.empty((n, n)), (math.inf, 0, 0)
-    step = max(1, _BLOCK // (n * min(8, coords.shape[1])))
+    step = max(1, _BLOCK // (n * coords.shape[1]))
     for lo in range(0, n, step):
         raw = _distances(coords[lo:lo + step], coords, norm_kind)
         near = _least_off_diagonal(raw, lo, near)

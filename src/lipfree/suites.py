@@ -10,9 +10,10 @@ fixed seed; wall-clock timing goes to stderr, never into the report body.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,28 +71,14 @@ from .serialization import dump_report, load_space
 _TRACED_NAMES = (norm_value,)
 
 
-# The tols a run may override (``--tol-override KEY=VAL``), by the suite
-# that reads them, with their defaults; a run refuses any other key.
-TOL_DEFAULTS = {
-    "norm-oracle": {"norm_oracle_rel": 1e-9},
-    "decomposition": {"pst_residual": 1e-10},
-    "retraction": {"retraction_slack": 0.1},
-}
-
-
 @dataclass(frozen=True)
 class SuiteConfig:
     suite: str
     space_source: dict | None = None
     p_list: tuple = (1.0, 0.5)
     seed: int = 0
-    tol_overrides: dict = field(default_factory=dict)
     exact_limit: int = FOREST_LIMIT_DEFAULT
     out: str | None = None
-
-    def tol(self, key):
-        return float(self.tol_overrides.get(key,
-                                            TOL_DEFAULTS[self.suite][key]))
 
 
 def _record(check, measured, bound=None, tol=None, witness=None,
@@ -144,7 +131,7 @@ def suite_norm_oracle(config):
     _nonbase_points(space)
     rng = np.random.default_rng(config.seed)
     records = []
-    tol = config.tol("norm_oracle_rel")
+    tol = 1e-9
 
     exact = space.n <= config.exact_limit
     gap_worst = 0.0
@@ -240,9 +227,8 @@ def suite_decomposition(config):
     for p in config.p_list:
         rep = verify_pst_identity(space, cores, margin, R, p,
                                   exact_limit=config.exact_limit)
-        tol = config.tol("pst_residual")
         records.append(_record(f"pst_identity_residual_p{p}", rep.residual,
-                               tol=tol))
+                               tol=1e-10))
         records.append(_record(
             f"T_norm_p{p}", rep.measured_T, rep.bound_T,
             witness=rep.witness_pair,
@@ -325,11 +311,10 @@ def suite_retraction(config):
     radii = _base_radii(space)
     S = radii[len(radii) // 2]
     rep = radial_retraction(space, S)
-    slack_tol = config.tol("retraction_slack")
     records = [
         _record("retraction_lip", rep.measured_lip, 2.0,
                 witness=rep.witness_pair, bound_inputs={"S": S}),
-        _record("retraction_slack", rep.slack, tol=slack_tol),
+        _record("retraction_slack", rep.slack, tol=0.1),
     ]
     # scale invariance of the measured ratio
     scaled = build_space(space.coords * 3.0, space.norm, alpha=space.alpha,
@@ -474,14 +459,10 @@ def run_suite(config):
     if config.suite not in SUITES:
         raise BadSuite(f"unknown suite {config.suite!r}; "
                        f"choose from {sorted(SUITES)}")
-    reads = sorted(TOL_DEFAULTS.get(config.suite, {}))
-    for key, value in config.tol_overrides.items():
-        if key not in reads:
-            raise BadSuite(f"suite {config.suite} reads no tol {key!r}; "
-                           f"it reads {reads}")
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not 0 <= value < math.inf):
-            raise BadSuite(f"tol {key}={value!r} is not a finite real >= 0")
+    seed = config.seed
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or seed < 0):
+        raise BadSuite(f"seed {seed!r} is not an integer >= 0")
     if not config.p_list:
         raise BadSuite("empty p list")
     for p in config.p_list:
@@ -500,12 +481,11 @@ def run_suite(config):
         "suite": config.suite,
         "config": {
             "p": list(config.p_list),
-            "seed": config.seed,
+            "seed": int(seed),
             "space": config.space_source,
             "exact_limit": config.exact_limit,
-            "tol_overrides": dict(config.tol_overrides),
         },
-        "environment": {"version": __version__, "seed": config.seed,
+        "environment": {"version": __version__, "seed": int(seed),
                         "timing": None},
         "checks": records,
         "passed": all(r["passed"] for r in records),
@@ -517,18 +497,39 @@ def run_suite(config):
     return doc, doc["passed"]
 
 
+def _key_lines(prefix, old, new):
+    """One line per key of the dicts ``old`` and ``new`` whose value
+    differs, as ``prefix`` + key; a key on one side only says which."""
+    lines = []
+    for key in sorted(set(old) | set(new)):
+        if key not in new or key not in old:
+            side, value = ("old", old[key]) if key in old else ("new", new[key])
+            lines.append(f"{prefix}{key}: only in {side}: {value!r}")
+        elif old[key] != new[key]:
+            lines.append(f"{prefix}{key} {old[key]!r} -> {new[key]!r}")
+    return lines
+
+
 def report_diff(old, new):
-    """Textual diff of two reports of one suite: one line per change to a
-    check's measured value, bound or tol; a changed pass flag is tagged on
-    the first of them, or gets a line of its own; then one line per changed
-    ``bound_inputs`` key.  A record on one side only gets one line with its
-    value, its bound (its tol if it has no bound) and its pass flag.  Only
-    a record with a bound is flagged for growth."""
+    """Textual diff of two reports of one suite: first one line per
+    differing ``config`` key (a missing block counts as empty); then one
+    line per change to a check's measured value, bound or tol; a changed
+    pass flag is tagged on the first of them, or gets a line of its own;
+    then one line per changed ``bound_inputs`` key.  A record on one side
+    only gets one line with its value, its bound (its tol if it has no
+    bound) and its pass flag.  Only a record with a bound is flagged for
+    growth.  A document that is not an object with a ``checks`` list is
+    refused, naming its side."""
+    for side, doc in (("old", old), ("new", new)):
+        if not isinstance(doc, dict) or not isinstance(doc.get("checks"), list):
+            raise Mismatch(f"the {side} document is not a report: "
+                           f"it has no checks list")
     if old.get("suite") != new.get("suite"):
         raise Mismatch(f"suite mismatch: {old.get('suite')} vs {new.get('suite')}")
     old_checks = {r["check"]: r for r in old["checks"]}
     new_checks = {r["check"]: r for r in new["checks"]}
-    lines = []
+    lines = _key_lines("config.", old.get("config") or {},
+                       new.get("config") or {})
     for name in sorted(set(old_checks) | set(new_checks)):
         o, n = old_checks.get(name), new_checks.get(name)
         if o is None or n is None:
@@ -559,10 +560,8 @@ def report_diff(old, new):
                 changes[0] += f"  [{flip}]"
             else:
                 changes.append(f"{name}: {flip}")
-        tags_o, tags_n = o.get("bound_inputs") or {}, n.get("bound_inputs") or {}
-        for key in sorted(set(tags_o) | set(tags_n)):
-            if tags_o.get(key) != tags_n.get(key):
-                changes.append(f"{name}: bound_inputs.{key} "
-                               f"{tags_o.get(key)!r} -> {tags_n.get(key)!r}")
+        changes += _key_lines(f"{name}: bound_inputs.",
+                              o.get("bound_inputs") or {},
+                              n.get("bound_inputs") or {})
         lines.extend(changes)
     return "\n".join(lines)

@@ -548,6 +548,47 @@ def test_sum_and_diagonal_maps_match_every_pair(rng, monkeypatch, p,
         assert got == _diagonal_map_every_pair(space, w, p, exact_limit)
 
 
+def _dense_semigroup_facts(mats):
+    """The residual and first identity index read from the dense matrix
+    products, as the report gave them before it read the weight rows."""
+    resid = 0.0
+    for a in range(len(mats)):
+        for b in range(len(mats)):
+            prod = mats[a].compose(mats[b]).matrix
+            resid = max(resid, float(np.abs(prod - mats[min(a, b)].matrix).max()))
+    ones = [m for m, mat in enumerate(mats, start=1)
+            if np.abs(np.diag(mat.matrix) - 1.0).max() <= 1e-12]
+    return resid, ones[0] if ones else None
+
+
+def test_commuting_approximants_read_the_dense_products_from_weight_rows():
+    """The residual and identity index from the weight rows have the bits
+    of the dense products: on the commuting-bap suite's fixtures at R = 2
+    and 8, where the residual is 0, and on radii off the hat centres,
+    where it is not."""
+    for R in (2.0, 8.0):
+        jmin = max(-5, int(math.ceil(math.log(1e-9) / (R * math.log(R)))))
+        us = [R * j for j in range(jmin, 6)] + [R / 3.0]
+        sp = annulus_rays(rays=1, include_origin=True,
+                          radii=tuple(R ** u for u in us))
+        mats, rep = commuting_approximants(sp, R=R, m_max=5, p=1.0)
+        assert (rep.max_semigroup_residual, rep.identity_from) == (
+            _dense_semigroup_facts(mats))
+        assert rep.identity_from == 5
+    sp = line_space([0.0] + [2.0 ** u for u in (-3.7, -1.3, 0.4, 2.9, 5.5)])
+    mats, rep = commuting_approximants(sp, R=2.0, m_max=4, p=1.0)
+    resid, identity_from = _dense_semigroup_facts(mats)
+    assert rep.max_semigroup_residual == resid > 0.1
+    assert rep.identity_from == identity_from
+
+
+@pytest.mark.parametrize("m_max", [0, -3])
+def test_commuting_approximants_refuse_m_max_below_one(m_max):
+    with pytest.raises(BadParameter, match=f"m_max={m_max} must be at least 1"):
+        commuting_approximants(line_space([0.0, 1.0, 2.0]), R=2.0,
+                               m_max=m_max, p=1.0)
+
+
 _NAN = float("nan")
 _RAYS = annulus_rays(rays=3, radii=[1.0, 2.0, 4.0], include_origin=True)
 

@@ -125,7 +125,7 @@ def test_every_dataclass_field_is_read():
 
 # Public parameters with defaults over src/lipfree.  A change that adds an
 # option raises this number and says why in CHANGES.md.
-OPTIONS_RECORDED = 80
+OPTIONS_RECORDED = 79
 
 
 def _options(obj):

@@ -110,14 +110,14 @@ def _whole_tensor_norms(v, kind):
 
 @pytest.mark.parametrize("norm", ["euclidean", "sup", "taxicab"])
 def test_blocked_distances_match_the_whole_matrix(rng, norm):
-    """``build_space`` builds rows in blocks of (rows, n) arrays, one
-    coordinate at a time; the matrix is bit for bit the one numpy's
+    """``build_space`` builds rows in blocks, each (rows, n, d) difference
+    within ``_BLOCK`` entries; the matrix is bit for bit the one numpy's
     reduction gives over the whole (n, n, d) difference at once.  d = 8,
     16 and 17 take the eight strided partial sums, and 9, 12 and 17 a
     tail after them."""
     for d in (1, 2, 3, 5, 8, 9, 12, 16, 17):
         n = 301
-        step = metric._BLOCK // (n * min(8, d))
+        step = metric._BLOCK // (n * d)
         assert n % step != 0  # a ragged last block, or one block
         coords = rng.uniform(-1, 1, size=(n, d))
         raw = _whole_tensor_norms(coords[:, None, :] - coords[None, :, :],
@@ -137,6 +137,18 @@ def test_distances_take_numpy_pairwise_order_past_128_terms(rng, norm):
         a, b = rng.uniform(-1, 1, size=(7, d)), rng.uniform(-1, 1, size=(5, d))
         want = _whole_tensor_norms(a[:, None, :] - b[None, :, :], norm)
         assert metric._distances(a, b, norm).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "sup", "taxicab"])
+def test_blocked_distances_match_the_whole_matrix_past_128_terms(rng, norm):
+    """At 129 coordinates a row block holds a (rows, n, 129) difference;
+    the ragged blocks still give the whole matrix numpy's reduction gives."""
+    n, d = 40, 129
+    assert 1 < metric._BLOCK // (n * d) < n and n % (metric._BLOCK // (n * d))
+    coords = rng.uniform(-1, 1, size=(n, d))
+    want = _whole_tensor_norms(coords[:, None, :] - coords[None, :, :], norm)
+    np.fill_diagonal(want, 0.0)
+    assert build_space(coords, norm).dist.tobytes() == want.tobytes()
 
 
 def test_build_space_refuses_points_without_coordinates():

@@ -9,7 +9,7 @@ from lipfree import (Mismatch, SuiteConfig, annulus_family, freenorm,
                      norm_value, report_diff, run_suite, space_from_matrix,
                      suites)
 from lipfree.cli import main
-from lipfree.errors import BadSuite
+from lipfree.errors import BadParameter, BadSuite
 from lipfree.extension import point_removal_map
 from lipfree.generators import generate
 from lipfree.serialization import load_report, load_space
@@ -305,6 +305,71 @@ def test_cli_diff(tmp_path):
     assert main(["diff", str(a), str(b)]) == 0
 
 
+def test_cli_diff_refuses_a_file_that_is_not_a_report(tmp_path, capsys):
+    """A space fixture, or any document without a checks list, is a usage
+    error (exit 2) naming its side, not a failed check."""
+    space, report = tmp_path / "b5.json", tmp_path / "r.json"
+    main(["generate", "--kind", "random-ball", "--param", "n=5",
+          "--out", str(space)])
+    main(["run", "--suite", "sphere", "--out", str(report)])
+    capsys.readouterr()
+    for old, new, side in ((space, space, "old"), (report, space, "new")):
+        assert main(["diff", str(old), str(new)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: the {side} document is not a report: it has no checks "
+            f"list\n")
+    for doc in ([], {"checks": {}}):
+        with pytest.raises(Mismatch, match="the new document"):
+            report_diff({"checks": []}, doc)
+
+
+def test_report_diff_lists_config_keys_first():
+    """Each differing config key gets a line, a key on one side only says
+    which side; a missing config block counts as empty."""
+    old = {"suite": "s", "config": {"seed": 1, "p": [1.0],
+                                    "tol_overrides": {}},
+           "checks": [{"check": "c", "measured": 1.0, "bound": 2.0,
+                       "passed": True}]}
+    new = {"suite": "s", "config": {"seed": 9, "p": [1.0]},
+           "checks": [{"check": "c", "measured": 1.5, "bound": 2.0,
+                       "passed": True}]}
+    assert report_diff(old, new).splitlines() == [
+        "config.seed 1 -> 9",
+        "config.tol_overrides: only in old: {}",
+        "c: 1.0 -> 1.5 (delta +5.000e-01)  "
+        "[regression: measured constant grew > 1%]"]
+    del new["config"]
+    assert report_diff(old, new).splitlines()[:3] == [
+        "config.p: only in old: [1.0]", "config.seed: only in old: 1",
+        "config.tol_overrides: only in old: {}"]
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_cli_refuses_a_negative_seed(tmp_path, capsys, seed):
+    out = tmp_path / "x.json"
+    for argv in (["run", "--suite", "norm-oracle"],
+                 ["generate", "--kind", "random-ball", "--out", str(out)]):
+        assert main(argv + ["--seed", seed]) == 2
+        assert capsys.readouterr().err == (
+            f"error: seed {seed} is not an integer >= 0\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "3"])
+def test_a_seed_that_is_not_a_whole_number_from_zero_is_refused(seed):
+    with pytest.raises(BadSuite, match="is not an integer >= 0"):
+        run_suite(SuiteConfig(suite="sphere", seed=seed))
+    with pytest.raises(BadParameter, match="is not an integer >= 0"):
+        generate("random-ball", seed)
+
+
+def test_numpy_integer_seeds_are_taken(tmp_path):
+    out = tmp_path / "r.json"
+    run_suite(SuiteConfig(suite="sphere", seed=np.int64(2), out=str(out)))
+    assert load_report(out)["config"]["seed"] == 2
+    assert generate("random-ball", np.uint32(2)).n == 30
+
+
 def test_cli_error_exit_codes(tmp_path):
     # missing space file -> usage/parse error
     rc = main(["run", "--suite", "norm-oracle", "--space",
@@ -525,38 +590,6 @@ def test_cli_generate_takes_each_kind_s_parameters(tmp_path, kind, params, n):
         argv += ["--param", param]
     assert main(argv) == 0
     assert load_space(out).n == n
-
-
-def test_cli_tol_override(tmp_path):
-    report = tmp_path / "r.json"
-    rc = main(["run", "--suite", "norm-oracle", "--seed", "4",
-               "--tol-override", "norm_oracle_rel=1e-6",
-               "--out", str(report)])
-    assert rc == 0
-    doc = json.loads(report.read_text())
-    assert doc["config"]["tol_overrides"]["norm_oracle_rel"] == 1e-6
-
-
-def test_cli_tol_override_of_an_unread_key_is_rejected(capsys):
-    rc = main(["run", "--suite", "norm-oracle",
-               "--tol-override", "norm_oracle_rell=1e-30"])
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        "error: suite norm-oracle reads no tol 'norm_oracle_rell'; "
-        "it reads ['norm_oracle_rel']\n")
-
-
-@pytest.mark.parametrize("value, shown", [
-    ("abc", "'abc'"), ("-1", "-1"), ("nan", "'nan'"), ("NaN", "nan"),
-    ("Infinity", "inf"), ("true", "True")])
-def test_cli_tol_override_of_a_bad_value_is_rejected(capsys, value, shown):
-    """A tol override must be a finite real >= 0: not a word, a negative
-    number, NaN, infinity or a bool, each refused as a usage error."""
-    rc = main(["run", "--suite", "norm-oracle",
-               "--tol-override", f"norm_oracle_rel={value}"])
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        f"error: tol norm_oracle_rel={shown} is not a finite real >= 0\n")
 
 
 def test_cli_prints_the_bound_or_the_tol(tmp_path, capsys):
